@@ -12,7 +12,6 @@ from .convex import (
     MusielakSystem,
     PiecewiseAffineConvex,
     PowerFunction,
-    conjugate,
     equivalence_constants,
     is_two_concave,
     luxemburg_norm,

@@ -67,6 +67,10 @@ def _strip_rows(report: dict) -> dict:
 def run_command(command: str, cfg: dict) -> dict:
     seed = int(cfg.get("seed", 0))
     dims = cfg.get("dims", DEFAULT_DIMS[command])
+    if not isinstance(dims, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in dims
+    ):
+        raise ConfigError(f"dims must be a list of integers >= 1, got {dims!r}")
     threads = int(cfg.get("threads", 1))
     exponents = cfg.get("exponents", list(campaigns.DEFAULT_EXPONENTS))
     instances = int(cfg.get("instances", 100))

@@ -13,11 +13,15 @@ conjugation.  ``MusielakSystem`` bundles one function per coordinate and
 
     ||x|| = inf{ rho > 0 : sum_i M_i(|x_i| / rho) <= 1 }
 
-by bisection on rho.
+by Newton's method from the right on the convex, nondecreasing modular
+F(s) = sum_i M_i(|x_i| s) in s = 1/rho.  Every tangent of F lies below F,
+so the iterates decrease monotonically to the root without overshooting,
+and the loop ends once F(s) <= 1 or s stops decreasing in floating point.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,17 +34,12 @@ __all__ = [
     "MusielakSystem",
     "EquivalenceReport",
     "TwoConcavityReport",
-    "conjugate",
     "is_two_concave",
     "luxemburg_norm",
     "equivalence_constants",
     "system_to_json",
     "system_from_json",
-    "TOL_NORM",
 ]
-
-# relative tolerance of the Luxemburg bisection
-TOL_NORM = 1e-10
 
 
 class DegenerateTailError(ValueError):
@@ -82,6 +81,12 @@ class PiecewiseAffineConvex:
             raise ValueError("segment slopes must be nondecreasing (convexity)")
         if self.domain_bound is not None and self.domain_bound < knots[-1]:
             raise ValueError("domain_bound must not cut into the knot range")
+        # plain-float copies for the scalar paths (inverse, value_and_slope)
+        object.__setattr__(self, "_knot_list", knots.tolist())
+        object.__setattr__(self, "_value_list", values.tolist())
+        object.__setattr__(self, "_slope_list", slopes.tolist())
+        cap = math.inf if self.domain_bound is None else self.domain_bound * (1 + 1e-15)
+        object.__setattr__(self, "_finite_up_to", cap)
 
     def slopes(self) -> np.ndarray:
         """All segment slopes, including the extension slope."""
@@ -102,22 +107,33 @@ class PiecewiseAffineConvex:
             out = np.where(t > self.domain_bound * (1 + 1e-15), np.inf, out)
         return float(out) if out.ndim == 0 else out
 
+    def value_and_slope(self, t: float) -> tuple[float, float]:
+        """M(t) and its left derivative at a scalar t >= 0, as plain floats.
+
+        Both are +inf past ``domain_bound``.
+        """
+        if t > self._finite_up_to:
+            return math.inf, math.inf
+        seg = max(bisect.bisect_left(self._knot_list, t), 1) - 1
+        slope = self._slope_list[seg]
+        return self._value_list[seg] + slope * (t - self._knot_list[seg]), slope
+
     def inverse(self, y: float) -> float:
         """Generalized inverse sup{t : M(t) <= y} (exact interpolation)."""
         if y < 0:
             raise ValueError("argument must be nonnegative")
-        top = float(self.values[-1])
+        knots, values = self._knot_list, self._value_list
+        top = values[-1]
         if y <= top:
-            k = int(np.searchsorted(self.values, y, side="right"))
             # step back over ties so the enclosing segment is found
-            k = min(k, len(self.values) - 1)
-            t0, t1 = self.knots[k - 1], self.knots[k]
-            v0, v1 = self.values[k - 1], self.values[k]
+            k = min(bisect.bisect_right(values, y), len(values) - 1)
+            t0, t1 = knots[k - 1], knots[k]
+            v0, v1 = values[k - 1], values[k]
             if v1 == v0:  # flat segment: rightmost preimage
                 return float(t1)
             return float(t0 + (y - v0) * (t1 - t0) / (v1 - v0))
         if self.ext_slope > 0:
-            t = self.knots[-1] + (y - top) / self.ext_slope
+            t = knots[-1] + (y - top) / self.ext_slope
             if self.domain_bound is not None:
                 t = min(t, self.domain_bound)
             return float(t)
@@ -149,10 +165,12 @@ class PiecewiseAffineConvex:
             kv.append(float(self.ext_slope * self.knots[-1] - self.values[-1]))
             ext = float(b)
             bound = None
-        kt = np.asarray(kt)
-        # exact math makes the values nondecreasing from 0; clamp rounding
+        # exact math makes knots and values nondecreasing from 0; clamp
+        # rounding, and merge slopes equal up to rounding (equal matrix
+        # entries give prefix sums whose slopes differ in the last bits)
+        kt = np.maximum.accumulate(np.asarray(kt))
         kv = np.maximum.accumulate(np.maximum(np.asarray(kv), 0.0))
-        keep = np.concatenate([[True], np.diff(kt) > 0])
+        keep = np.concatenate([[True], np.diff(kt) > 1e-12 * kt[-1]])
         if bound is not None:
             # guard rounding: the extension slope can land a ulp below the
             # last interior slope even though convexity forbids it
@@ -180,6 +198,10 @@ class PowerFunction:
         out = self.scale * t**self.p
         return float(out) if out.ndim == 0 else out
 
+    def value_and_slope(self, t: float) -> tuple[float, float]:
+        """M(t) and its derivative at a scalar t >= 0, as plain floats."""
+        return self.scale * t**self.p, self.p * self.scale * t ** (self.p - 1.0)
+
     def inverse(self, y: float) -> float:
         if y < 0:
             raise ValueError("argument must be nonnegative")
@@ -193,11 +215,6 @@ class PowerFunction:
 
 
 OrliczFunction = PowerFunction | PiecewiseAffineConvex
-
-
-def conjugate(m: OrliczFunction) -> OrliczFunction:
-    """Legendre conjugate M*(x) = sup_t (x t - M(t)), exact for both kinds."""
-    return m.conjugate()
 
 
 @dataclass(frozen=True)
@@ -254,50 +271,42 @@ def is_two_concave(
     return TwoConcavityReport(passed, strictly, worst)
 
 
-def _modular_sum(system: MusielakSystem, absx: np.ndarray, rho: float) -> float:
-    total = 0.0
-    for m, xi in zip(system, absx):
-        if xi == 0.0:
-            continue
-        v = m(xi / rho)
-        if not np.isfinite(v):
-            return math.inf
-        total += v
-    return total
+def luxemburg_norm(system: MusielakSystem, x) -> float:
+    """Luxemburg norm inf{rho > 0 : sum_i M_i(|x_i|/rho) <= 1}.
 
-
-def luxemburg_norm(system: MusielakSystem, x, tol: float = TOL_NORM) -> float:
-    """Luxemburg norm inf{rho > 0 : sum_i M_i(|x_i|/rho) <= 1} by bisection.
-
-    The modular sum is nonincreasing in rho so bisection is unconditionally
-    safe.  Returns 0 for the zero vector by definition.
+    Newton's method from the right on the modular F(s) = sum_i M_i(|x_i| s)
+    with s = 1/rho.  It starts at s0 = min_i M_i^{-1}(1)/|x_i|, where no
+    term exceeds 1 or leaves its domain (the generalized inverse never
+    passes a domain bound); if F(s0) <= 1, the term that attains the
+    minimum passes 1 or its domain bound right after s0, so s0 is the
+    root.  F is convex and
+    nondecreasing, so the root of the tangent at s (left derivative) lies
+    between the true root and s: the iterates fall monotonically, exactly
+    onto the root once they reach its affine piece.  Returns 0 for the zero
+    vector by definition.
     """
     absx = np.abs(np.asarray(x, dtype=float))
     if len(absx) != system.n:
         raise ValueError("vector length must match system dimension")
-    if not absx.any():
+    if not np.isfinite(absx).all():
+        raise ValueError(f"vector x must be finite, got {np.asarray(x).tolist()}")
+    terms = [(m, xi) for m, xi in zip(system, absx.tolist()) if xi > 0.0]
+    if not terms:
         return 0.0
-    n = system.n
-    inv1 = [m.inverse(1.0) for m in system]
-    invn = [m.inverse(1.0 / n) for m in system]
-    lo = float(absx.max() / max(inv1))
-    hi = float(absx.sum() / min(invn))
-    if hi <= lo:
-        hi = lo * (1 + 1e-6) + 1e-300
-    # guard the bracket (exact for valid Orlicz functions)
-    while _modular_sum(system, absx, hi) > 1.0:
-        hi *= 2.0
-    while lo > 0 and _modular_sum(system, absx, lo) < 1.0:
-        lo *= 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _modular_sum(system, absx, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * hi:
-            break
-    return hi
+    s = min(m.inverse(1.0) / xi for m, xi in terms)
+    terms = [(m.value_and_slope, xi) for m, xi in terms]
+    while True:
+        total = slope = 0.0
+        for value_and_slope, xi in terms:
+            v, d = value_and_slope(xi * s)
+            total += v
+            slope += xi * d
+        if total <= 1.0:
+            return 1.0 / s
+        step = s - (total - 1.0) / slope
+        if not step < s:
+            return 1.0 / s
+        s = step
 
 
 @dataclass

@@ -66,6 +66,8 @@ class WeightMatrix:
             raise ValueError("need n <= N")
         for i in range(n):
             row = entries[i]
+            if not np.isfinite(row).all():
+                raise ValueError(f"row {i} has a non-finite entry")
             if row[-1] <= 0:
                 raise ValueError(f"row {i} is not strictly positive")
             if np.any(np.diff(row) > 0):

@@ -88,6 +88,12 @@ def test_invalid_matrix_reports_row(tmp_path, capsys):
     assert "row 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", [[0], [2, -1], [2.5], [True], "3", 3, None])
+def test_invalid_dims_is_usage_error(tmp_path, capsys, dims):
+    assert run(tmp_path, "verify-thm1", {"dims": dims}) == 1
+    assert "dims" in capsys.readouterr().err
+
+
 def test_explicit_matrix_construct(tmp_path):
     cfg = {"matrix": [[2.0, 1.0], [2.0, 1.0]]}
     assert run(tmp_path, "construct", cfg) == 0

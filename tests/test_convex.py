@@ -1,8 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from musielak.construct import functions_from_matrix
 from musielak.convex import (
     DegenerateTailError,
     EquivalenceReport,
@@ -15,6 +19,7 @@ from musielak.convex import (
     system_from_json,
     system_to_json,
 )
+from musielak.perms import WeightMatrix, prefix_sum_system
 
 rng = np.random.default_rng(20240817)
 
@@ -39,6 +44,47 @@ def grid_sup_conjugate(m, x, tmax=50.0, points=200001):
     return float(np.max(x * t - m(t)))
 
 
+def modular_sum(system, absx, rho):
+    total = 0.0
+    for m, xi in zip(system, absx):
+        if xi == 0.0:
+            continue
+        v = m(xi / rho)
+        if not np.isfinite(v):
+            return math.inf
+        total += v
+    return total
+
+
+def bisection_norm(system, x):
+    """Reference Luxemburg norm: bisection on rho to a relative 1e-10.
+
+    Returns the feasible end of the final bracket, so it is at most 1e-10
+    (relative) above the norm.
+    """
+    absx = np.abs(np.asarray(x, dtype=float))
+    if not absx.any():
+        return 0.0
+    n = system.n
+    lo = float(absx.max() / max(m.inverse(1.0) for m in system))
+    hi = float(absx.sum() / min(m.inverse(1.0 / n) for m in system))
+    if hi <= lo:
+        hi = lo * (1 + 1e-6) + 1e-300
+    while modular_sum(system, absx, hi) > 1.0:
+        hi *= 2.0
+    while lo > 0 and modular_sum(system, absx, lo) < 1.0:
+        lo *= 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if modular_sum(system, absx, mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-10 * hi:
+            break
+    return hi
+
+
 class TestEval:
     def test_power_closed_form(self):
         assert PowerFunction(2, 1)(3) == 9
@@ -57,6 +103,25 @@ class TestEval:
             PowerFunction(2)(-1)
         with pytest.raises(ValueError):
             PiecewiseAffineConvex([0, 1], [0, 1], 1.0)(-0.5)
+
+    def test_value_and_slope_pwa(self):
+        m = PiecewiseAffineConvex([0, 1, 2], [0, 1, 3], 3.0, domain_bound=4.0)
+        # left derivative: the slope of the segment ending at a knot
+        assert m.value_and_slope(0.5) == (0.5, 1.0)
+        assert m.value_and_slope(1.0) == (1.0, 1.0)
+        assert m.value_and_slope(2.0) == (3.0, 2.0)
+        assert m.value_and_slope(3.0) == (6.0, 3.0)
+        assert m.value_and_slope(4.0) == (9.0, 3.0)
+        assert m.value_and_slope(4.5) == (math.inf, math.inf)
+
+    def test_value_and_slope_matches_call(self):
+        for m in [random_pwa(), random_pwa().conjugate(), PowerFunction(1.7, 0.3)]:
+            top = min(3.0, getattr(m, "domain_bound", None) or 3.0)
+            for t in rng.uniform(1e-3, top, 20):
+                v, d = m.value_and_slope(float(t))
+                assert v == pytest.approx(m(t), rel=1e-13)
+                h = 1e-7 * t
+                assert d == pytest.approx((m(t) - m(t - h)) / h, rel=1e-5, abs=1e-6)
 
 
 class TestInverse:
@@ -205,6 +270,95 @@ class TestLuxemburgNorm:
             rho = luxemburg_norm(s, x)
             total = sum(m(abs(xi) / rho) for m, xi in zip(s, x))
             assert total == pytest.approx(1.0, abs=1e-8)
+
+
+    def test_domain_cap_binds(self):
+        # M = 0.2 t up to its domain bound 2, then +inf: the modular of
+        # x = (1, 1) climbs to 0.8 at rho = 1/2 and jumps straight to +inf
+        m = PiecewiseAffineConvex([0.0, 1.0], [0.0, 0.2], 0.2, domain_bound=2.0)
+        s = MusielakSystem((m, m))
+        rho = luxemburg_norm(s, [1.0, -1.0])
+        assert rho == pytest.approx(0.5, rel=1e-15)
+        assert modular_sum(s, [1.0, 1.0], rho) == pytest.approx(0.8)
+        assert modular_sum(s, [1.0, 1.0], rho * (1 - 1e-12)) == math.inf
+        assert rho == pytest.approx(bisection_norm(s, [1.0, -1.0]), rel=1e-9)
+
+    def test_conjugate_of_linear_is_a_max_norm(self):
+        # (1.5 t)* is 0 up to 1.5 and +inf beyond, so the norm is max|x_i|/1.5
+        c = PiecewiseAffineConvex([0.0], [0.0], 1.5).conjugate()
+        s = MusielakSystem((c, c))
+        assert luxemburg_norm(s, [3.0, -1.0]) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        lin = PiecewiseAffineConvex([0.0, 1.0], [0.0, 1.0], 1.0)
+        for s in (MusielakSystem((lin,) * 3), MusielakSystem((PowerFunction(1.5),) * 3)):
+            with pytest.raises(ValueError, match="vector x"):
+                luxemburg_norm(s, [bad, 1.0, 1.0])
+
+
+# -- the Newton solver against the bisection oracle ---------------------------
+
+
+def _pwa(gaps, slope_steps):
+    knots = np.concatenate([[0.0], np.cumsum(gaps)])
+    slopes = np.cumsum(slope_steps)
+    values = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.asarray(gaps))])
+    return PiecewiseAffineConvex(knots, values, slopes[-1])
+
+
+pwa_functions = st.integers(1, 5).flatmap(
+    lambda m: st.builds(
+        _pwa,
+        st.lists(st.floats(0.2, 1.5), min_size=m, max_size=m),
+        st.lists(st.floats(0.1, 1.0), min_size=m + 1, max_size=m + 1),
+    )
+)
+power_functions = st.builds(PowerFunction, st.floats(1.05, 4.0), st.floats(0.1, 10.0))
+any_functions = st.one_of(pwa_functions, pwa_functions.map(lambda m: m.conjugate()), power_functions)
+
+
+def _systems(functions):
+    return st.lists(functions, min_size=1, max_size=7).map(MusielakSystem)
+
+
+def _matrices():
+    def build(n, entries):
+        rows = np.sort(np.reshape(entries, (n, n)), axis=1)[:, ::-1]
+        return WeightMatrix(rows)
+
+    return st.integers(1, 6).flatmap(
+        lambda n: st.builds(build, st.just(n), st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n))
+    )
+
+
+SYSTEMS = {
+    "pwa": _systems(pwa_functions),
+    "conjugate": _systems(pwa_functions.map(lambda m: m.conjugate())),
+    "power": _systems(power_functions),
+    "mixed": _systems(any_functions),
+    "prefix-sum": _matrices().map(prefix_sum_system),
+    "from-matrix": _matrices().map(functions_from_matrix),
+}
+
+# zero entries and magnitudes 1e-6 .. 1e6 of either sign
+entries = st.one_of(
+    st.just(0.0),
+    st.builds(lambda e, sign: sign * 10.0**e, st.floats(-6.0, 6.0), st.sampled_from([-1.0, 1.0])),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_newton_matches_bisection(kind, data):
+    system = data.draw(SYSTEMS[kind])
+    x = data.draw(st.lists(entries, min_size=system.n, max_size=system.n))
+    rho = luxemburg_norm(system, x)
+    assert rho == pytest.approx(bisection_norm(system, x), rel=1e-9, abs=0.0)
+    if rho > 0:
+        # feasible: the modular at the returned rho is at most 1
+        assert modular_sum(system, np.abs(x), rho) <= 1.0 + 1e-12
 
 
 class TestEquivalence:

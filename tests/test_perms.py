@@ -219,6 +219,15 @@ class TestSandwich:
         assert luxemburg_norm(system, x) == pytest.approx(0.8 * 1.3, rel=1e-9)
         assert lemma_matrixnorm_check(a, x).passed
 
+    def test_equal_entries(self):
+        # M_i* has slope 1/(4 * 0.05) = 5 throughout (the rounded prefix sums
+        # make its slopes differ in the last bits), so M_i is 0 up to 5 and
+        # +inf beyond, and the Luxemburg norm is max |x_i| / 5
+        a = WeightMatrix(np.full((4, 4), 0.05))
+        system = prefix_sum_system(a)
+        assert luxemburg_norm(system, [1.0, 2.0, -3.0, 0.5]) == pytest.approx(0.6, rel=1e-12)
+        assert lemma_matrixnorm_check(a, [1.0, 2.0, -3.0, 0.5]).passed
+
     def test_random_instances(self):
         for _ in range(100):
             n = rng.integers(1, 5)
@@ -284,3 +293,8 @@ class TestSerialization:
             WeightMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         with pytest.raises(ValueError, match="row 0"):
             WeightMatrix(np.array([[1.0, -1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="row 1 has a non-finite entry"):
+            WeightMatrix(np.array([[2.0, 1.0], [bad, 1.0]]))
