@@ -39,7 +39,6 @@ from .construct import (
     ConstructionError,
     FProfile,
     conjugate_inverse_knots,
-    f_profile,
     fit_concave_profile,
     functions_from_matrix,
     h_reconstruct_check,

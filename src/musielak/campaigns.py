@@ -2,16 +2,22 @@
 
 Each campaign draws instances from a named family (``constant``,
 ``random-decreasing`` or ``power-family``), evaluates one of the library's
-equivalence or sandwich checks per instance, and returns a summary dict
-plus per-instance rows suitable for CSV export.  All randomness flows from
-a single seed through per-instance derived samplers, so a campaign is
-reproducible and parallelizable instance by instance.
+equivalence or sandwich checks per instance, and gates the rows against
+one declared bound.  All randomness flows from a single seed through
+per-instance derived samplers, so a campaign is reproducible instance by
+instance.
+
+Every campaign but ``construct_campaign`` returns the same report: ``rows``
+(for CSV export), ``per_n`` and ``band`` (summaries of the ``ratio``
+column), ``gate`` (the bound, the worst value found and the margin between
+them) and ``passed``, which is ``margin >= 0``.  An empty sweep has no
+margin and passes.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 
 import numpy as np
 
@@ -30,19 +36,21 @@ __all__ = [
     "roundtrip_campaign",
     "distortion_campaign",
     "construct_campaign",
-    "run_parallel",
 ]
 
 FAMILIES = ("constant", "random-decreasing", "power-family")
 DEFAULT_EXPONENTS = (1.2, 1.5, 1.8)
 
-
-def run_parallel(ids, fn, threads: int = 1):
-    """Map fn over instance ids, optionally threaded; order-stable output."""
-    if threads <= 1:
-        return [fn(i) for i in ids]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, ids))
+# Gate bounds.  Bands of Thm 1 and Thm 2: spread max(ratio)/min(ratio).
+BAND_SPREAD_MAX = 20.0
+# Lemma 2.1, ave_max_two / dra_sum_bound, between values computed exactly.
+LEMMA21_MAX = 1.0 + 1e-9
+# Lemma 2.2 and Khintchine: rows whose own sandwich check failed.
+SANDWICH_FAILURES_MAX = 0
+# Round trip: both equivalence constants in this interval.
+ROUNDTRIP_RANGE = (0.25, 4.0)
+# Distortion of the embedding: Khintchine's sqrt 2 times the band bound.
+DISTORTION_MAX = math.sqrt(2.0) * BAND_SPREAD_MAX
 
 
 def make_matrix(
@@ -74,6 +82,10 @@ def make_power_system(n: int, exponents=DEFAULT_EXPONENTS) -> MusielakSystem:
     return MusielakSystem(tuple(construct.power_orlicz(p) for p in ps))
 
 
+# ---------------------------------------------------------------------------
+# the runner
+
+
 def _band_summary(rows):
     if not rows:
         return {"c_low": None, "c_high": None, "spread": None, "samples": 0}
@@ -86,183 +98,158 @@ def _band_summary(rows):
     }
 
 
+def _row(instance_id: str, n: int, lhs, rhs, ratio, **extra) -> dict:
+    return {"instance_id": instance_id, "n": n, "lhs": lhs, "rhs": rhs, "ratio": ratio, **extra}
+
+
+def _per_instance(dims, instances: int, prefix: str = ""):
+    """Instances k = 0..instances-1 per n, drawn from spawn key n*10000 + k."""
+    return [(n, n * 10_000 + k, f"{prefix}n{n}-i{k}") for n in dims for k in range(instances)]
+
+
+def _per_dim(dims, prefix: str = ""):
+    """One instance per n, drawn from spawn key n."""
+    return [(n, n, f"{prefix}n{n}") for n in dims]
+
+
+def _margin(bound, worst) -> float:
+    if isinstance(bound, tuple):  # an interval [lo, hi] and worst (lowest, highest)
+        return min(worst[0] - bound[0], bound[1] - worst[1])
+    return bound - worst
+
+
+def _run(seed: int, instances, one, bound, worst) -> dict:
+    """Run ``one(n, sampler, tag) -> rows`` per instance and gate the rows.
+
+    ``instances`` lists ``(n, spawn key, id tag)``; ``worst(rows)`` is the
+    value held against ``bound``, an upper bound or an interval.
+    """
+    root = PermutationSampler(seed)
+    rows = [r for n, key, tag in instances for r in one(n, root.spawn(key), tag)]
+    found = worst(rows) if rows else None
+    margin = None if found is None else _margin(bound, found)
+    return {
+        "rows": rows,
+        "per_n": {
+            n: _band_summary([r for r in rows if r["n"] == n])
+            for n in dict.fromkeys(n for n, _, _ in instances)
+        },
+        "band": _band_summary(rows),
+        "gate": {"bound": bound, "worst": found, "margin": margin},
+        "passed": margin is None or margin >= 0,
+    }
+
+
+def _spread(rows) -> float:
+    return _band_summary(rows)["spread"]
+
+
+def _max_ratio(rows) -> float:
+    return max(r["ratio"] for r in rows)
+
+
+def _failures(rows) -> int:
+    return sum(not r["passed"] for r in rows)
+
+
+def _constants(rows):
+    return min(r["lhs"] for r in rows), max(r["rhs"] for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# campaigns
+
+
+def _band_rows(tag: str, n: int, a: WeightMatrix, system, s, vectors: int) -> list:
+    """Exact l2 average vs. Luxemburg norm for ``vectors`` Gaussian vectors."""
+    rows = []
+    for v in range(vectors):
+        x = s.normals(n)
+        lhs = perms.ave_l2(a, x, mode="exact").value
+        rhs = luxemburg_norm(system, x)
+        rows.append(_row(f"{tag}-x{v}", n, lhs, rhs, lhs / rhs))
+    return rows
+
+
 def thm1_campaign(
-    dims,
-    seed: int,
-    instances: int = 5,
-    vectors: int = 100,
-    family: str = "random-decreasing",
-    threads: int = 1,
+    dims, seed: int, instances: int = 5, vectors: int = 100, family: str = "random-decreasing"
 ) -> dict:
     """Band of exact l2 average vs. Luxemburg norm of the matrix-built system."""
-    root = PermutationSampler(seed)
 
-    def one(args):
-        n, k = args
-        s = root.spawn(n * 10_000 + k)
+    def one(n, s, tag):
         a = make_matrix(family, n, s)
-        system = construct.functions_from_matrix(a)
-        out = []
-        for v in range(vectors):
-            x = s.normals(n)
-            lhs = perms.ave_l2(a, x, mode="exact").value
-            rhs = luxemburg_norm(system, x)
-            out.append(
-                {"instance_id": f"n{n}-i{k}-x{v}", "n": n, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
-            )
-        return out
+        return _band_rows(tag, n, a, construct.functions_from_matrix(a), s, vectors)
 
-    jobs = [(n, k) for n in dims for k in range(instances)]
-    rows = [r for chunk in run_parallel(jobs, one, threads) for r in chunk]
-    per_n = {
-        n: _band_summary([r for r in rows if r["n"] == n]) for n in dims
-    }
-    return {"rows": rows, "per_n": per_n, "band": _band_summary(rows), "passed": True}
+    return _run(seed, _per_instance(dims, instances), one, BAND_SPREAD_MAX, _spread)
 
 
-def thm2_campaign(
-    dims,
-    seed: int,
-    vectors: int = 500,
-    exponents=DEFAULT_EXPONENTS,
-    threads: int = 1,
-) -> dict:
+def thm2_campaign(dims, seed: int, vectors: int = 500, exponents=DEFAULT_EXPONENTS) -> dict:
     """Same band as thm1 but for matrices produced from power systems."""
-    root = PermutationSampler(seed)
 
-    def one(n):
-        s = root.spawn(n)
+    def one(n, s, tag):
         system = make_power_system(n, exponents)
-        a = construct.matrix_from_functions(system, n)
-        out = []
-        for v in range(vectors):
-            x = s.normals(n)
-            lhs = perms.ave_l2(a, x, mode="exact").value
-            rhs = luxemburg_norm(system, x)
-            out.append(
-                {"instance_id": f"n{n}-x{v}", "n": n, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
-            )
-        return out
+        return _band_rows(tag, n, construct.matrix_from_functions(system, n), system, s, vectors)
 
-    rows = [r for chunk in run_parallel(list(dims), one, threads) for r in chunk]
-    per_n = {n: _band_summary([r for r in rows if r["n"] == n]) for n in dims}
-    return {"rows": rows, "per_n": per_n, "band": _band_summary(rows), "passed": True}
+    return _run(seed, _per_dim(dims), one, BAND_SPREAD_MAX, _spread)
 
 
-def lemma21_campaign(dims, seed: int, instances: int = 200, threads: int = 1) -> dict:
+def lemma21_campaign(dims, seed: int, instances: int = 200) -> dict:
     """Exact two-permutation max average vs. the rearrangement bound."""
-    root = PermutationSampler(seed)
 
-    def one(args):
-        n, k = args
-        s = root.spawn(n * 10_000 + k)
+    def one(n, s, tag):
         a3 = s.normals((n, n, n))
         lhs = perms.ave_max_two(a3, mode="exact").value
         rhs = perms.dra_sum_bound(a3)
-        return {"instance_id": f"l21-n{n}-i{k}", "n": n, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
+        return [_row(tag, n, lhs, rhs, lhs / rhs)]
 
-    jobs = [(n, k) for n in dims for k in range(instances)]
-    rows = run_parallel(jobs, one, threads)
-    per_n = {n: _band_summary([r for r in rows if r["n"] == n]) for n in dims}
-    return {"rows": rows, "per_n": per_n, "band": _band_summary(rows), "passed": True}
+    return _run(seed, _per_instance(dims, instances, "l21-"), one, LEMMA21_MAX, _max_ratio)
 
 
-def lemma22_campaign(
-    dims, seed: int, instances: int = 200, tol: float = 1e-8, threads: int = 1
-) -> dict:
+def lemma22_campaign(dims, seed: int, instances: int = 200, tol: float = 1e-8) -> dict:
     """Exact 1/2 .. 2 sandwich of the matrix norm by the prefix-sum system."""
-    root = PermutationSampler(seed)
 
-    def one(args):
-        n, k = args
-        s = root.spawn(n * 10_000 + k)
+    def one(n, s, tag):
         a = make_matrix("random-decreasing", n, s)
-        x = s.normals(n)
-        rep = perms.lemma_matrixnorm_check(a, x, tol=tol)
-        return {
-            "instance_id": f"l22-n{n}-i{k}",
-            "n": n,
-            "lhs": rep.lower,
-            "rhs": rep.value,
-            "ratio": rep.ratio,
-            "passed": rep.passed,
-        }
+        rep = perms.lemma_matrixnorm_check(a, s.normals(n), tol=tol)
+        return [_row(tag, n, rep.lower, rep.value, rep.ratio, passed=rep.passed)]
 
-    jobs = [(n, k) for n in dims for k in range(instances)]
-    rows = run_parallel(jobs, one, threads)
-    failures = [r["instance_id"] for r in rows if not r["passed"]]
-    return {"rows": rows, "failures": failures, "passed": not failures}
+    return _run(seed, _per_instance(dims, instances, "l22-"), one, SANDWICH_FAILURES_MAX, _failures)
 
 
-def khintchine_campaign(dims, seed: int, instances: int = 200, threads: int = 1) -> dict:
+def khintchine_campaign(dims, seed: int, instances: int = 200) -> dict:
     """Exact Khintchine sandwich of the embedded L1 norm, per instance."""
-    root = PermutationSampler(seed)
 
-    def one(args):
-        n, k = args
-        s = root.spawn(n * 10_000 + k)
+    def one(n, s, tag):
         a = make_matrix("random-decreasing", n, s)
-        x = s.normals(n)
-        rep = embed.khintchine_sandwich_check(a, x)
-        return {
-            "instance_id": f"kh-n{n}-i{k}",
-            "n": n,
-            "lhs": rep.lower,
-            "rhs": rep.value,
-            "ratio": rep.value / rep.upper if rep.upper else 1.0,
-            "passed": rep.passed,
-        }
+        rep = embed.khintchine_sandwich_check(a, s.normals(n))
+        ratio = rep.value / rep.upper if rep.upper else 1.0
+        return [_row(tag, n, rep.lower, rep.value, ratio, passed=rep.passed)]
 
-    jobs = [(n, k) for n in dims for k in range(instances)]
-    rows = run_parallel(jobs, one, threads)
-    failures = [r["instance_id"] for r in rows if not r["passed"]]
-    return {"rows": rows, "failures": failures, "passed": not failures}
+    return _run(seed, _per_instance(dims, instances, "kh-"), one, SANDWICH_FAILURES_MAX, _failures)
 
 
 def roundtrip_campaign(
-    dims, seed: int, family: str = "power-family", exponents=DEFAULT_EXPONENTS, threads: int = 1
+    dims, seed: int, family: str = "power-family", exponents=DEFAULT_EXPONENTS
 ) -> dict:
     """Uniform-equivalence constants of the composed constructions."""
-    root = PermutationSampler(seed)
 
-    def one(n):
-        s = root.spawn(n)
-        a = make_matrix(family, n, s, exponents)
-        rep = construct.roundtrip_check(a)
-        return {
-            "instance_id": f"rt-n{n}",
-            "n": n,
-            "lhs": rep.c_low,
-            "rhs": rep.c_high,
-            "ratio": rep.spread,
-        }
+    def one(n, s, tag):
+        rep = construct.roundtrip_check(make_matrix(family, n, s, exponents))
+        return [_row(tag, n, rep.c_low, rep.c_high, rep.spread)]
 
-    rows = run_parallel(list(dims), one, threads)
-    worst = max((r["ratio"] for r in rows), default=None)
-    return {"rows": rows, "worst_spread": worst, "passed": True}
+    return _run(seed, _per_dim(dims, "rt-"), one, ROUNDTRIP_RANGE, _constants)
 
 
-def distortion_campaign(
-    dims, seed: int, samples: int = 500, exponents=DEFAULT_EXPONENTS, threads: int = 1
-) -> dict:
+def distortion_campaign(dims, seed: int, samples: int = 500, exponents=DEFAULT_EXPONENTS) -> dict:
     """Embedding distortion witness for power-family pipelines."""
-    root = PermutationSampler(seed)
 
-    def one(n):
-        s = root.spawn(n)
+    def one(n, s, tag):
         system = make_power_system(n, exponents)
         a = construct.matrix_from_functions(system, n)
         rep = embed.distortion_estimate(system, a, s, samples=samples)
-        return {
-            "instance_id": f"dist-n{n}",
-            "n": n,
-            "lhs": rep.ratio_min,
-            "rhs": rep.ratio_max,
-            "ratio": rep.distortion,
-        }
+        return [_row(tag, n, rep.ratio_min, rep.ratio_max, rep.distortion)]
 
-    rows = run_parallel(list(dims), one, threads)
-    return {"rows": rows, "passed": True}
+    return _run(seed, _per_dim(dims, "dist-"), one, DISTORTION_MAX, _max_ratio)
 
 
 def construct_campaign(
@@ -276,37 +263,29 @@ def construct_campaign(
 
     An explicit ``matrix`` (list of rows) bypasses the family sweep; invalid
     input (e.g. an increasing row) is rejected with the offending row index.
+    There is no inequality to gate: a failed construction raises.
     """
     if matrix is not None:
         a = WeightMatrix(np.asarray(matrix, dtype=float))
         construct.functions_from_matrix(a)
-        knots = construct.conjugate_inverse_knots(a)
-        return {
-            "results": [
-                {
-                    "n": a.n,
-                    "matrix": [list(map(float, r)) for r in a.entries],
-                    "knot_values": [list(map(float, r)) for r in knots],
-                }
-            ],
-            "passed": True,
-        }
+        return {"results": [_construction(a)], "passed": True}
     root = PermutationSampler(seed)
     out = []
     for n in dims:
         s = root.spawn(n)
         if family == "power-family":
-            system = make_power_system(n, exponents)
-            a = construct.matrix_from_functions(system, n)
+            a = construct.matrix_from_functions(make_power_system(n, exponents), n)
         else:
             a = make_matrix(family, n, s)
-            system = construct.functions_from_matrix(a)
-        knots = construct.conjugate_inverse_knots(a)
-        out.append(
-            {
-                "n": n,
-                "matrix": [list(map(float, r)) for r in a.entries],
-                "knot_values": [list(map(float, r)) for r in knots],
-            }
-        )
+            construct.functions_from_matrix(a)
+        out.append(_construction(a))
     return {"results": out, "passed": True}
+
+
+def _construction(a: WeightMatrix) -> dict:
+    knots = construct.conjugate_inverse_knots(a)
+    return {
+        "n": a.n,
+        "matrix": [list(map(float, r)) for r in a.entries],
+        "knot_values": [list(map(float, r)) for r in knots],
+    }

@@ -3,8 +3,9 @@
 Subcommands: construct, verify-thm1, verify-thm2, roundtrip, lemma-oracles,
 embed-report.  A campaign is defined by a JSON config file; --seed and
 --out override the config on the command line.  Exit code 0 means every
-exact invariant in the run passed, 2 means at least one failed, 1 is a
-usage or config error.
+gate in the run passed, 2 means at least one failed (the report's ``gate``
+blocks name the bound, the worst value and the margin), 1 is a usage or
+config error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -60,71 +60,70 @@ def write_csv(path: Path, rows) -> None:
             fh.write(",".join(_fmt(row.get(c, "")) for c in CSV_COLUMNS) + "\n")
 
 
-def _strip_rows(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "rows"}
+def _merge(**parts) -> dict:
+    """One report from named campaign reports: rows joined, passed if all passed."""
+    report = {name: {k: v for k, v in part.items() if k != "rows"} for name, part in parts.items()}
+    report["rows"] = [r for part in parts.values() for r in part["rows"]]
+    report["passed"] = all(part["passed"] for part in parts.values())
+    return report
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_config(cfg: dict) -> None:
+    """Reject a config field of the wrong type or range, naming the field."""
+    if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
+    for key in ("instances", "vectors", "samples"):
+        if key in cfg and not (_is_int(cfg[key]) and cfg[key] >= 1):
+            raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
+    dims = cfg.get("dims", [])
+    if not isinstance(dims, list) or not all(_is_int(n) and n >= 1 for n in dims):
+        raise ConfigError(f"dims must be a list of integers >= 1, got {dims!r}")
+    exponents = cfg.get("exponents", list(campaigns.DEFAULT_EXPONENTS))
+    if not isinstance(exponents, list) or not exponents or not all(
+        isinstance(p, (int, float)) and not isinstance(p, bool) and 1 < p < 2 for p in exponents
+    ):
+        raise ConfigError(f"exponents must be a non-empty list of numbers in (1, 2), got {exponents!r}")
+    if cfg.get("family", "power-family") not in campaigns.FAMILIES:
+        raise ConfigError(f"family must be one of {campaigns.FAMILIES}, got {cfg['family']!r}")
 
 
 def run_command(command: str, cfg: dict) -> dict:
-    seed = int(cfg.get("seed", 0))
+    _check_config(cfg)
+    seed = cfg.get("seed", 0)
     dims = cfg.get("dims", DEFAULT_DIMS[command])
-    if not isinstance(dims, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in dims
-    ):
-        raise ConfigError(f"dims must be a list of integers >= 1, got {dims!r}")
-    threads = int(cfg.get("threads", 1))
     exponents = cfg.get("exponents", list(campaigns.DEFAULT_EXPONENTS))
-    instances = int(cfg.get("instances", 100))
+    instances = cfg.get("instances", 100)
     family = cfg.get("family", "random-decreasing")
-    if family not in campaigns.FAMILIES:
-        raise ConfigError(f"unknown family {family!r}")
 
     if command == "construct":
         return campaigns.construct_campaign(dims, seed, family, exponents, matrix=cfg.get("matrix"))
     if command == "verify-thm1":
         return campaigns.thm1_campaign(
-            dims,
-            seed,
-            instances=int(cfg.get("instances", 5)),
-            vectors=int(cfg.get("vectors", 100)),
-            family=family,
-            threads=threads,
+            dims, seed, instances=cfg.get("instances", 5), vectors=cfg.get("vectors", 100), family=family
         )
     if command == "verify-thm2":
-        return campaigns.thm2_campaign(
-            dims, seed, vectors=int(cfg.get("vectors", 200)), exponents=exponents, threads=threads
-        )
+        return campaigns.thm2_campaign(dims, seed, vectors=cfg.get("vectors", 200), exponents=exponents)
     if command == "roundtrip":
         return campaigns.roundtrip_campaign(
-            dims, seed, family=cfg.get("family", "power-family"), exponents=exponents, threads=threads
+            dims, seed, family=cfg.get("family", "power-family"), exponents=exponents
         )
+    exact = [n for n in dims if n <= 5]  # where lemma 2.1 and Khintchine enumerate
     if command == "lemma-oracles":
-        l21 = campaigns.lemma21_campaign(
-            [n for n in dims if n <= 5], seed, instances=instances, threads=threads
+        return _merge(
+            lemma21=campaigns.lemma21_campaign(exact, seed, instances=instances),
+            lemma22=campaigns.lemma22_campaign(dims, seed, instances=instances),
         )
-        l22 = campaigns.lemma22_campaign(dims, seed, instances=instances, threads=threads)
-        return {
-            "lemma21": _strip_rows(l21),
-            "lemma22": _strip_rows(l22),
-            "rows": l21["rows"] + l22["rows"],
-            "passed": l21["passed"] and l22["passed"],
-        }
     if command == "embed-report":
-        kh = campaigns.khintchine_campaign(
-            [n for n in dims if n <= 5], seed, instances=instances, threads=threads
+        return _merge(
+            khintchine=campaigns.khintchine_campaign(exact, seed, instances=instances),
+            distortion=campaigns.distortion_campaign(
+                [n for n in dims if n <= 6], seed, samples=cfg.get("samples", 200), exponents=exponents
+            ),
         )
-        dist = campaigns.distortion_campaign(
-            [n for n in dims if n <= 6],
-            seed,
-            samples=int(cfg.get("samples", 200)),
-            exponents=exponents,
-            threads=threads,
-        )
-        return {
-            "khintchine": _strip_rows(kh),
-            "distortion": _strip_rows(dist),
-            "rows": kh["rows"] + dist["rows"],
-            "passed": kh["passed"] and dist["passed"],
-        }
     raise ConfigError(f"unknown command {command!r}")
 
 
@@ -136,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="campaign config JSON")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, help="parallel instances (env MUSIELAK_THREADS)")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="both")
     return parser
 
@@ -151,10 +149,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.threads is not None:
-            cfg["threads"] = args.threads
-        elif "threads" not in cfg and os.environ.get("MUSIELAK_THREADS"):
-            cfg["threads"] = int(os.environ["MUSIELAK_THREADS"])
         report = run_command(args.command, cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

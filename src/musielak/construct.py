@@ -46,7 +46,6 @@ __all__ = [
     "ConstructionError",
     "conjugate_inverse_knots",
     "functions_from_matrix",
-    "f_profile",
     "power_profile",
     "power_orlicz",
     "matrix_from_profiles",
@@ -254,11 +253,6 @@ class FProfile:
         if hi <= lo:
             return 0.0
         return self._quad(lambda t: self.value(t) ** 2, lo, hi)
-
-
-def f_profile(h, t: float, dh=None, d2h=None, config: ConstructionConfig | None = None) -> float:
-    """Convenience wrapper: the profile value f(t) for a given H."""
-    return FProfile(h, dh, d2h, config).value(t)
 
 
 # ---------------------------------------------------------------------------

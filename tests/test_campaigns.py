@@ -1,0 +1,57 @@
+"""The campaigns' draw contract, rebuilt without the campaign code.
+
+A row of an instance drawn per instance comes from
+``PermutationSampler(seed).spawn(n * 10000 + k)``, a row of an instance
+drawn per dimension from ``spawn(n)``; within an instance the matrix is
+drawn first, then the vectors in row order.  The benchmark's oracle
+replays these draws, so any change to them must show here first.
+"""
+
+import itertools
+
+import numpy as np
+
+from musielak import campaigns, construct, perms
+from musielak.convex import MusielakSystem, luxemburg_norm
+from musielak.perms import PermutationSampler, WeightMatrix
+
+SEED = 11
+
+
+def _decreasing(s, n):
+    return WeightMatrix(np.sort(s.uniform(0.05, 1.0, (n, n)), axis=1)[:, ::-1])
+
+
+def _row(report, instance_id):
+    (row,) = [r for r in report["rows"] if r["instance_id"] == instance_id]
+    return row
+
+
+def test_thm1_row_replays_from_instance_key():
+    n, k, v = 3, 1, 2
+    row = _row(campaigns.thm1_campaign([n], SEED, instances=2, vectors=3), f"n{n}-i{k}-x{v}")
+    s = PermutationSampler(SEED).spawn(n * 10_000 + k)
+    a = _decreasing(s, n)
+    x = [s.normals(n) for _ in range(v + 1)][-1]
+    assert row["lhs"] == perms.ave_l2(a, x, mode="exact").value
+    assert row["rhs"] == luxemburg_norm(construct.functions_from_matrix(a), x)
+
+
+def test_thm2_row_replays_from_dimension_key():
+    n, v, exponents = 4, 1, (1.3, 1.7)
+    row = _row(campaigns.thm2_campaign([n], SEED, vectors=2, exponents=exponents), f"n{n}-x{v}")
+    s = PermutationSampler(SEED).spawn(n)
+    ps = itertools.islice(itertools.cycle(exponents), n)
+    system = MusielakSystem(tuple(construct.power_orlicz(p) for p in ps))
+    x = [s.normals(n) for _ in range(v + 1)][-1]
+    assert row["lhs"] == perms.ave_l2(construct.matrix_from_functions(system, n), x, mode="exact").value
+    assert row["rhs"] == luxemburg_norm(system, x)
+
+
+def test_lemma22_row_replays_from_instance_key():
+    n, k = 4, 2
+    row = _row(campaigns.lemma22_campaign([n], SEED, instances=3), f"l22-n{n}-i{k}")
+    s = PermutationSampler(SEED).spawn(n * 10_000 + k)
+    a = _decreasing(s, n)
+    rep = perms.lemma_matrixnorm_check(a, s.normals(n))
+    assert (row["lhs"], row["rhs"]) == (rep.lower, rep.value)

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
+import itertools
 import json
 
 import pytest
 
-from musielak import campaigns
+from musielak import campaigns, construct, embed, perms
 from musielak.cli import main
 
 SMALL = {
@@ -31,6 +33,15 @@ def load_json(tmp_path, command):
         return json.load(fh)
 
 
+def _gates(doc):
+    """The gate blocks of a report: its own, or one per merged campaign."""
+    if "gate" in doc:
+        return [doc["gate"]]
+    gates = [part["gate"] for part in doc.values() if isinstance(part, dict) and "gate" in part]
+    assert len(gates) == 2
+    return gates
+
+
 @pytest.mark.parametrize("command", sorted(SMALL))
 def test_commands_pass_and_write_reports(tmp_path, command):
     assert run(tmp_path, command, SMALL[command]) == 0
@@ -38,7 +49,9 @@ def test_commands_pass_and_write_reports(tmp_path, command):
     assert doc["passed"] is True
     assert doc["command"] == command
     assert doc["config"]["seed"] == 7
-    if command != "construct":  # construct has no per-instance rows
+    if command != "construct":  # construct has no per-instance rows and no gate
+        for gate in _gates(doc):
+            assert set(gate) == {"bound", "worst", "margin"} and gate["margin"] >= 0
         with open(tmp_path / f"{command}.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and list(rows[0]) == ["instance_id", "n", "lhs", "rhs", "ratio"]
@@ -66,6 +79,7 @@ def test_empty_sweep_is_a_pass(tmp_path):
     assert run(tmp_path, "verify-thm2", {"dims": []}) == 0
     doc = load_json(tmp_path, "verify-thm2")
     assert doc["band"]["samples"] == 0
+    assert doc["gate"] == {"bound": campaigns.BAND_SPREAD_MAX, "worst": None, "margin": None}
 
 
 def test_unreadable_config_is_usage_error(tmp_path):
@@ -94,6 +108,39 @@ def test_invalid_dims_is_usage_error(tmp_path, capsys, dims):
     assert "dims" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("exponents", "abc"),
+        ("exponents", [None]),
+        ("exponents", []),
+        ("exponents", [1.5, 2.0]),
+        ("exponents", [1.0]),
+        ("exponents", [True]),
+        ("seed", "7"),
+        ("seed", 7.5),
+        ("seed", -1),
+        ("instances", 0),
+        ("instances", 2.0),
+        ("vectors", -2),
+        ("vectors", "10"),
+        ("samples", 0),
+        ("samples", None),
+    ],
+)
+def test_invalid_config_field_is_usage_error(tmp_path, capsys, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dims": [2], field: value}))
+    assert main(["embed-report", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "embed-report.json").exists()
+
+
+def test_threads_flag_is_usage_error(tmp_path, capsys):
+    assert run(tmp_path, "verify-thm2", SMALL["verify-thm2"], extra=["--threads", "2"]) == 1
+    capsys.readouterr()
+
+
 def test_explicit_matrix_construct(tmp_path):
     cfg = {"matrix": [[2.0, 1.0], [2.0, 1.0]]}
     assert run(tmp_path, "construct", cfg) == 0
@@ -103,7 +150,7 @@ def test_explicit_matrix_construct(tmp_path):
 
 
 def test_failed_invariant_exits_two(tmp_path, monkeypatch):
-    def broken(dims, seed, instances=200, tol=1e-8, threads=1):
+    def broken(dims, seed, instances=200, tol=1e-8):
         return {"rows": [], "failures": ["forced"], "passed": False}
 
     monkeypatch.setattr(campaigns, "lemma22_campaign", broken)
@@ -116,8 +163,68 @@ def test_unknown_command_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_flag_matches_serial(tmp_path):
-    d1, d2 = tmp_path / "s", tmp_path / "t"
-    assert run(d1, "verify-thm2", SMALL["verify-thm2"]) == 0
-    assert run(d2, "verify-thm2", SMALL["verify-thm2"], extra=["--threads", "2"]) == 0
-    assert (d1 / "verify-thm2.csv").read_text() == (d2 / "verify-thm2.csv").read_text()
+
+
+def _scaled(fn, factor):
+    return lambda *args, **kwargs: factor * fn(*args, **kwargs)
+
+
+def _growing(fn):
+    """fn with its k-th result multiplied by 2**k, so ratios spread without bound."""
+    calls = itertools.count()
+    return lambda *args, **kwargs: fn(*args, **kwargs) * 2.0 ** next(calls)
+
+
+def _break_band(monkeypatch):
+    monkeypatch.setattr(campaigns, "luxemburg_norm", _growing(campaigns.luxemburg_norm))
+
+
+def _break_lemma21(monkeypatch):
+    monkeypatch.setattr(perms, "dra_sum_bound", _scaled(perms.dra_sum_bound, 0.5))
+
+
+def _break_lemma22(monkeypatch):
+    monkeypatch.setattr(perms, "matrix_norm_a", _scaled(perms.matrix_norm_a, 10.0))
+
+
+def _break_khintchine(monkeypatch):
+    psi = embed.psi_image_norm
+
+    def inflated(*args, **kwargs):
+        res = psi(*args, **kwargs)
+        return dataclasses.replace(res, value=10.0 * res.value)
+
+    monkeypatch.setattr(embed, "psi_image_norm", inflated)
+
+
+def _break_roundtrip(monkeypatch):
+    from musielak.convex import EquivalenceReport
+
+    report = EquivalenceReport(0.1, 1.0, [0.1, 1.0], 2)
+    monkeypatch.setattr(construct, "roundtrip_check", lambda a: report)
+
+
+def _break_distortion(monkeypatch):
+    report = embed.DistortionReport(0.1, 10.0, 2, "forced")
+    monkeypatch.setattr(embed, "distortion_estimate", lambda *args, **kwargs: report)
+
+
+@pytest.mark.parametrize(
+    "command,part,breaker",
+    [
+        ("verify-thm1", None, _break_band),
+        ("verify-thm2", None, _break_band),
+        ("lemma-oracles", "lemma21", _break_lemma21),
+        ("lemma-oracles", "lemma22", _break_lemma22),
+        ("embed-report", "khintchine", _break_khintchine),
+        ("embed-report", "distortion", _break_distortion),
+        ("roundtrip", None, _break_roundtrip),
+    ],
+)
+def test_violated_gate_exits_two(tmp_path, monkeypatch, command, part, breaker):
+    breaker(monkeypatch)
+    assert run(tmp_path, command, SMALL[command]) == 2
+    doc = load_json(tmp_path, command)
+    assert doc["passed"] is False
+    failed = doc[part] if part else doc
+    assert failed["passed"] is False and failed["gate"]["margin"] < 0

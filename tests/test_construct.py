@@ -10,7 +10,6 @@ from musielak.construct import (
     ConstructionError,
     FProfile,
     conjugate_inverse_knots,
-    f_profile,
     fit_concave_profile,
     functions_from_matrix,
     h_reconstruct_check,
@@ -127,9 +126,6 @@ class TestFProfile:
         )
         with pytest.raises(ConstructionError):
             prof.value(0.5)
-
-    def test_f_profile_wrapper(self):
-        assert f_profile(lambda t: t, 0.5, lambda t: 1.0, lambda t: 0.0) == pytest.approx(1.0)
 
 
 class TestMatrixFromFunctions:
