@@ -23,6 +23,7 @@ from .perms import (
     PermutationSampler,
     WeightMatrix,
     ave_l2,
+    ave_l2_exact,
     ave_max_two,
     ave_max_vector,
     build_b_vector,

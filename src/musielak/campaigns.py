@@ -162,10 +162,9 @@ def _constants(rows):
 
 def _band_rows(tag: str, n: int, a: WeightMatrix, system, s, vectors: int) -> list:
     """Exact l2 average vs. Luxemburg norm for ``vectors`` Gaussian vectors."""
+    xs = s.normals((vectors, n))  # the same draws as ``vectors`` calls of s.normals(n)
     rows = []
-    for v in range(vectors):
-        x = s.normals(n)
-        lhs = perms.ave_l2(a, x, mode="exact").value
+    for v, (x, lhs) in enumerate(zip(xs, perms.ave_l2_exact(a, xs).tolist())):
         rhs = luxemburg_norm(system, x)
         rows.append(_row(f"{tag}-x{v}", n, lhs, rhs, lhs / rhs))
     return rows

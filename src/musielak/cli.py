@@ -18,13 +18,35 @@ from pathlib import Path
 
 from . import __version__, campaigns
 
-DEFAULT_DIMS = {
-    "construct": [2, 3, 4],
-    "verify-thm1": [2, 3, 4, 5],
-    "verify-thm2": [3, 4, 5],
-    "roundtrip": [3, 4, 5],
-    "lemma-oracles": [2, 3, 4],
-    "embed-report": [2, 3, 4],
+_EXPONENTS = list(campaigns.DEFAULT_EXPONENTS)
+
+# The config keys each command reads, with their defaults.  Any other key is
+# a config error.
+COMMAND_CONFIG = {
+    "construct": {
+        "seed": 0,
+        "dims": [2, 3, 4],
+        "family": "random-decreasing",
+        "exponents": _EXPONENTS,
+        "matrix": None,
+    },
+    "verify-thm1": {
+        "seed": 0,
+        "dims": [2, 3, 4, 5],
+        "instances": 5,
+        "vectors": 100,
+        "family": "random-decreasing",
+    },
+    "verify-thm2": {"seed": 0, "dims": [3, 4, 5], "vectors": 200, "exponents": _EXPONENTS},
+    "roundtrip": {"seed": 0, "dims": [3, 4, 5], "family": "power-family", "exponents": _EXPONENTS},
+    "lemma-oracles": {"seed": 0, "dims": [2, 3, 4], "instances": 100},
+    "embed-report": {
+        "seed": 0,
+        "dims": [2, 3, 4],
+        "instances": 100,
+        "samples": 200,
+        "exponents": _EXPONENTS,
+    },
 }
 
 CSV_COLUMNS = ["instance_id", "n", "lhs", "rhs", "ratio"]
@@ -72,17 +94,36 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _resolve_config(command: str, cfg: dict) -> dict:
+    """The values ``command`` runs with: its defaults overridden by ``cfg``.
+
+    Rejects a key the command does not read, and a field of the wrong type
+    or range, naming the key.
+    """
+    if command not in COMMAND_CONFIG:
+        raise ConfigError(f"unknown command {command!r}")
+    defaults = COMMAND_CONFIG[command]
+    for key in cfg:
+        if key not in defaults:
+            raise ConfigError(
+                f"unknown config key {key!r} for {command}; accepted keys: {', '.join(sorted(defaults))}"
+            )
+    used = {**defaults, **cfg}
+    _check_config(used)
+    return used
+
+
 def _check_config(cfg: dict) -> None:
     """Reject a config field of the wrong type or range, naming the field."""
-    if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
+    if not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
     for key in ("instances", "vectors", "samples"):
         if key in cfg and not (_is_int(cfg[key]) and cfg[key] >= 1):
             raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
-    dims = cfg.get("dims", [])
+    dims = cfg["dims"]
     if not isinstance(dims, list) or not all(_is_int(n) and n >= 1 for n in dims):
         raise ConfigError(f"dims must be a list of integers >= 1, got {dims!r}")
-    exponents = cfg.get("exponents", list(campaigns.DEFAULT_EXPONENTS))
+    exponents = cfg.get("exponents", _EXPONENTS)
     if not isinstance(exponents, list) or not exponents or not all(
         isinstance(p, (int, float)) and not isinstance(p, bool) and 1 < p < 2 for p in exponents
     ):
@@ -92,46 +133,47 @@ def _check_config(cfg: dict) -> None:
 
 
 def run_command(command: str, cfg: dict) -> dict:
-    _check_config(cfg)
-    seed = cfg.get("seed", 0)
-    dims = cfg.get("dims", DEFAULT_DIMS[command])
-    exponents = cfg.get("exponents", list(campaigns.DEFAULT_EXPONENTS))
-    instances = cfg.get("instances", 100)
-    family = cfg.get("family", "random-decreasing")
+    """Run ``command`` with config ``cfg``; the report's ``config`` holds the values used."""
+    used = _resolve_config(command, cfg)
+    report = _dispatch(command, **used)
+    report["config"] = used
+    return report
 
+
+def _dispatch(command: str, seed, dims, **cfg) -> dict:
     if command == "construct":
-        return campaigns.construct_campaign(dims, seed, family, exponents, matrix=cfg.get("matrix"))
+        return campaigns.construct_campaign(
+            dims, seed, cfg["family"], cfg["exponents"], matrix=cfg["matrix"]
+        )
     if command == "verify-thm1":
         return campaigns.thm1_campaign(
-            dims, seed, instances=cfg.get("instances", 5), vectors=cfg.get("vectors", 100), family=family
+            dims, seed, instances=cfg["instances"], vectors=cfg["vectors"], family=cfg["family"]
         )
     if command == "verify-thm2":
-        return campaigns.thm2_campaign(dims, seed, vectors=cfg.get("vectors", 200), exponents=exponents)
+        return campaigns.thm2_campaign(dims, seed, vectors=cfg["vectors"], exponents=cfg["exponents"])
     if command == "roundtrip":
         return campaigns.roundtrip_campaign(
-            dims, seed, family=cfg.get("family", "power-family"), exponents=exponents
+            dims, seed, family=cfg["family"], exponents=cfg["exponents"]
         )
     exact = [n for n in dims if n <= 5]  # where lemma 2.1 and Khintchine enumerate
     if command == "lemma-oracles":
         return _merge(
-            lemma21=campaigns.lemma21_campaign(exact, seed, instances=instances),
-            lemma22=campaigns.lemma22_campaign(dims, seed, instances=instances),
+            lemma21=campaigns.lemma21_campaign(exact, seed, instances=cfg["instances"]),
+            lemma22=campaigns.lemma22_campaign(dims, seed, instances=cfg["instances"]),
         )
-    if command == "embed-report":
-        return _merge(
-            khintchine=campaigns.khintchine_campaign(exact, seed, instances=instances),
-            distortion=campaigns.distortion_campaign(
-                [n for n in dims if n <= 6], seed, samples=cfg.get("samples", 200), exponents=exponents
-            ),
-        )
-    raise ConfigError(f"unknown command {command!r}")
+    return _merge(
+        khintchine=campaigns.khintchine_campaign(exact, seed, instances=cfg["instances"]),
+        distortion=campaigns.distortion_campaign(
+            [n for n in dims if n <= 6], seed, samples=cfg["samples"], exponents=cfg["exponents"]
+        ),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="musielak", description="permutation-average / Musielak-Orlicz experiment runner"
     )
-    parser.add_argument("command", choices=sorted(DEFAULT_DIMS))
+    parser.add_argument("command", choices=sorted(COMMAND_CONFIG))
     parser.add_argument("--config", metavar="PATH", help="campaign config JSON")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
@@ -157,7 +199,6 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = report.pop("rows", None)
-    report["config"] = cfg
     report["command"] = args.command
     report["version"] = __version__
     report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()

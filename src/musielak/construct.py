@@ -16,7 +16,9 @@ H = (M^{*-1})^2 the profile
            - (1/2) int_t^1 H''(s) / sqrt(H(s) - s H'(s)) ds
 
 is nonnegative and nonincreasing, and the matrix entries are its interval
-averages a_{i,j} = n * int_{(j-1)/n}^{j/n} f_i.  (Note the minus sign on
+averages a_{i,j} = n * int_{(j-1)/n}^{j/n} f_i.  For power functions these
+integrals are taken in closed form; fitted (PCHIP) profiles go through
+adaptive quadrature.  (Note the minus sign on
 the integral term: it is forced by the reconstruction identity
 H(t) = (int_0^t f)^2 + t int_t^1 f^2, since H'' = 2 f' (F - t f) and
 sqrt(H - t H') = F - t f with F(t) = int_0^t f.)
@@ -29,8 +31,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .convex import (
     EquivalenceReport,
@@ -128,6 +128,13 @@ def functions_from_matrix(a: WeightMatrix) -> MusielakSystem:
 
 # ---------------------------------------------------------------------------
 # the profile f attached to H = (M^{*-1})^2
+
+
+def quad(fun, lo, hi, **kwargs):
+    """``scipy.integrate.quad``, imported on first use: only fitted profiles integrate."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(fun, lo, hi, **kwargs)
 
 
 def _richardson_d1(h, t, step):
@@ -286,30 +293,38 @@ def power_profile(p: float, config: ConstructionConfig | None = None) -> FProfil
     return FProfile(h, dh, d2h, config)
 
 
+def _power_profile_coefficients(p: float) -> tuple[float, float, float]:
+    """(A, B, beta) with f(t) = A + B (t^(beta-1) - 1) the profile of H(t) = t^(2 beta).
+
+    Raises ``ConstructionError`` when H is not concave (p > 2).
+    """
+    beta = (p - 1.0) / p  # alpha / 2 with alpha = 2 / q
+    rad = 1.0 - 2.0 * beta  # H(1) - H'(1)
+    if rad < -1e-12:
+        raise ConstructionError("H(1) - H'(1) is negative: H is not concave")
+    r = math.sqrt(max(rad, 0.0))
+    return 1.0 - r, beta * r / (1.0 - beta), beta
+
+
 def power_profile_value(p: float, t) -> np.ndarray:
     """Closed-form profile of H(t) = t^alpha (analytic quadrature oracle)."""
-    q = p / (p - 1.0)
-    alpha = 2.0 / q
-    beta = alpha / 2.0
+    A, B, beta = _power_profile_coefficients(p)
     t = np.asarray(t, dtype=float)
-    return (1.0 - math.sqrt(1.0 - alpha)) + beta * math.sqrt(1.0 - alpha) * (
-        t ** (beta - 1.0) - 1.0
-    ) / (1.0 - beta)
+    return A + B * (t ** (beta - 1.0) - 1.0)
+
+
+def _power_row(p: float, n: int) -> np.ndarray:
+    """n * int_{(j-1)/n}^{j/n} of ``power_profile_value(p, .)``, j = 1..n, in closed form.
+
+    The constant part of every entry is exactly A - B, so where the profile
+    is flat (p = 2) the entries tie exactly instead of up to rounding.
+    """
+    A, B, beta = _power_profile_coefficients(p)
+    return (A - B) + (n * B / beta) * np.diff((np.arange(n + 1) / n) ** beta)
 
 
 # ---------------------------------------------------------------------------
 # inverse direction (system -> weight matrix)
-
-
-def _profile_of(m, config: ConstructionConfig) -> FProfile:
-    """Normalized profile H/H(1) for a supported Orlicz function."""
-    if isinstance(m, PowerFunction):
-        # conjugate is c* x^q; after normalization H(t) = t^(2/q) regardless of c*
-        return power_profile(m.p, config)
-    raise TypeError(
-        "matrix_from_functions needs smooth strictly 2-concave functions; "
-        "fit piecewise-affine systems with fit_concave_profile first"
-    )
 
 
 def matrix_from_profiles(profiles, n: int, config: ConstructionConfig | None = None) -> WeightMatrix:
@@ -323,22 +338,24 @@ def matrix_from_profiles(profiles, n: int, config: ConstructionConfig | None = N
     return WeightMatrix(rows)
 
 
-def matrix_from_functions(
-    system: MusielakSystem, n: int | None = None, config: ConstructionConfig | None = None
-) -> WeightMatrix:
-    """The matrix generating the Musielak-Orlicz norm of a smooth system.
+def matrix_from_functions(system: MusielakSystem, n: int | None = None) -> WeightMatrix:
+    """The matrix generating the Musielak-Orlicz norm of a power system.
 
     Each function is normalized (argument rescaling) so that M_i*(1) = 1,
     H_i = (M_i^{*-1})^2 is formed, and the rows are the interval averages of
-    the profiles f_i.  Rows come out positive and nonincreasing because the
-    profiles are nonnegative and nonincreasing.
+    the profiles f_i.  For a power function H_i(t) = t^(2/q) whatever the
+    scale, and its profile integrates in closed form.  Rows come out positive
+    and nonincreasing because the profiles are nonnegative and nonincreasing.
     """
     n = n if n is not None else system.n
-    config = config or ConstructionConfig(n=n)
     if system.n != n:
         raise ValueError("system dimension must match the requested matrix size")
-    profiles = [_profile_of(m, config) for m in system]
-    return matrix_from_profiles(profiles, n, config)
+    if not all(isinstance(m, PowerFunction) for m in system):
+        raise TypeError(
+            "matrix_from_functions needs power functions; "
+            "fit piecewise-affine systems with fit_concave_profile first"
+        )
+    return WeightMatrix(np.array([_power_row(m.p, n) for m in system]))
 
 
 def h_reconstruct_check(profile: FProfile, grid=None) -> float:
@@ -368,6 +385,8 @@ def fit_concave_profile(knot_values: np.ndarray, config: ConstructionConfig) -> 
     """
     v = np.asarray(knot_values, dtype=float)
     n = len(v) - 1
+    from scipy.interpolate import PchipInterpolator
+
     grid = np.arange(n + 1) / n
     hvals = v**2
     scale = math.sqrt(hvals[-1])
@@ -391,13 +410,9 @@ def roundtrip_check(a: WeightMatrix, config: ConstructionConfig | None = None) -
     n = a.n
     config = config or ConstructionConfig(n=n)
     v = conjugate_inverse_knots(a)
-    rows = np.empty((n, n))
-    edges = np.arange(n + 1) / n
-    for i in range(n):
-        prof, scale = fit_concave_profile(v[i], config)
-        for j in range(n):
-            rows[i, j] = scale * n * prof.integral(edges[j], edges[j + 1])
-    rebuilt = WeightMatrix(rows)
+    profiles, scales = zip(*(fit_concave_profile(v[i], config) for i in range(n)))
+    unit = matrix_from_profiles(profiles, n, config)
+    rebuilt = WeightMatrix(unit.entries * np.array(scales)[:, None])
     v2 = conjugate_inverse_knots(rebuilt)
     ratios = (v2[:, 1:] / v[:, 1:]).ravel()
     return EquivalenceReport(

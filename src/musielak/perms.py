@@ -14,7 +14,7 @@ system whose Luxemburg norm sandwiches ||x||_a within exact factors 1/2 and
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +29,7 @@ __all__ = [
     "AverageResult",
     "dra",
     "ave_l2",
+    "ave_l2_exact",
     "ave_max_two",
     "dra_sum_bound",
     "matrix_norm_a",
@@ -177,9 +178,27 @@ def dra(values) -> np.ndarray:
     return v[order]
 
 
+@functools.cache
 def all_permutations(n: int) -> np.ndarray:
-    """(n!, n) array of all permutations of range(n)."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    """(n!, n) read-only table of all permutations of range(n), in lexicographic order.
+
+    Built once per n: the block of permutations starting with f is f followed
+    by the table for n - 1 relabelled onto range(n) minus f.  Stored as
+    ``uint8`` (n! rows outgrow memory long before n reaches 256).
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    table = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        rows = table.shape[0]
+        grown = np.empty((k * rows, k), dtype=np.uint8)
+        for first in range(k):
+            block = grown[first * rows : (first + 1) * rows]
+            block[:, 0] = first
+            block[:, 1:] = table + (table >= first)
+        table = grown
+    table.flags.writeable = False
+    return table
 
 
 def _summarize(values: np.ndarray, mode: str) -> AverageResult:
@@ -187,6 +206,40 @@ def _summarize(values: np.ndarray, mode: str) -> AverageResult:
         return AverageResult(float(values.mean()), "exact", values.size)
     stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     return AverageResult(float(values.mean()), "monte-carlo", values.size, stderr)
+
+
+# elements of the (vectors, n!) work array in one pass of ave_l2_exact
+_BATCH_ELEMENTS = 1 << 16
+
+
+def ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
+    """Exact l2 permutation averages of each row of the (V, n) batch ``xs``.
+
+    One enumeration serves the whole batch.  The sums over i are
+    accumulated elementwise in a fixed order (no BLAS), so row v of the
+    result has the same bits as a batch of ``xs[v]`` alone.
+    """
+    if not a.is_square:
+        raise ValueError("needs a square matrix")
+    n = a.n
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise ValueError("vector length must match matrix dimension")
+    if n > N_EXACT:
+        raise ValueError(f"exact mode limited to n <= {N_EXACT}")
+    table = all_permutations(n)
+    e2 = a.entries**2
+    g2 = np.stack([e2[i].take(table[:, i]) for i in range(n)])  # (n, n!): a_{i,pi(i)}^2
+    x2 = xs**2
+    out = np.empty(len(xs))
+    step = max(1, _BATCH_ELEMENTS // len(table))
+    for start in range(0, len(xs), step):
+        chunk = x2[start : start + step]
+        acc = chunk[:, :1] * g2[0]
+        for i in range(1, n):
+            acc += chunk[:, i : i + 1] * g2[i]
+        out[start : start + step] = np.sqrt(acc, out=acc).mean(axis=1)
+    return out
 
 
 def ave_l2(
@@ -204,18 +257,14 @@ def ave_l2(
     if x.shape != (n,):
         raise ValueError("vector length must match matrix dimension")
     if mode == "exact":
-        if n > N_EXACT:
-            raise ValueError(f"exact mode limited to n <= {N_EXACT}")
-        perms = all_permutations(n)
-    elif mode == "monte-carlo":
-        if sampler is None:
-            raise ValueError("monte-carlo mode needs a sampler")
-        perms = sampler.permutations(n, samples)
-    else:
+        value = ave_l2_exact(a, x[None, :])[0]
+        return AverageResult(float(value), "exact", math.factorial(n))
+    if mode != "monte-carlo":
         raise ValueError("mode must be 'exact' or 'monte-carlo'")
-    gathered = a.entries[np.arange(n), perms]  # (P, n)
-    vals = np.sqrt(((x * gathered) ** 2).sum(axis=1))
-    return _summarize(vals, mode)
+    if sampler is None:
+        raise ValueError("monte-carlo mode needs a sampler")
+    gathered = a.entries[np.arange(n), sampler.permutations(n, samples)]  # (P, n)
+    return _summarize(np.sqrt(((x * gathered) ** 2).sum(axis=1)), "monte-carlo")
 
 
 def ave_max_two(

@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,10 @@ def test_invalid_dims_is_usage_error(tmp_path, capsys, dims):
         ("vectors", "10"),
         ("samples", 0),
         ("samples", None),
+        ("sample", 10),  # misspelt: ran with the default 200 before
+        ("vectors", 3),  # read by verify-thm1/2, not by embed-report
+        ("family", "constant"),
+        ("threads", 2),
     ],
 )
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, field, value):
@@ -134,6 +142,34 @@ def test_invalid_config_field_is_usage_error(tmp_path, capsys, field, value):
     assert main(["embed-report", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "embed-report.json").exists()
+
+
+def test_unknown_key_error_lists_the_accepted_keys(tmp_path, capsys):
+    assert run(tmp_path, "verify-thm1", {"dims": [2], "vector": 3}) == 1
+    err = capsys.readouterr().err
+    assert "'vector'" in err and "dims, family, instances, seed, vectors" in err
+
+
+def test_report_echoes_the_values_used(tmp_path):
+    assert run(tmp_path, "verify-thm1", {"dims": [2], "instances": 1}) == 0
+    doc = load_json(tmp_path, "verify-thm1")
+    assert doc["config"] == {
+        "seed": 7,
+        "dims": [2],
+        "instances": 1,
+        "vectors": 100,
+        "family": "random-decreasing",
+    }
+    assert doc["band"]["samples"] == 100
+
+
+def test_import_leaves_scipy_quadrature_unloaded():
+    src = str(Path(campaigns.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, musielak.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = out.stdout.strip()
+    assert "scipy.integrate" not in loaded and "scipy.interpolate" not in loaded, loaded
 
 
 def test_threads_flag_is_usage_error(tmp_path, capsys):

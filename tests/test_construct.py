@@ -135,12 +135,31 @@ class TestMatrixFromFunctions:
         a = matrix_from_functions(system, 3)
         np.testing.assert_allclose(a.entries, np.ones((3, 3)), atol=1e-9)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_flat_profile_rows_tie_exactly(self, n):
+        # interval widths of arange(n + 1) / n differ by rounding; the rows
+        # of a flat profile must still be nonincreasing
+        a = matrix_from_functions(MusielakSystem((PowerFunction(2.0, 0.25),) * n), n)
+        assert np.all(a.entries == a.entries[0, 0]) and a.entries[0, 0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    def test_closed_form_matches_quadrature(self, p):
+        prof = power_profile(p)
+        for n in range(2, 13):
+            a = matrix_from_functions(MusielakSystem((power_orlicz(p),) * n), n)
+            quadrature = [n * prof.integral(j / n, (j + 1) / n) for j in range(n)]
+            np.testing.assert_allclose(a.entries[0], quadrature, rtol=1e-6)
+
+    def test_p_above_two_rejected(self):
+        with pytest.raises(ConstructionError, match="not concave"):
+            matrix_from_functions(MusielakSystem((PowerFunction(2.5),) * 3), 3)
+
     def test_power_family_against_analytic(self):
         n, p = 4, 1.5
         system = MusielakSystem((power_orlicz(p),) * n)
         a = matrix_from_functions(system, n)
         expected = np.array([n * analytic_profile_integral(p, j / n, (j + 1) / n) for j in range(n)])
-        np.testing.assert_allclose(a.entries, np.tile(expected, (n, 1)), atol=1e-6)
+        np.testing.assert_allclose(a.entries, np.tile(expected, (n, 1)), rtol=1e-12)
 
     def test_rows_positive_nonincreasing(self):
         system = MusielakSystem(tuple(power_orlicz(p) for p in [1.2, 1.5, 1.8, 1.3, 1.7]))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from musielak.convex import luxemburg_norm
@@ -11,7 +13,9 @@ from musielak.perms import (
     AverageResult,
     PermutationSampler,
     WeightMatrix,
+    all_permutations,
     ave_l2,
+    ave_l2_exact,
     ave_max_two,
     ave_max_vector,
     build_b_vector,
@@ -86,6 +90,62 @@ class TestSampler:
         b = root.spawn(2).permutations(5, 10)
         assert np.any(a != b)
         np.testing.assert_array_equal(a, PermutationSampler(7).spawn(1).permutations(5, 10))
+
+
+class TestAllPermutations:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_itertools(self, n):
+        table = all_permutations(n)
+        assert table.shape == (math.factorial(n), n)
+        assert {tuple(row) for row in table.tolist()} == set(itertools.permutations(range(n)))
+
+    def test_cached_and_read_only(self):
+        table = all_permutations(6)
+        assert all_permutations(6) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def brute_ave_l2(a: WeightMatrix, x) -> float:
+    n = a.n
+    return float(
+        np.mean(
+            [
+                math.sqrt(sum((x[i] * a.entries[i, p[i]]) ** 2 for i in range(n)))
+                for p in itertools.permutations(range(n))
+            ]
+        )
+    )
+
+
+@st.composite
+def matrix_and_batch(draw):
+    n = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n))
+    a = WeightMatrix(np.sort(np.reshape(entries, (n, n)), axis=1)[:, ::-1])
+    count = draw(st.integers(1, 4))
+    coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    xs = np.reshape(draw(st.lists(coords, min_size=count * n, max_size=count * n)), (count, n))
+    return a, xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_and_batch())
+def test_batched_exact_average_matches_brute_force(case):
+    a, xs = case
+    values = ave_l2_exact(a, xs)
+    assert values.shape == (len(xs),)
+    for x, value in zip(xs, values):
+        assert value == pytest.approx(brute_ave_l2(a, x), rel=1e-12, abs=1e-300)
+        assert value == ave_l2(a, x).value  # the same bits, one vector or a batch
+
+
+def test_batch_spanning_several_passes():
+    # at n = 8 one pass of the kernel holds only one vector
+    a, xs = random_matrix(8), rng.normal(size=(3, 8))
+    np.testing.assert_array_equal(ave_l2_exact(a, xs), [ave_l2(a, x).value for x in xs])
+    assert ave_l2_exact(a, xs[:1])[0] == pytest.approx(brute_ave_l2(a, xs[0]), rel=1e-12)
 
 
 class TestAveL2:
