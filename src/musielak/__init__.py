@@ -36,7 +36,6 @@ from .perms import (
     prefix_sum_system,
 )
 from .construct import (
-    ConstructionConfig,
     ConstructionError,
     FProfile,
     conjugate_inverse_knots,

@@ -17,8 +17,9 @@ H = (M^{*-1})^2 the profile
 
 is nonnegative and nonincreasing, and the matrix entries are its interval
 averages a_{i,j} = n * int_{(j-1)/n}^{j/n} f_i.  For power functions these
-integrals are taken in closed form; fitted (PCHIP) profiles go through
-adaptive quadrature.  (Note the minus sign on
+integrals are taken in closed form; for fitted (PCHIP) profiles all
+averages of all rows come from one fixed tanh-sinh rule on arrays and one
+matrix product (see ``FProfile``).  (Note the minus sign on
 the integral term: it is forced by the reconstruction identity
 H(t) = (int_0^t f)^2 + t int_t^1 f^2, since H'' = 2 f' (F - t f) and
 sqrt(H - t H') = F - t f with F(t) = int_0^t f.)
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .convex import (
 from .perms import WeightMatrix
 
 __all__ = [
-    "ConstructionConfig",
     "FProfile",
     "ConstructionError",
     "conjugate_inverse_knots",
@@ -58,30 +57,6 @@ __all__ = [
 
 class ConstructionError(ValueError):
     """A construction hypothesis failed on a concrete instance."""
-
-
-@dataclass(frozen=True)
-class ConstructionConfig:
-    """Quadrature / differentiation parameters for the inverse construction."""
-
-    n: int = 4
-    quad_tol: float = 1e-9
-    quad_limit: int = 200
-    fd_step: float = 1e-5
-    t_min: float | None = None  # singularity cutoff; defaults to 1e-6 / n
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be positive")
-        if self.quad_tol <= 0:
-            raise ValueError("quadrature tolerance must be positive")
-        tmin = self.cutoff
-        if not 0 < tmin < 1.0 / self.n:
-            raise ValueError("cutoff must lie in (0, 1/n)")
-
-    @property
-    def cutoff(self) -> float:
-        return self.t_min if self.t_min is not None else 1e-6 / self.n
 
 
 # ---------------------------------------------------------------------------
@@ -130,136 +105,162 @@ def functions_from_matrix(a: WeightMatrix) -> MusielakSystem:
 # the profile f attached to H = (M^{*-1})^2
 
 
-def quad(fun, lo, hi, **kwargs):
-    """``scipy.integrate.quad``, imported on first use: only fitted profiles integrate."""
-    from scipy.integrate import quad as scipy_quad
+# Takahasi-Mori tanh-sinh rule on [0, 1] (Publ. RIMS 9, 1974): the trapezoid
+# rule with step 1/16 in tau in [-5, 5] after x = (1 + tanh u) / 2 with
+# u = (pi / 2) sinh tau.  x is formed as 1 / (1 + exp(-2u)) and 1 - x as
+# 1 / (1 + exp(2u)): through tanh, nodes within 1e-16 of an end would collapse
+# onto it.  Step 1/8 leaves errors up to 1e-9 on fitted profiles whose
+# H - s H' nearly vanishes at a piece end; 1/16 brings them to 1e-13.
+_TAU = np.arange(-80, 81) / 16.0
+_U = 0.5 * np.pi * np.sinh(_TAU)
+_TS_NODES = 1.0 / (1.0 + np.exp(-2.0 * _U))
+_TS_WEIGHTS = np.pi / 16.0 * np.cosh(_TAU) * _TS_NODES / (1.0 + np.exp(2.0 * _U))
 
-    return scipy_quad(fun, lo, hi, **kwargs)
+
+def _on(fn, s: np.ndarray) -> np.ndarray:
+    """fn evaluated on the array s; a callable returning a constant is broadcast."""
+    return np.broadcast_to(np.asarray(fn(s), dtype=float), s.shape)
 
 
-def _richardson_d1(h, t, step):
-    d = lambda s: (h(t + s) - h(t - s)) / (2 * s)
-    return (4 * d(step / 2) - d(step)) / 3
+def _rule(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the tanh-sinh rule on every piece between consecutive breaks."""
+    width = np.diff(breaks)[:, None]
+    return (breaks[:-1, None] + width * _TS_NODES).ravel(), (width * _TS_WEIGHTS).ravel()
 
 
-def _richardson_d2(h, t, step):
-    d = lambda s: (h(t + s) - 2 * h(t) + h(t - s)) / s**2
-    return (4 * d(step / 2) - d(step)) / 3
+def _breaks(profiles, points) -> np.ndarray:
+    """Cuts from the smallest positive point or knot at or above min(points) up to 1.
+
+    The cuts are the points, the knots and the powers of 2 in between, sorted
+    and distinct, so that no piece is longer than its distance from 0, where
+    g may blow up.
+    """
+    points = np.asarray(points, dtype=float)
+    cuts = np.unique(np.concatenate([p.knots for p in profiles] + [[1.0], points.ravel()]))
+    cuts = cuts[(cuts >= points.min()) & (cuts > 0)]
+    return np.union1d(cuts, 2.0 ** -np.arange(math.floor(-math.log2(cuts[0])) + 1))
 
 
 class FProfile:
     """The profile f of a concave increasing H on [0, 1] with H(0) = 0.
 
-    ``h`` is the function itself; ``dh``/``d2h`` are optional analytic
-    derivatives (central finite differences with one Richardson refinement
-    are used when absent).  Values of f are computed by adaptive quadrature
-    of H''(s)/sqrt(H(s) - s H'(s)); partial integrals are anchored at a
-    dyadic cache so repeated evaluations near 0 stay cheap.
+    ``h``, ``dh`` and ``d2h`` are H, H' and H'' as functions of an array (a
+    function returning a constant is broadcast).  ``knots`` are the points of
+    (0, 1) where the pieces must split, such as the knots of a piecewise
+    cubic and the zeros of its H''; ``radicand`` computes H(s) - s H'(s) where ``h(s) - s * dh(s)`` would
+    cancel.  With g = H''/sqrt(H - s H'), f(t) = f(1) - (1/2) int_t^1 g, and
+    every integral of g is one fixed tanh-sinh rule mapped onto the pieces
+    between the knots and the query points, except on the piece next to 0
+    (see ``_first_piece``).
     """
 
-    def __init__(self, h, dh=None, d2h=None, config: ConstructionConfig | None = None):
-        self.h = h
-        self.config = config or ConstructionConfig()
-        step = self.config.fd_step
-        self.dh = dh if dh is not None else (lambda t: _richardson_d1(h, t, min(step, t / 2)))
-        self.d2h = d2h if d2h is not None else (lambda t: _richardson_d2(h, t, min(step, t / 2)))
+    def __init__(self, h, dh, d2h, knots=(), radicand=None):
+        self.h, self.dh, self.d2h = h, dh, d2h
+        self.knots = np.asarray(knots, dtype=float)
+        self.radicand = radicand if radicand is not None else lambda s: _on(h, s) - s * _on(dh, s)
         h1 = float(h(1.0))
-        dh1 = float(self.dh(1.0))
-        rad = h1 - dh1
+        rad = h1 - float(dh(1.0))
         if rad < -1e-12:
             raise ConstructionError("H(1) - H'(1) is negative: H is not concave")
         self.boundary = math.sqrt(h1) - math.sqrt(max(rad, 0.0))
-        self._anchors = {0: 0.0}  # k -> int_{2^-k}^1 of the integrand
 
-    def _integrand(self, s: float) -> float:
-        d2 = float(self.d2h(s))
-        # curvature at rounding level (e.g. an interpolant of collinear data)
-        # counts as zero rather than tripping the concavity guard
-        if abs(d2) <= 1e-8:
-            return 0.0
-        rad = float(self.h(s)) - s * float(self.dh(s))
-        if rad <= 0.0:
-            raise ConstructionError(f"H(s) - s H'(s) <= 0 at s = {s}: concavity hypothesis fails")
-        return d2 / math.sqrt(rad)
+    def _curvature(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H''(s) and sqrt(H(s) - s H'(s)) on an array.
 
-    def _quad(self, fun, lo, hi):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val, _ = quad(fun, lo, hi, epsabs=self.config.quad_tol, limit=self.config.quad_limit)
-        return val
-
-    def _tail_integral(self, t: float) -> float:
-        """int_t^1 H''/sqrt(H - s H') ds via the dyadic anchor cache."""
-        if t >= 1.0:
-            return 0.0
-        k = max(0, math.ceil(-math.log2(t)) if t > 0 else 0)
-        if t <= 0:
-            raise ValueError("t must be positive")
-        while max(self._anchors) < k:
-            kk = max(self._anchors)
-            self._anchors[kk + 1] = self._anchors[kk] + self._quad(
-                self._integrand, 2.0 ** -(kk + 1), 2.0**-kk
+        Curvature at rounding level (e.g. an interpolant of collinear data)
+        counts as zero rather than tripping the concavity guard.
+        """
+        d2 = _on(self.d2h, s)
+        d2 = np.where(np.abs(d2) > 1e-8, d2, 0.0)
+        rad = _on(self.radicand, s)
+        bad = (d2 != 0.0) & (rad <= 0.0)
+        if bad.any():
+            raise ConstructionError(
+                f"H(s) - s H'(s) <= 0 at s = {s[bad][0]}: concavity hypothesis fails"
             )
-        anchor = 2.0**-k
-        if anchor < t:  # t in (2^-k, 2^-(k-1)]: integrate down from the anchor above
-            k -= 1
-            anchor = 2.0**-k
-        return self._anchors[k] + self._quad(self._integrand, t, anchor)
+        return d2, np.sqrt(np.maximum(rad, 0.0))
 
-    def value(self, t: float) -> float:
-        """f(t) for t in (0, 1]; nonnegative and nonincreasing."""
-        if not 0 < t <= 1:
+    def _g(self, s: np.ndarray) -> np.ndarray:
+        d2, root = self._curvature(s)
+        return np.divide(d2, root, out=np.zeros_like(d2), where=d2 != 0.0)
+
+    def _first_piece(self, c: float) -> float:
+        """-(1/2) int_0^c s g(s) ds, which is sqrt(H(c) - c H'(c)).
+
+        g may blow up like a power of s at 0, where no rule in floating point
+        reaches, so this piece is never integrated.  The rule's nodes on
+        [0, c] still meet the concavity guard, and a piece whose curvature is
+        at rounding level at all of them counts as flat.
+        """
+        if not self._curvature(c * _TS_NODES)[0].any():
+            return 0.0
+        return float(self._curvature(np.array([c]))[1][0])
+
+    def value(self, t):
+        """f(t) for t in (0, 1], a number or an array; nonnegative and nonincreasing."""
+        t = np.asarray(t, dtype=float)
+        if not np.all((t > 0) & (t <= 1)):
             raise ValueError("t must lie in (0, 1]")
-        val = self.boundary - 0.5 * self._tail_integral(t)
-        if val < -1e-7:
-            raise ConstructionError(f"profile negative at t = {t}: invalid H")
-        return max(val, 0.0)
+        breaks = _breaks([self], t)
+        f = _curvature_sums([self], breaks)[2][0]
+        return f[np.searchsorted(breaks, t)][()]
 
     def integral(self, lo: float, hi: float) -> float:
-        """int_lo^hi f(t) dt with a power-law cutoff below t_min.
-
-        On [0, t_min] the profile is extrapolated by the power law fitted on
-        [t_min, 2 t_min]; the fitted exponent must exceed -1 (finiteness of
-        the integral).
-        """
+        """int_lo^hi f(t) dt."""
         if not 0 <= lo <= hi <= 1:
             raise ValueError("need 0 <= lo <= hi <= 1")
-        tmin = self.config.cutoff
-        total = 0.0
-        if lo < tmin:
-            f1, f2 = self.value(tmin), self.value(2 * tmin)
-            if f1 <= 0 or f2 <= 0:
-                gamma, c = 0.0, f1
-            else:
-                gamma = math.log(f1 / f2) / math.log(2.0) * -1.0
-                c = f1 / tmin**gamma
-            if gamma <= -1:
-                raise ConstructionError("profile tail is not integrable at 0")
-            top = min(hi, tmin)
-            total += c * (top ** (gamma + 1) - lo ** (gamma + 1)) / (gamma + 1)
-            lo = top
-        if hi <= lo:
-            return total
-        # integration by parts keeps the quadrature single-level: with g the
-        # curvature integrand, f' = g/2, so
-        #     int_lo^hi f = hi f(hi) - lo f(lo) - (1/2) int_lo^hi t g(t) dt.
-        # The g-integral is split dyadically toward 0, where g can blow up
-        # like a power and a single adaptive pass loses accuracy silently.
-        total += hi * self.value(hi) - lo * self.value(lo)
-        part = 0.0
-        while hi > lo:
-            cut = max(lo, 2.0 ** math.floor(math.log2(hi) - 1e-12))
-            if cut >= hi:
-                cut = max(lo, hi / 2.0)
-            part += self._quad(lambda t: t * self._integrand(t), cut, hi)
-            hi = cut
-        return total - 0.5 * part
+        if hi == lo:
+            return 0.0
+        return (hi - lo) * float(_interval_averages([self], [lo, hi])[0, 0])
 
     def integral_sq(self, lo: float, hi: float) -> float:
-        """int_lo^hi f(t)^2 dt (no singularity handling needed for lo > 0)."""
-        if hi <= lo:
+        """int_lo^hi f(t)^2 dt for 0 < lo <= hi <= 1."""
+        if not 0 < lo <= hi <= 1:
+            raise ValueError("need 0 < lo <= hi <= 1")
+        if hi == lo:
             return 0.0
-        return self._quad(lambda t: self.value(t) ** 2, lo, hi)
+        breaks = _breaks([self], [lo, hi])
+        s, w = _rule(breaks[breaks <= hi])
+        return float(np.sum(w * self.value(s) ** 2))
+
+
+def _curvature_sums(profiles, breaks: np.ndarray):
+    """Tanh-sinh nodes s between the breaks, w * g_i(s) per profile, and f_i at the breaks.
+
+    ``breaks`` increase from a positive point to 1.  Raises
+    ``ConstructionError`` where some f_i falls below -1e-7 (an invalid H).
+    """
+    s, w = _rule(breaks)
+    gw = np.stack([w * p._g(s) for p in profiles])
+    pieces = gw.reshape(len(profiles), len(breaks) - 1, _TS_NODES.size).sum(axis=2)
+    tails = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1]  # int_{break_k}^1 g
+    boundary = np.array([p.boundary for p in profiles])[:, None]
+    f = boundary - 0.5 * np.concatenate([tails, np.zeros_like(boundary)], axis=1)
+    low = f < -1e-7
+    if low.any():
+        raise ConstructionError(f"profile negative at t = {breaks[np.nonzero(low)[1][0]]}: invalid H")
+    return s, gw, np.maximum(f, 0.0)
+
+
+def _interval_averages(profiles, edges) -> np.ndarray:
+    """The average of every profile f_i over each [e_j, e_{j+1}], for increasing edges in [0, 1].
+
+    Swapping the order of integration in f(t) = f(1) - (1/2) int_t^1 g gives
+        int_a^b f = (b - a) f(1) - (1/2) int_a^1 g(s) (min(s, b) - a) ds,
+    so all averages are f(1) minus one product of the weighted curvatures with
+    a kernel.  The constant part of every average is exactly f(1), so where a
+    profile is flat the averages tie exactly, whatever the rounding of the
+    interval widths.
+    """
+    edges = np.asarray(edges, dtype=float)
+    breaks = _breaks(profiles, edges)
+    s, gw, _ = _curvature_sums(profiles, breaks)
+    a, width = edges[:-1], np.diff(edges)
+    kernel = np.clip((s[:, None] - a) / width, 0.0, 1.0)
+    out = np.array([p.boundary for p in profiles])[:, None] - 0.5 * (gw @ kernel)
+    if edges[0] == 0.0:
+        out[:, 0] += [p._first_piece(breaks[0]) / width[0] for p in profiles]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +284,14 @@ def power_orlicz(p: float, strict: bool = True) -> PowerFunction:
     return PowerFunction(p, scale)
 
 
-def power_profile(p: float, config: ConstructionConfig | None = None) -> FProfile:
+def power_profile(p: float) -> FProfile:
     """FProfile of the normalized power function: H(t) = t^alpha, alpha = 2/q."""
     q = p / (p - 1.0)
     alpha = 2.0 / q
     h = lambda t: t**alpha
     dh = lambda t: alpha * t ** (alpha - 1.0)
     d2h = lambda t: alpha * (alpha - 1.0) * t ** (alpha - 2.0)
-    return FProfile(h, dh, d2h, config)
+    return FProfile(h, dh, d2h)
 
 
 def _power_profile_coefficients(p: float) -> tuple[float, float, float]:
@@ -327,15 +328,9 @@ def _power_row(p: float, n: int) -> np.ndarray:
 # inverse direction (system -> weight matrix)
 
 
-def matrix_from_profiles(profiles, n: int, config: ConstructionConfig | None = None) -> WeightMatrix:
+def matrix_from_profiles(profiles, n: int) -> WeightMatrix:
     """Weight matrix with rows a_{i,j} = n * int_{(j-1)/n}^{j/n} f_i(s) ds."""
-    config = config or ConstructionConfig(n=n)
-    edges = np.arange(n + 1) / n
-    rows = np.empty((len(profiles), n))
-    for i, prof in enumerate(profiles):
-        for j in range(n):
-            rows[i, j] = n * prof.integral(edges[j], edges[j + 1])
-    return WeightMatrix(rows)
+    return WeightMatrix(_interval_averages(profiles, np.arange(n + 1) / n))
 
 
 def matrix_from_functions(system: MusielakSystem, n: int | None = None) -> WeightMatrix:
@@ -375,7 +370,7 @@ def h_reconstruct_check(profile: FProfile, grid=None) -> float:
 # round trip
 
 
-def fit_concave_profile(knot_values: np.ndarray, config: ConstructionConfig) -> tuple[FProfile, float]:
+def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, float]:
     """Smooth monotone fit of H through (l/n, v_l^2), normalized to H(1) = 1.
 
     Returns the profile of the normalized fit and the scale sqrt(H(1)) that
@@ -385,19 +380,30 @@ def fit_concave_profile(knot_values: np.ndarray, config: ConstructionConfig) -> 
     """
     v = np.asarray(knot_values, dtype=float)
     n = len(v) - 1
-    from scipy.interpolate import PchipInterpolator
+    from scipy.interpolate import PchipInterpolator, PPoly
 
     grid = np.arange(n + 1) / n
     hvals = v**2
     scale = math.sqrt(hvals[-1])
-    interp = PchipInterpolator(grid, hvals / hvals[-1])
-    d1 = interp.derivative()
-    d2 = interp.derivative(2)
-    prof = FProfile(lambda t: float(interp(t)), lambda t: float(d1(t)), lambda t: float(d2(t)), config)
+    fit = PchipInterpolator(grid, hvals / hvals[-1])
+    # H - s H' as a cubic in u = s - x on each piece [x, x'] from the fit's
+    # coefficients (c0 the cubic one): h(s) - s dh(s) cancels to <= 0 near 0,
+    # where the first piece gives exactly -c1 u^2 - 2 c0 u^3
+    c, x = fit.c, fit.x[:-1]
+    radicand = PPoly(np.stack([-2 * c[0], -c[1] - 3 * x * c[0], -2 * x * c[1], c[3] - x * c[2]]), fit.x)
+    # H'' is linear on each piece.  Where it turns from positive to negative,
+    # H - s H' (whose derivative is -s H'') has a minimum, possibly close to 0,
+    # and g a narrow bump there that a fixed rule resolves only at the end of
+    # a piece: the zeros of H'' become knots too.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = -c[1] / (3.0 * c[0])
+    inflections = (x + u)[(u > 0) & (u < np.diff(fit.x))]
+    knots = np.union1d(grid[1:-1], inflections)
+    prof = FProfile(fit, fit.derivative(), fit.derivative(2), knots=knots, radicand=radicand)
     return prof, scale
 
 
-def roundtrip_check(a: WeightMatrix, config: ConstructionConfig | None = None) -> EquivalenceReport:
+def roundtrip_check(a: WeightMatrix) -> EquivalenceReport:
     """Compose the two constructions and compare at the knot-value level.
 
     The matrix is turned into knot values, a smooth concave H is fitted per
@@ -408,10 +414,9 @@ def roundtrip_check(a: WeightMatrix, config: ConstructionConfig | None = None) -
     if not a.is_square:
         raise ValueError("needs a square matrix")
     n = a.n
-    config = config or ConstructionConfig(n=n)
     v = conjugate_inverse_knots(a)
-    profiles, scales = zip(*(fit_concave_profile(v[i], config) for i in range(n)))
-    unit = matrix_from_profiles(profiles, n, config)
+    profiles, scales = zip(*(fit_concave_profile(v[i]) for i in range(n)))
+    unit = matrix_from_profiles(profiles, n)
     rebuilt = WeightMatrix(unit.entries * np.array(scales)[:, None])
     v2 = conjugate_inverse_knots(rebuilt)
     ratios = (v2[:, 1:] / v[:, 1:]).ravel()

@@ -170,6 +170,18 @@ def test_import_leaves_scipy_quadrature_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     loaded = out.stdout.strip()
     assert "scipy.integrate" not in loaded and "scipy.interpolate" not in loaded, loaded
+    assert "scipy.special" not in loaded, loaded
+
+
+def test_roundtrip_leaves_scipy_quadrature_unloaded(tmp_path):
+    # fitted profiles are integrated by the package's own rule
+    src = str(Path(campaigns.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = ["roundtrip", "--out", str(tmp_path), "--seed", "7", "--config", str(tmp_path / "cfg.json")]
+    (tmp_path / "cfg.json").write_text(json.dumps(SMALL["roundtrip"]))
+    code = f"import sys; from musielak.cli import main; assert main({argv!r}) == 0; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False", out.stdout
 
 
 def test_threads_flag_is_usage_error(tmp_path, capsys):
