@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
 
 from musielak.construct import (
@@ -73,9 +73,13 @@ def quad_fitted_row(knot_values):
     row = []
     for a, b in zip(grid[:-1], grid[1:]):
         knots = [x for x in grid if a < x < 1] or None
-        part, _ = quad(
-            lambda s: g(s) * (min(s, b) - a), a, 1.0, points=knots, epsabs=0.0, epsrel=1e-12, limit=200
-        )
+        with warnings.catch_warnings():
+            # QUADPACK reports roundoff near 1e-12 on rows where g has a steep
+            # bump; the comparison at 1e-10 is the check
+            warnings.simplefilter("ignore", IntegrationWarning)
+            part, _ = quad(
+                lambda s: g(s) * (min(s, b) - a), a, 1.0, points=knots, epsabs=0.0, epsrel=1e-12, limit=200
+            )
         row.append(f1 - 0.5 * part / (b - a))
     return np.array(row)
 
