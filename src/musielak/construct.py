@@ -193,9 +193,8 @@ class FProfile:
         [0, c] still meet the concavity guard, and a piece whose curvature is
         at rounding level at all of them counts as flat.
         """
-        if not self._curvature(c * _TS_NODES)[0].any():
-            return 0.0
-        return float(self._curvature(np.array([c]))[1][0])
+        d2, root = self._curvature(np.append(c * _TS_NODES, c))
+        return float(root[-1]) if d2.any() else 0.0
 
     def value(self, t):
         """f(t) for t in (0, 1], a number or an array; nonnegative and nonincreasing."""
