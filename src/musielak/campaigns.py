@@ -8,10 +8,10 @@ per-instance derived samplers, so a campaign is reproducible instance by
 instance.
 
 Every campaign but ``construct_campaign`` returns the same report: ``rows``
-(for CSV export), ``per_n`` and ``band`` (summaries of the ``ratio``
-column), ``gate`` (the bound, the worst value found and the margin between
-them) and ``passed``, which is ``margin >= 0``.  An empty sweep has no
-margin and passes.
+(for CSV export), ``dims`` (the n it checked), ``per_n`` and ``band``
+(summaries of the ``ratio`` column), ``gate`` (the bound, the worst value
+found and the margin between them) and ``passed``, which is
+``margin >= 0``.  An empty sweep has no margin and passes.
 """
 
 from __future__ import annotations
@@ -128,12 +128,11 @@ def _run(seed: int, instances, one, bound, worst) -> dict:
     rows = [r for n, key, tag in instances for r in one(n, root.spawn(key), tag)]
     found = worst(rows) if rows else None
     margin = None if found is None else _margin(bound, found)
+    dims = list(dict.fromkeys(n for n, _, _ in instances))
     return {
         "rows": rows,
-        "per_n": {
-            n: _band_summary([r for r in rows if r["n"] == n])
-            for n in dict.fromkeys(n for n, _, _ in instances)
-        },
+        "dims": dims,
+        "per_n": {n: _band_summary([r for r in rows if r["n"] == n]) for n in dims},
         "band": _band_summary(rows),
         "gate": {"bound": bound, "worst": found, "margin": margin},
         "passed": margin is None or margin >= 0,

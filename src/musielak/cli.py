@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, campaigns
+from . import __version__, campaigns, embed, perms
 
 _EXPONENTS = list(campaigns.DEFAULT_EXPONENTS)
 
@@ -48,6 +48,10 @@ COMMAND_CONFIG = {
         "exponents": _EXPONENTS,
     },
 }
+
+# The largest n a command enumerates exactly; a larger n in dims is a config error.
+MAX_DIM = {"verify-thm1": perms.N_EXACT, "verify-thm2": perms.N_EXACT, "embed-report": embed.N_EXACT_PSI}
+N_KHINTCHINE = 5  # the Khintchine part of embed-report: 2^5 5! = 3840 terms per instance
 
 CSV_COLUMNS = ["instance_id", "n", "lhs", "rhs", "ratio"]
 
@@ -110,6 +114,11 @@ def _resolve_config(command: str, cfg: dict) -> dict:
             )
     used = {**defaults, **cfg}
     _check_config(used)
+    limit = MAX_DIM.get(command, float("inf"))
+    if any(n > limit for n in used["dims"]):
+        raise ConfigError(f"dims must be at most {limit} for {command}, got {used['dims']!r}")
+    if command == "roundtrip" and used["family"] == "random-decreasing":  # see the README
+        raise ConfigError("family 'random-decreasing' cannot run roundtrip: its PCHIP fits fail 2-concavity")
     return used
 
 
@@ -155,16 +164,17 @@ def _dispatch(command: str, seed, dims, **cfg) -> dict:
         return campaigns.roundtrip_campaign(
             dims, seed, family=cfg["family"], exponents=cfg["exponents"]
         )
-    exact = [n for n in dims if n <= 5]  # where lemma 2.1 and Khintchine enumerate
     if command == "lemma-oracles":
+        pairs = [n for n in dims if n <= perms.N_EXACT_PAIRS]
         return _merge(
-            lemma21=campaigns.lemma21_campaign(exact, seed, instances=cfg["instances"]),
+            lemma21=campaigns.lemma21_campaign(pairs, seed, instances=cfg["instances"]),
             lemma22=campaigns.lemma22_campaign(dims, seed, instances=cfg["instances"]),
         )
+    khintchine = [n for n in dims if n <= N_KHINTCHINE]
     return _merge(
-        khintchine=campaigns.khintchine_campaign(exact, seed, instances=cfg["instances"]),
+        khintchine=campaigns.khintchine_campaign(khintchine, seed, instances=cfg["instances"]),
         distortion=campaigns.distortion_campaign(
-            [n for n in dims if n <= 6], seed, samples=cfg["samples"], exponents=cfg["exponents"]
+            dims, seed, samples=cfg["samples"], exponents=cfg["exponents"]
         ),
     )
 

@@ -35,8 +35,8 @@ import numpy as np
 from .convex import (
     EquivalenceReport,
     MusielakSystem,
-    PiecewiseAffineConvex,
     PowerFunction,
+    conjugate_rows,
 )
 from .perms import WeightMatrix
 
@@ -88,17 +88,16 @@ def functions_from_matrix(a: WeightMatrix) -> MusielakSystem:
     """
     v = conjugate_inverse_knots(a)
     n = a.n
-    grid = np.arange(n + 1) / n
-    funcs = []
-    for i in range(n):
-        inc = np.diff(v[i])
-        if np.any(inc <= 0):
-            raise ConstructionError(f"row {i}: knot values are not strictly increasing")
-        if np.any(np.diff(inc) > 1e-12 * v[i, -1]):
-            raise ConstructionError(f"row {i}: knot values are not concave")
-        mstar = PiecewiseAffineConvex(v[i], grid, (1.0 / n) / inc[-1])
-        funcs.append(mstar.conjugate())
-    return MusielakSystem(tuple(funcs))
+    inc = np.diff(v, axis=1)
+    flat = np.any(inc <= 0, axis=1)
+    bad = flat | np.any(np.diff(inc, axis=1) > 1e-12 * v[:, -1:], axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "not strictly increasing" if flat[i] else "not concave"
+        raise ConstructionError(f"row {i}: knot values are {what}")
+    grid = np.broadcast_to(np.arange(n + 1) / n, v.shape)
+    slopes = np.hstack([np.diff(grid, axis=1) / inc, (1.0 / n) / inc[:, -1:]])
+    return MusielakSystem(conjugate_rows(v, grid, slopes))
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +211,6 @@ class FProfile:
         if hi == lo:
             return 0.0
         return (hi - lo) * float(_interval_averages([self], [lo, hi])[0, 0])
-
-    def integral_sq(self, lo: float, hi: float) -> float:
-        """int_lo^hi f(t)^2 dt for 0 < lo <= hi <= 1."""
-        if not 0 < lo <= hi <= 1:
-            raise ValueError("need 0 < lo <= hi <= 1")
-        if hi == lo:
-            return 0.0
-        breaks = _breaks([self], [lo, hi])
-        s, w = _rule(breaks[breaks <= hi])
-        return float(np.sum(w * self.value(s) ** 2))
 
 
 def _curvature_sums(profiles, breaks: np.ndarray):
@@ -354,16 +343,20 @@ def matrix_from_functions(system: MusielakSystem, n: int | None = None) -> Weigh
 
 
 def h_reconstruct_check(profile: FProfile, grid=None) -> float:
-    """Max grid error of H(t) = (int_0^t f)^2 + t int_t^1 f^2."""
-    if grid is None:
-        grid = np.linspace(1.0 / 64, 1.0, 64)
-    worst = 0.0
-    for t in np.asarray(grid, dtype=float):
-        lhs = float(profile.h(t))
-        head = profile.integral(0.0, t)
-        tail = profile.integral_sq(t, 1.0)
-        worst = max(worst, abs(lhs - (head**2 + t * tail)))
-    return worst
+    """Max grid error of H(t) = (int_0^t f)^2 + t int_t^1 f^2 over points t in (0, 1].
+
+    One ``_interval_averages`` call gives the heads, one rule over the grid's pieces the tails.
+    """
+    t = np.unique(np.linspace(1.0 / 64, 1.0, 64) if grid is None else np.asarray(grid, dtype=float))
+    if not np.all((t > 0) & (t <= 1)):
+        raise ValueError("grid points must lie in (0, 1]")
+    edges = np.append(0.0, t)
+    heads = np.cumsum(np.diff(edges) * _interval_averages([profile], edges)[0])
+    breaks = _breaks([profile], t)
+    s, w = _rule(breaks)
+    pieces = (w * profile.value(s) ** 2).reshape(-1, _TS_NODES.size).sum(axis=1)
+    tails = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)[np.searchsorted(breaks, t)]
+    return float(np.max(np.abs(_on(profile.h, t) - (heads**2 + t * tails))))
 
 
 # ---------------------------------------------------------------------------

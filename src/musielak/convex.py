@@ -31,6 +31,7 @@ import numpy as np
 __all__ = [
     "PiecewiseAffineConvex",
     "PowerFunction",
+    "conjugate_rows",
     "MusielakSystem",
     "EquivalenceReport",
     "TwoConcavityReport",
@@ -72,29 +73,23 @@ class PiecewiseAffineConvex:
             raise ValueError("knots and values must be 1-d arrays of equal length")
         if knots[0] != 0.0 or values[0] != 0.0:
             raise ValueError("first knot must be (0, 0)")
-        if np.any(np.diff(knots) <= 0):
+        dk, dv = knots[1:] - knots[:-1], values[1:] - values[:-1]
+        if (dk <= 0).any():
             raise ValueError("knots must be strictly increasing")
-        if np.any(np.diff(values) < 0):
+        if (dv < 0).any():
             raise ValueError("values must be nondecreasing")
-        slopes = self.slopes()
-        if np.any(np.diff(slopes) < -1e-12):
+        slopes = np.concatenate([dv / dk, [self.ext_slope]])  # segments, then the extension
+        if (slopes[1:] - slopes[:-1] < -1e-12).any():
             raise ValueError("segment slopes must be nondecreasing (convexity)")
         if self.domain_bound is not None and self.domain_bound < knots[-1]:
             raise ValueError("domain_bound must not cut into the knot range")
+        object.__setattr__(self, "_slopes", slopes)
         # plain-float copies for the scalar paths (inverse, value_and_slope)
         object.__setattr__(self, "_knot_list", knots.tolist())
         object.__setattr__(self, "_value_list", values.tolist())
         object.__setattr__(self, "_slope_list", slopes.tolist())
         cap = math.inf if self.domain_bound is None else self.domain_bound * (1 + 1e-15)
         object.__setattr__(self, "_finite_up_to", cap)
-
-    def slopes(self) -> np.ndarray:
-        """All segment slopes, including the extension slope."""
-        if len(self.knots) > 1:
-            seg = np.diff(self.values) / np.diff(self.knots)
-        else:
-            seg = np.empty(0)
-        return np.concatenate([seg, [self.ext_slope]])
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -142,40 +137,37 @@ class PiecewiseAffineConvex:
         raise DegenerateTailError(f"value {y} beyond range of a flat tail")
 
     def conjugate(self) -> "PiecewiseAffineConvex":
-        """Exact Legendre conjugate via slope duality.
-
-        The conjugate of a convex PWA function is again PWA: its knots are
-        the slopes of this function and its slopes are the knots.
-        """
-        seg = self.slopes()[:-1]
-        kt = [0.0]
-        kv = [0.0]
-        for k, s in enumerate(seg):
-            # M*(s_k) = s_k * t_k - v_k, continuous across segments
-            kt.append(float(s))
-            kv.append(float(s * self.knots[k + 1] - self.values[k + 1]))
-        if self.domain_bound is None:
-            ext = float(self.knots[-1])
-            bound = float(self.ext_slope)
-        else:
-            # finite domain: one extra knot at the extension slope,
-            # then slope domain_bound forever
+        """Exact Legendre conjugate; a finite domain is one more knot, at the bound, with slope +inf."""
+        t, v, s = self.knots, self.values, self._slopes
+        if self.domain_bound is not None:
             b = self.domain_bound
-            kt.append(float(self.ext_slope))
-            kv.append(float(self.ext_slope * self.knots[-1] - self.values[-1]))
-            ext = float(b)
-            bound = None
-        # exact math makes knots and values nondecreasing from 0; clamp
-        # rounding, and merge slopes equal up to rounding (equal matrix
-        # entries give prefix sums whose slopes differ in the last bits)
-        kt = np.maximum.accumulate(np.asarray(kt))
-        kv = np.maximum.accumulate(np.maximum(np.asarray(kv), 0.0))
-        keep = np.concatenate([[True], np.diff(kt) > 1e-12 * kt[-1]])
-        if bound is not None:
-            # guard rounding: the extension slope can land a ulp below the
-            # last interior slope even though convexity forbids it
-            bound = max(bound, float(kt[keep][-1]))
-        return PiecewiseAffineConvex(kt[keep], kv[keep], ext, bound)
+            t, v, s = np.append(t, b), np.append(v, v[-1] + s[-1] * (b - t[-1])), np.append(s, np.inf)
+        return conjugate_rows(t[None], v[None], s[None])[0]
+
+
+def conjugate_rows(knots, values, slopes) -> list[PiecewiseAffineConvex]:
+    """Exact Legendre conjugates of the convex PWA rows of (rows, K+1) arrays, by slope duality.
+
+    Row r passes through (t_k, v_k) = (knots[r, k], values[r, k]) with slope
+    s_k = slopes[r, k] after t_k; the last slope, past the last knot, may be
+    +inf.  The conjugate has knots 0, s_0, ..., s_{K-1} with values 0 and
+    s_k t_{k+1} - v_{k+1}, extension slope t_K and domain bound s_K (none if +inf).
+    """
+    knots, values, slopes = (np.asarray(x, dtype=float) for x in (knots, values, slopes))
+    zero = np.zeros((len(knots), 1))
+    kt = np.concatenate([zero, slopes[:, :-1]], axis=1)
+    kv = np.concatenate([zero, slopes[:, :-1] * knots[:, 1:] - values[:, 1:]], axis=1)
+    # exact math makes both nondecreasing from 0 (so values >= 0): clamp rounding, and merge
+    # slopes equal up to rounding (equal matrix entries give slopes differing in the last bits)
+    kt = np.maximum.accumulate(kt, axis=1)
+    kv = np.maximum.accumulate(kv, axis=1)
+    keep = np.concatenate([np.ones_like(zero, bool), np.diff(kt, axis=1) > 1e-12 * kt[:, -1:]], axis=1)
+    # guard rounding: s_K can land a ulp below the last kept knot, which convexity forbids
+    bound = np.maximum(slopes[:, -1], np.max(kt, axis=1, where=keep, initial=0.0))
+    return [
+        PiecewiseAffineConvex(t[k], v[k], e, None if math.isinf(b) else b)
+        for t, v, k, e, b in zip(kt, kv, keep, knots[:, -1].tolist(), bound.tolist())
+    ]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import MusielakSystem, PiecewiseAffineConvex, luxemburg_norm
+from .convex import MusielakSystem, conjugate_rows, luxemburg_norm
 
 __all__ = [
     "WeightMatrix",
@@ -328,14 +328,14 @@ def prefix_sum_system(a: WeightMatrix) -> MusielakSystem:
     is the minimal interpolant satisfying the sandwich hypothesis.
     """
     N = a.ncols
-    funcs = []
-    for i in range(a.n):
-        prefix = np.concatenate([[0.0], np.cumsum(a.entries[i])])
-        if np.any(np.diff(prefix) <= 0):
-            raise ValueError(f"row {i}: prefix sums are not strictly increasing")
-        mstar = PiecewiseAffineConvex(prefix, np.arange(N + 1) / N, (1.0 / N) / a.entries[i, -1])
-        funcs.append(mstar.conjugate())
-    return MusielakSystem(tuple(funcs))
+    prefix = np.concatenate([np.zeros((a.n, 1)), np.cumsum(a.entries, axis=1)], axis=1)
+    inc = np.diff(prefix, axis=1)
+    bad = np.any(inc <= 0, axis=1)
+    if bad.any():
+        raise ValueError(f"row {np.argmax(bad)}: prefix sums are not strictly increasing")
+    grid = np.broadcast_to(np.arange(N + 1) / N, prefix.shape)
+    slopes = np.hstack([np.diff(grid, axis=1) / inc, (1.0 / N) / a.entries[:, -1:]])
+    return MusielakSystem(conjugate_rows(prefix, grid, slopes))
 
 
 @dataclass

@@ -144,6 +144,46 @@ def test_invalid_config_field_is_usage_error(tmp_path, capsys, field, value):
     assert not (tmp_path / "embed-report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command,dims,limit",
+    [
+        ("verify-thm1", [9], perms.N_EXACT),
+        ("verify-thm2", [2, 9], perms.N_EXACT),
+        ("embed-report", [7, 8], embed.N_EXACT_PSI),
+    ],
+)
+def test_dims_past_the_exact_limit_is_usage_error(tmp_path, capsys, command, dims, limit):
+    assert run(tmp_path, command, {"dims": dims}) == 1
+    err = capsys.readouterr().err
+    assert "dims" in err and f"at most {limit}" in err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,cfg,parts",
+    [
+        ("lemma-oracles", {"dims": [2, 6], "instances": 1}, {"lemma21": [2], "lemma22": [2, 6]}),
+        (
+            "embed-report",
+            {"dims": [2, 6], "instances": 1, "samples": 2},
+            {"khintchine": [2], "distortion": [2, 6]},
+        ),
+    ],
+)
+def test_each_part_reports_the_dims_it_checked(tmp_path, command, cfg, parts):
+    assert run(tmp_path, command, cfg) == 0
+    doc = load_json(tmp_path, command)
+    assert {part: doc[part]["dims"] for part in parts} == parts
+    assert {part: sorted(map(int, doc[part]["per_n"])) for part in parts} == parts
+
+
+def test_roundtrip_rejects_random_decreasing(tmp_path, capsys):
+    # PCHIP fits of its knot data are rarely 2-concave past n = 2
+    assert run(tmp_path, "roundtrip", {"dims": [3, 4], "family": "random-decreasing"}) == 1
+    assert "family" in capsys.readouterr().err
+    assert not (tmp_path / "roundtrip.json").exists()
+
+
 def test_unknown_key_error_lists_the_accepted_keys(tmp_path, capsys):
     assert run(tmp_path, "verify-thm1", {"dims": [2], "vector": 3}) == 1
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from musielak.construct import functions_from_matrix
+from musielak.construct import ConstructionError, conjugate_inverse_knots, functions_from_matrix
 from musielak.convex import (
     DegenerateTailError,
     EquivalenceReport,
@@ -392,3 +392,124 @@ class TestSerialization:
         doc = json.loads(system_to_json(s))
         assert doc["n"] == 1
         assert doc["functions"][0] == {"kind": "power", "p": 2.0, "scale": 1.0}
+
+
+# -- the array builders against the per-row reference -------------------------
+
+
+def loop_conjugate(m):
+    """Reference conjugate: slope duality one segment at a time (the earlier scalar path)."""
+    seg = np.diff(m.values) / np.diff(m.knots)
+    kt, kv = [0.0], [0.0]
+    for k, s in enumerate(seg):
+        kt.append(float(s))
+        kv.append(float(s * m.knots[k + 1] - m.values[k + 1]))
+    if m.domain_bound is None:
+        ext, bound = float(m.knots[-1]), float(m.ext_slope)
+    else:
+        kt.append(float(m.ext_slope))
+        kv.append(float(m.ext_slope * m.knots[-1] - m.values[-1]))
+        ext, bound = float(m.domain_bound), None
+    kt = np.maximum.accumulate(np.asarray(kt))
+    kv = np.maximum.accumulate(np.maximum(np.asarray(kv), 0.0))
+    keep = np.concatenate([[True], np.diff(kt) > 1e-12 * kt[-1]])
+    if bound is not None:
+        bound = max(bound, float(kt[keep][-1]))
+    return PiecewiseAffineConvex(kt[keep], kv[keep], ext, bound)
+
+
+def loop_functions_from_matrix(a):
+    """Reference ``functions_from_matrix``: one M* object per row, then its loop conjugate."""
+    v = conjugate_inverse_knots(a)
+    n = a.n
+    funcs = []
+    for i in range(n):
+        inc = np.diff(v[i])
+        if np.any(inc <= 0):
+            raise ConstructionError(f"row {i}: knot values are not strictly increasing")
+        if np.any(np.diff(inc) > 1e-12 * v[i, -1]):
+            raise ConstructionError(f"row {i}: knot values are not concave")
+        mstar = PiecewiseAffineConvex(v[i], np.arange(n + 1) / n, (1.0 / n) / inc[-1])
+        funcs.append(loop_conjugate(mstar))
+    return funcs
+
+
+def loop_prefix_sum_system(a):
+    """Reference ``prefix_sum_system``: one M* object per row, then its loop conjugate."""
+    N = a.ncols
+    funcs = []
+    for i in range(a.n):
+        prefix = np.concatenate([[0.0], np.cumsum(a.entries[i])])
+        mstar = PiecewiseAffineConvex(prefix, np.arange(N + 1) / N, (1.0 / N) / a.entries[i, -1])
+        funcs.append(loop_conjugate(mstar))
+    return funcs
+
+
+@st.composite
+def tied_matrices(draw, square=True):
+    """Nonincreasing rows, n = 1..8, whose entries are often tied or constant."""
+    n = draw(st.integers(1, 8))
+    ncols = n if square else draw(st.integers(n, 8))
+    levels = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+    entry = st.one_of(st.sampled_from(levels), st.floats(0.05, 1.0))
+    entries = draw(st.lists(entry, min_size=n * ncols, max_size=n * ncols))
+    return WeightMatrix(np.sort(np.reshape(entries, (n, ncols)), axis=1)[:, ::-1])
+
+
+def assert_same_bits(got, want):
+    for m, r in zip(got, want, strict=True):
+        np.testing.assert_array_equal(m.knots, r.knots)
+        np.testing.assert_array_equal(m.values, r.values)
+        assert m.ext_slope == r.ext_slope and m.domain_bound == r.domain_bound
+
+
+def built_or_error(build, a):
+    try:
+        return list(build(a))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=tied_matrices())
+def test_functions_from_matrix_matches_row_loop(a):
+    got, want = built_or_error(functions_from_matrix, a), built_or_error(loop_functions_from_matrix, a)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_bits(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=tied_matrices(square=False))
+def test_prefix_sum_system_matches_row_loop(a):
+    assert_same_bits(prefix_sum_system(a), loop_prefix_sum_system(a))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_builders_match_row_loop_on_random_matrices(n):
+    # a fixed sweep besides the hypothesis draws: a last slope formed as
+    # diff(grid) / inc instead of (1/n) / inc moves some rows by an ulp
+    draws = np.random.default_rng(n)
+    for _ in range(25):
+        a = WeightMatrix(np.sort(draws.uniform(0.05, 1.0, (n, n)), axis=1)[:, ::-1])
+        assert_same_bits(functions_from_matrix(a), loop_functions_from_matrix(a))
+        assert_same_bits(prefix_sum_system(a), loop_prefix_sum_system(a))
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=tied_matrices(square=False))
+def test_conjugate_of_finite_domain_matches_loop(a):
+    # every built M has a finite domain, often bounded at its last knot
+    built = built_or_error(functions_from_matrix, a) if a.is_square else []
+    for m in list(prefix_sum_system(a)) + ([] if isinstance(built, str) else built):
+        got, want = m.conjugate(), loop_conjugate(m)
+        for x, y in [(got.knots, want.knots), (got.values, want.values)]:
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+        assert got.ext_slope == want.ext_slope and got.domain_bound is want.domain_bound is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=pwa_functions)
+def test_conjugate_of_unbounded_domain_matches_loop(m):
+    assert_same_bits([m.conjugate()], [loop_conjugate(m)])
