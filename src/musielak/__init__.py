@@ -48,6 +48,7 @@ from .construct import (
     power_profile,
     power_profile_value,
     roundtrip_check,
+    rows_from_knots,
 )
 from .embed import (
     DistortionReport,

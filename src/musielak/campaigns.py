@@ -7,11 +7,12 @@ one declared bound.  All randomness flows from a single seed through
 per-instance derived samplers, so a campaign is reproducible instance by
 instance.
 
-Every campaign but ``construct_campaign`` returns the same report: ``rows``
-(for CSV export), ``dims`` (the n it checked), ``per_n`` and ``band``
-(summaries of the ``ratio`` column), ``gate`` (the bound, the worst value
-found and the margin between them) and ``passed``, which is
-``margin >= 0``.  An empty sweep has no margin and passes.
+Every campaign returns ``gate`` (the bound, the worst value found and the
+margin between them) and ``passed``, which is ``margin >= 0``; an empty
+sweep has no margin and passes.  Every campaign but ``construct_campaign``
+also returns ``rows`` (for CSV export), ``dims`` (the n it checked), and
+``per_n`` and ``band`` (summaries of the ``ratio`` column);
+``construct_campaign`` returns its ``results`` instead.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ SANDWICH_FAILURES_MAX = 0
 ROUNDTRIP_RANGE = (0.25, 4.0)
 # Distortion of the embedding: Khintchine's sqrt 2 times the band bound.
 DISTORTION_MAX = math.sqrt(2.0) * BAND_SPREAD_MAX
+# Construct: rows rebuilt from their knot values, relative to the input.
+REBUILD_MAX = 1e-9
 
 
 def make_matrix(
@@ -118,6 +121,13 @@ def _margin(bound, worst) -> float:
     return bound - worst
 
 
+def _gate(bound, worst) -> dict:
+    """The ``gate`` block and ``passed`` for the worst value found (None for none)."""
+    margin = None if worst is None else _margin(bound, worst)
+    gate = {"bound": bound, "worst": worst, "margin": margin}
+    return {"gate": gate, "passed": margin is None or margin >= 0}
+
+
 def _run(seed: int, instances, one, bound, worst) -> dict:
     """Run ``one(n, sampler, tag) -> rows`` per instance and gate the rows.
 
@@ -126,16 +136,13 @@ def _run(seed: int, instances, one, bound, worst) -> dict:
     """
     root = PermutationSampler(seed)
     rows = [r for n, key, tag in instances for r in one(n, root.spawn(key), tag)]
-    found = worst(rows) if rows else None
-    margin = None if found is None else _margin(bound, found)
     dims = list(dict.fromkeys(n for n, _, _ in instances))
     return {
         "rows": rows,
         "dims": dims,
         "per_n": {n: _band_summary([r for r in rows if r["n"] == n]) for n in dims},
         "band": _band_summary(rows),
-        "gate": {"bound": bound, "worst": found, "margin": margin},
-        "passed": margin is None or margin >= 0,
+        **_gate(bound, worst(rows) if rows else None),
     }
 
 
@@ -261,29 +268,35 @@ def construct_campaign(
 
     An explicit ``matrix`` (list of rows) bypasses the family sweep; invalid
     input (e.g. an increasing row) is rejected with the offending row index.
-    There is no inequality to gate: a failed construction raises.
+    The gate holds the largest relative difference between the input rows
+    and the rows that ``construct.rows_from_knots`` rebuilds from their knot
+    values (``rebuild_error`` per result) against ``REBUILD_MAX``.
     """
     if matrix is not None:
         a = WeightMatrix(np.asarray(matrix, dtype=float))
         construct.functions_from_matrix(a)
-        return {"results": [_construction(a)], "passed": True}
-    root = PermutationSampler(seed)
-    out = []
-    for n in dims:
-        s = root.spawn(n)
-        if family == "power-family":
-            a = construct.matrix_from_functions(make_power_system(n, exponents), n)
-        else:
-            a = make_matrix(family, n, s)
-            construct.functions_from_matrix(a)
-        out.append(_construction(a))
-    return {"results": out, "passed": True}
+        out = [_construction(a)]
+    else:
+        root = PermutationSampler(seed)
+        out = []
+        for n in dims:
+            s = root.spawn(n)
+            if family == "power-family":
+                a = construct.matrix_from_functions(make_power_system(n, exponents), n)
+            else:
+                a = make_matrix(family, n, s)
+                construct.functions_from_matrix(a)
+            out.append(_construction(a))
+    worst = max((r["rebuild_error"] for r in out), default=None)
+    return {"results": out, **_gate(REBUILD_MAX, worst)}
 
 
 def _construction(a: WeightMatrix) -> dict:
     knots = construct.conjugate_inverse_knots(a)
+    rebuilt = construct.rows_from_knots(knots)
     return {
         "n": a.n,
         "matrix": [list(map(float, r)) for r in a.entries],
         "knot_values": [list(map(float, r)) for r in knots],
+        "rebuild_error": float(np.max(np.abs(rebuilt - a.entries) / a.entries)),
     }

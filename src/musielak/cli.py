@@ -218,8 +218,8 @@ def main(argv=None) -> int:
             fh.write("\n")
     if args.format in ("csv", "both") and rows is not None:
         write_csv(outdir / f"{args.command}.csv", rows)
-    print(f"{args.command}: {'pass' if report.get('passed', True) else 'FAIL'}")
-    return 0 if report.get("passed", True) else 2
+    print(f"{args.command}: {'pass' if report['passed'] else 'FAIL'}")
+    return 0 if report["passed"] else 2
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ __all__ = [
     "FProfile",
     "ConstructionError",
     "conjugate_inverse_knots",
+    "rows_from_knots",
     "functions_from_matrix",
     "power_profile",
     "power_orlicz",
@@ -75,6 +76,28 @@ def conjugate_inverse_knots(a: WeightMatrix) -> np.ndarray:
     )
     ell = np.arange(n + 1) / n
     return np.sqrt(prefix**2 + ell * sq_tail)
+
+
+def rows_from_knots(knot_values: np.ndarray) -> np.ndarray:
+    """The rows whose knot values are ``knot_values``: the exact inverse of ``conjugate_inverse_knots``.
+
+    A row is a step profile f, and its H is affine between the knots t_k = k/n,
+    so the piecewise-linear H through (t_k, v_k^2) is the row's own H.  On
+    piece k, H - s H' is the intercept b_k = (k+1) H_k - k H_{k+1}, and its
+    root is F - s f there.  So f(1) = v_n - sqrt(b_{n-1}), and f drops by
+    (sqrt(b_k) - sqrt(b_{k-1})) / t_k at each interior knot t_k.  An
+    intercept within 1e-14 of (k+1) H_k counts as 0: where leading entries
+    tie, b_k is 0 up to rounding, which the square root would magnify to
+    about 1e-8 (the inverse is only Hölder-1/2 there).
+    """
+    v = np.atleast_2d(np.asarray(knot_values, dtype=float))
+    n = v.shape[1] - 1
+    h, k = v**2, np.arange(n)
+    b = (k + 1) * h[:, :-1] - k * h[:, 1:]
+    root = np.sqrt(np.where(b > 1e-14 * (k + 1) * h[:, :-1], b, 0.0))
+    drops = np.diff(root, axis=1) * (n / k[1:])
+    tails = np.hstack([np.cumsum(drops[:, ::-1], axis=1)[:, ::-1], np.zeros((len(v), 1))])
+    return (v[:, -1] - root[:, -1])[:, None] + tails
 
 
 def functions_from_matrix(a: WeightMatrix) -> MusielakSystem:
@@ -117,11 +140,6 @@ _TS_NODES = 1.0 / (1.0 + np.exp(-2.0 * _U))
 _TS_WEIGHTS = np.pi / 16.0 * np.cosh(_TAU) * _TS_NODES / (1.0 + np.exp(2.0 * _U))
 
 
-def _on(fn, s: np.ndarray) -> np.ndarray:
-    """fn evaluated on the array s; a callable returning a constant is broadcast."""
-    return np.broadcast_to(np.asarray(fn(s), dtype=float), s.shape)
-
-
 def _rule(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the tanh-sinh rule on every piece between consecutive breaks."""
     width = np.diff(breaks)[:, None]
@@ -142,97 +160,115 @@ def _breaks(profiles, points) -> np.ndarray:
 
 
 class FProfile:
-    """The profile f of a concave increasing H on [0, 1] with H(0) = 0.
+    """The profiles f of one or more concave increasing H on [0, 1] with H(0) = 0.
 
-    ``h``, ``dh`` and ``d2h`` are H, H' and H'' as functions of an array (a
-    function returning a constant is broadcast).  ``knots`` are the points of
-    (0, 1) where the pieces must split, such as the knots of a piecewise
-    cubic and the zeros of its H''; ``radicand`` computes H(s) - s H'(s) where ``h(s) - s * dh(s)`` would
-    cancel.  With g = H''/sqrt(H - s H'), f(t) = f(1) - (1/2) int_t^1 g, and
-    every integral of g is one fixed tanh-sinh rule mapped onto the pieces
-    between the knots and the query points, except on the piece next to 0
-    (see ``_first_piece``).
+    ``h``, ``dh`` and ``d2h`` are H, H' and H'' as functions of an array s:
+    for a single H they return an array shaped like s (or a constant, which
+    is broadcast), for several they return one row per H.  ``knots`` are the
+    points of (0, 1) where the pieces must split, such as the knots of a
+    piecewise cubic and the zeros of its H''.  ``curvature`` returns H''(s)
+    and H(s) - s H'(s) together, for an H that can compute the second where
+    ``h(s) - s * dh(s)`` would cancel.  With g = H''/sqrt(H - s H'),
+    f(t) = f(1) - (1/2) int_t^1 g, and every integral of g is one fixed
+    tanh-sinh rule mapped onto the pieces between the knots and the query
+    points, except on the piece next to 0 (see ``_first_piece``).
     """
 
-    def __init__(self, h, dh, d2h, knots=(), radicand=None):
+    def __init__(self, h, dh, d2h, knots=(), curvature=None):
         self.h, self.dh, self.d2h = h, dh, d2h
         self.knots = np.asarray(knots, dtype=float)
-        self.radicand = radicand if radicand is not None else lambda s: _on(h, s) - s * _on(dh, s)
-        h1 = float(h(1.0))
-        rad = h1 - float(dh(1.0))
-        if rad < -1e-12:
-            raise ConstructionError("H(1) - H'(1) is negative: H is not concave")
-        self.boundary = math.sqrt(h1) - math.sqrt(max(rad, 0.0))
+        self.curvature = curvature if curvature is not None else lambda s: (d2h(s), h(s) - s * dh(s))
+        h1 = np.atleast_1d(np.asarray(h(1.0), dtype=float))
+        rad = h1 - np.asarray(dh(1.0), dtype=float)
+        convex = rad < -1e-12
+        if convex.any():
+            raise ConstructionError(f"row {np.argmax(convex)}: H(1) - H'(1) is negative: H is not concave")
+        self.rows = h1.size
+        self.boundary = np.sqrt(h1) - np.sqrt(np.maximum(rad, 0.0))
 
-    def _curvature(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """H''(s) and sqrt(H(s) - s H'(s)) on an array.
+    def _terms(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H''(s) and H(s) - s H'(s) as (rows, s.size) arrays."""
+        shape = (self.rows, s.size)
+        return tuple(np.broadcast_to(np.asarray(x, dtype=float), shape) for x in self.curvature(s))
 
-        Curvature at rounding level (e.g. an interpolant of collinear data)
-        counts as zero rather than tripping the concavity guard.
-        """
-        d2 = _on(self.d2h, s)
-        d2 = np.where(np.abs(d2) > 1e-8, d2, 0.0)
-        rad = _on(self.radicand, s)
-        bad = (d2 != 0.0) & (rad <= 0.0)
-        if bad.any():
-            raise ConstructionError(
-                f"H(s) - s H'(s) <= 0 at s = {s[bad][0]}: concavity hypothesis fails"
-            )
-        return d2, np.sqrt(np.maximum(rad, 0.0))
-
-    def _g(self, s: np.ndarray) -> np.ndarray:
-        d2, root = self._curvature(s)
-        return np.divide(d2, root, out=np.zeros_like(d2), where=d2 != 0.0)
-
-    def _first_piece(self, c: float) -> float:
-        """-(1/2) int_0^c s g(s) ds, which is sqrt(H(c) - c H'(c)).
-
-        g may blow up like a power of s at 0, where no rule in floating point
-        reaches, so this piece is never integrated.  The rule's nodes on
-        [0, c] still meet the concavity guard, and a piece whose curvature is
-        at rounding level at all of them counts as flat.
-        """
-        d2, root = self._curvature(np.append(c * _TS_NODES, c))
-        return float(root[-1]) if d2.any() else 0.0
+    def _per_row(self, out: np.ndarray):
+        return (out[0] if self.rows == 1 else out)[()]
 
     def value(self, t):
-        """f(t) for t in (0, 1], a number or an array; nonnegative and nonincreasing."""
+        """f(t) for t in (0, 1], a number or an array; nonnegative and nonincreasing.
+
+        A profile of several rows gives one value per row, along a leading axis.
+        """
         t = np.asarray(t, dtype=float)
         if not np.all((t > 0) & (t <= 1)):
             raise ValueError("t must lie in (0, 1]")
         breaks = _breaks([self], t)
-        f = _curvature_sums([self], breaks)[2][0]
-        return f[np.searchsorted(breaks, t)][()]
+        f = _curvature_sums([self], breaks)[2]
+        return self._per_row(f[:, np.searchsorted(breaks, t)])
 
-    def integral(self, lo: float, hi: float) -> float:
-        """int_lo^hi f(t) dt."""
+    def integral(self, lo: float, hi: float):
+        """int_lo^hi f(t) dt, per row for a profile of several rows."""
         if not 0 <= lo <= hi <= 1:
             raise ValueError("need 0 <= lo <= hi <= 1")
         if hi == lo:
-            return 0.0
-        return (hi - lo) * float(_interval_averages([self], [lo, hi])[0, 0])
+            return self._per_row(np.zeros(self.rows))
+        return self._per_row((hi - lo) * _interval_averages([self], [lo, hi])[:, 0])
+
+
+def _curvature(profiles, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H''(s) and sqrt(H(s) - s H'(s)) of every row of every profile, as (rows, s.size) arrays.
+
+    Curvature at rounding level (e.g. an interpolant of collinear data)
+    counts as zero rather than tripping the concavity guard, whose error
+    names the first failing row.
+    """
+    d2, rad = (np.concatenate(x) for x in zip(*(p._terms(s) for p in profiles)))
+    d2[~(np.abs(d2) > 1e-8)] = 0.0
+    bad = (d2 != 0.0) & (rad <= 0.0)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise ConstructionError(
+            f"row {i}: H(s) - s H'(s) <= 0 at s = {s[k]}: concavity hypothesis fails"
+        )
+    return d2, np.sqrt(np.maximum(rad, 0.0, out=rad), out=rad)
+
+
+def _first_piece(profiles, c: float) -> np.ndarray:
+    """-(1/2) int_0^c s g(s) ds per row, which is sqrt(H(c) - c H'(c)).
+
+    g may blow up like a power of s at 0, where no rule in floating point
+    reaches, so this piece is never integrated.  The rule's nodes on
+    [0, c] still meet the concavity guard, and a row whose curvature is
+    at rounding level at all of them counts as flat.
+    """
+    d2, root = _curvature(profiles, np.append(c * _TS_NODES, c))
+    return np.where(d2.any(axis=1), root[:, -1], 0.0)
 
 
 def _curvature_sums(profiles, breaks: np.ndarray):
-    """Tanh-sinh nodes s between the breaks, w * g_i(s) per profile, and f_i at the breaks.
+    """Tanh-sinh nodes s between the breaks, w * g_i(s) per row, and f_i at the breaks.
 
     ``breaks`` increase from a positive point to 1.  Raises
-    ``ConstructionError`` where some f_i falls below -1e-7 (an invalid H).
+    ``ConstructionError``, naming the first such row, where some f_i falls
+    below -1e-7 (an invalid H).
     """
     s, w = _rule(breaks)
-    gw = np.stack([w * p._g(s) for p in profiles])
-    pieces = gw.reshape(len(profiles), len(breaks) - 1, _TS_NODES.size).sum(axis=2)
+    d2, root = _curvature(profiles, s)
+    gw = np.divide(d2, root, out=d2, where=d2 != 0.0)  # g, left 0 where H'' is
+    gw *= w
+    pieces = gw.reshape(len(gw), len(breaks) - 1, _TS_NODES.size).sum(axis=2)
     tails = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1]  # int_{break_k}^1 g
-    boundary = np.array([p.boundary for p in profiles])[:, None]
+    boundary = np.concatenate([p.boundary for p in profiles])[:, None]
     f = boundary - 0.5 * np.concatenate([tails, np.zeros_like(boundary)], axis=1)
     low = f < -1e-7
     if low.any():
-        raise ConstructionError(f"profile negative at t = {breaks[np.nonzero(low)[1][0]]}: invalid H")
+        i, k = np.argwhere(low)[0]
+        raise ConstructionError(f"row {i}: profile negative at t = {breaks[k]}: invalid H")
     return s, gw, np.maximum(f, 0.0)
 
 
 def _interval_averages(profiles, edges) -> np.ndarray:
-    """The average of every profile f_i over each [e_j, e_{j+1}], for increasing edges in [0, 1].
+    """The average of every row f_i over each [e_j, e_{j+1}], for increasing edges in [0, 1].
 
     Swapping the order of integration in f(t) = f(1) - (1/2) int_t^1 g gives
         int_a^b f = (b - a) f(1) - (1/2) int_a^1 g(s) (min(s, b) - a) ds,
@@ -246,9 +282,9 @@ def _interval_averages(profiles, edges) -> np.ndarray:
     s, gw, _ = _curvature_sums(profiles, breaks)
     a, width = edges[:-1], np.diff(edges)
     kernel = np.clip((s[:, None] - a) / width, 0.0, 1.0)
-    out = np.array([p.boundary for p in profiles])[:, None] - 0.5 * (gw @ kernel)
+    out = np.concatenate([p.boundary for p in profiles])[:, None] - 0.5 * (gw @ kernel)
     if edges[0] == 0.0:
-        out[:, 0] += [p._first_piece(breaks[0]) / width[0] for p in profiles]
+        out[:, 0] += _first_piece(profiles, breaks[0]) / width[0]
     return out
 
 
@@ -356,61 +392,133 @@ def h_reconstruct_check(profile: FProfile, grid=None) -> float:
     s, w = _rule(breaks)
     pieces = (w * profile.value(s) ** 2).reshape(-1, _TS_NODES.size).sum(axis=1)
     tails = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)[np.searchsorted(breaks, t)]
-    return float(np.max(np.abs(_on(profile.h, t) - (heads**2 + t * tails))))
+    return float(np.max(np.abs(profile.h(t) - (heads**2 + t * tails))))
 
 
 # ---------------------------------------------------------------------------
 # round trip
 
 
-def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, float]:
-    """Smooth monotone fit of H through (l/n, v_l^2), normalized to H(1) = 1.
+def _end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point slope, set to 0 or 3 m0 where it would break the shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    keep = np.sign(d) == np.sign(m0)
+    d = np.where((np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0)), 3.0 * m0, d)
+    return np.where(keep, d, 0.0)
 
-    Returns the profile of the normalized fit and the scale sqrt(H(1)) that
-    converts its outputs back to the original size.  Uses a monotone
-    piecewise-cubic (PCHIP) interpolant, which reproduces the linear case
-    exactly and preserves monotonicity for concave data.
+
+def _power_sum(table: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_j table[j, :, k] u^(J-1-j), summed from the constant term up.
+
+    The powers of u come by repeated multiplication, as in the usual
+    piecewise-polynomial evaluators, so that H(1) and H'(1) of a fit have the
+    same bits as the reference PCHIP in the tests.  That matters where
+    f(1) = sqrt(H(1)) - sqrt(H(1) - H'(1)) takes the square root of a
+    difference at rounding level (a nearly linear H).
     """
-    v = np.asarray(knot_values, dtype=float)
-    n = len(v) - 1
-    from scipy.interpolate import PchipInterpolator, PPoly
+    out, z = table[-1][:, k], u
+    for c in table[-2::-1]:
+        out, z = out + c[:, k] * z, z * u
+    return out
 
+
+class _Pchip:
+    """Monotone cubic Hermite interpolants (PCHIP) of the rows of y at shared increasing x.
+
+    The slopes are the Fritsch-Carlson rule (SIAM J. Numer. Anal. 17, 1980)
+    as the reference PCHIP implementations have it: at interior points the
+    Fritsch-Butland weighted harmonic mean of the secant slopes, 0 where they
+    change sign or vanish; at the ends Moler's shape-preserving three-point
+    formula; for two points the line.  On piece k the interpolant is
+    c_0 u^3 + c_1 u^2 + c_2 u + c_3 with u = s - x_k.  ``tables`` hold the
+    (terms, rows, pieces) coefficients of H, H' and H'', and ``radicand``
+    those of H - s H', formed exactly so that it does not cancel: on the
+    first piece it is -c_1 u^2 - 2 c_0 u^3.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x = x
+        hk = np.diff(x)
+        mk = np.diff(y, axis=1) / hk
+        if x.size == 2:
+            d = np.hstack([mk, mk])
+        else:
+            flat = (np.sign(mk[:, 1:]) != np.sign(mk[:, :-1])) | (mk[:, 1:] == 0) | (mk[:, :-1] == 0)
+            w1, w2 = 2.0 * hk[1:] + hk[:-1], hk[1:] + 2.0 * hk[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inner = np.where(flat, 0.0, 1.0 / ((w1 / mk[:, :-1] + w2 / mk[:, 1:]) / (w1 + w2)))
+            first = _end_slope(hk[0], hk[1], mk[:, 0], mk[:, 1])
+            last = _end_slope(hk[-1], hk[-2], mk[:, -1], mk[:, -2])
+            d = np.hstack([first[:, None], inner, last[:, None]])
+        self.slopes = d
+        t = (d[:, :-1] + d[:, 1:] - 2.0 * mk) / hk
+        c0, c1, c2, c3 = t / hk, (mk - d[:, :-1]) / hk - t, d[:, :-1], y[:, :-1]
+        x0 = x[:-1]
+        self.tables = (
+            np.stack([c0, c1, c2, c3]),
+            np.stack([3.0 * c0, 2.0 * c1, c2]),
+            np.stack([6.0 * c0, 2.0 * c1]),
+        )
+        self.radicand = np.stack([-2.0 * c0, -c1 - 3.0 * x0 * c0, -2.0 * x0 * c1, c3 - x0 * c2])
+
+    def _pieces(self, s):
+        """The index of the piece holding each s, and s minus its left end."""
+        s = np.asarray(s, dtype=float)
+        k = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, self.x.size - 2)
+        return k, s - self.x[k]
+
+    def __call__(self, s, nu: int = 0) -> np.ndarray:
+        """The nu-th derivative (nu <= 2) of every row at s, with a leading row axis."""
+        return _power_sum(self.tables[nu], *self._pieces(s))
+
+    def curvature(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """H''(s) and H(s) - s H'(s) of every row, after one search for the pieces."""
+        k, u = self._pieces(s)
+        return _power_sum(self.tables[2], k, u), _power_sum(self.radicand, k, u)
+
+
+def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, np.ndarray]:
+    """Smooth monotone fit of each row's H through (l/n, v_l^2), normalized to H(1) = 1.
+
+    ``knot_values`` is one row v_0..v_n or a (rows, n+1) array of them.
+    Returns one profile with a row per row of knot values, and the (rows,)
+    scales sqrt(H(1)) that convert its outputs back to the original size.
+    The fits are monotone piecewise cubics (PCHIP), which reproduce the
+    linear case exactly and preserve monotonicity for concave data.
+    """
+    v = np.atleast_2d(np.asarray(knot_values, dtype=float))
+    n = v.shape[1] - 1
     grid = np.arange(n + 1) / n
     hvals = v**2
-    scale = math.sqrt(hvals[-1])
-    fit = PchipInterpolator(grid, hvals / hvals[-1])
-    # H - s H' as a cubic in u = s - x on each piece [x, x'] from the fit's
-    # coefficients (c0 the cubic one): h(s) - s dh(s) cancels to <= 0 near 0,
-    # where the first piece gives exactly -c1 u^2 - 2 c0 u^3
-    c, x = fit.c, fit.x[:-1]
-    radicand = PPoly(np.stack([-2 * c[0], -c[1] - 3 * x * c[0], -2 * x * c[1], c[3] - x * c[2]]), fit.x)
+    fit = _Pchip(grid, hvals / hvals[:, -1:])
     # H'' is linear on each piece.  Where it turns from positive to negative,
     # H - s H' (whose derivative is -s H'') has a minimum, possibly close to 0,
     # and g a narrow bump there that a fixed rule resolves only at the end of
-    # a piece: the zeros of H'' become knots too.
+    # a piece: the zeros of H'' of every row become knots too.
+    c0, c1 = fit.tables[0][:2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = -c[1] / (3.0 * c[0])
-    inflections = (x + u)[(u > 0) & (u < np.diff(fit.x))]
+        u = -c1 / (3.0 * c0)
+    inflections = (grid[:-1] + u)[(u > 0) & (u < np.diff(grid))]
     knots = np.union1d(grid[1:-1], inflections)
-    prof = FProfile(fit, fit.derivative(), fit.derivative(2), knots=knots, radicand=radicand)
-    return prof, scale
+    prof = FProfile(fit, lambda s: fit(s, 1), lambda s: fit(s, 2), knots=knots, curvature=fit.curvature)
+    return prof, np.sqrt(hvals[:, -1])
 
 
 def roundtrip_check(a: WeightMatrix) -> EquivalenceReport:
     """Compose the two constructions and compare at the knot-value level.
 
-    The matrix is turned into knot values, a smooth concave H is fitted per
-    row, the inverse construction produces a new matrix, and the report
-    collects the ratios of reconstructed to original knot values (only norm
-    equivalence is claimed, so raw matrix entries are not compared).
+    The matrix is turned into knot values, a smooth concave H is fitted to
+    every row at once, the inverse construction produces a new matrix, and
+    the report collects the ratios of reconstructed to original knot values
+    (only norm equivalence is claimed, so raw matrix entries are not
+    compared).
     """
     if not a.is_square:
         raise ValueError("needs a square matrix")
     n = a.n
     v = conjugate_inverse_knots(a)
-    profiles, scales = zip(*(fit_concave_profile(v[i]) for i in range(n)))
-    unit = matrix_from_profiles(profiles, n)
-    rebuilt = WeightMatrix(unit.entries * np.array(scales)[:, None])
+    profile, scales = fit_concave_profile(v)
+    rebuilt = WeightMatrix(matrix_from_profiles([profile], n).entries * scales[:, None])
     v2 = conjugate_inverse_knots(rebuilt)
     ratios = (v2[:, 1:] / v[:, 1:]).ravel()
     return EquivalenceReport(

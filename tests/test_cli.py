@@ -53,9 +53,9 @@ def test_commands_pass_and_write_reports(tmp_path, command):
     assert doc["passed"] is True
     assert doc["command"] == command
     assert doc["config"]["seed"] == 7
-    if command != "construct":  # construct has no per-instance rows and no gate
-        for gate in _gates(doc):
-            assert set(gate) == {"bound", "worst", "margin"} and gate["margin"] >= 0
+    for gate in _gates(doc):
+        assert set(gate) == {"bound", "worst", "margin"} and gate["margin"] >= 0
+    if command != "construct":  # construct has no per-instance rows
         with open(tmp_path / f"{command}.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and list(rows[0]) == ["instance_id", "n", "lhs", "rhs", "ratio"]
@@ -203,25 +203,29 @@ def test_report_echoes_the_values_used(tmp_path):
     assert doc["band"]["samples"] == 100
 
 
-def test_import_leaves_scipy_quadrature_unloaded():
+_LOADED_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+
+
+def _scipy_modules_after(code: str) -> str:
     src = str(Path(campaigns.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    code = "import sys, musielak.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = out.stdout.strip()
-    assert "scipy.integrate" not in loaded and "scipy.interpolate" not in loaded, loaded
-    assert "scipy.special" not in loaded, loaded
+    argv = [sys.executable, "-c", f"{code}; {_LOADED_SCIPY}"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_quadrature_unloaded():
+    # numpy is the only runtime dependency
+    loaded = _scipy_modules_after("import sys, musielak.cli")
+    assert loaded == "[]", loaded
 
 
 def test_roundtrip_leaves_scipy_quadrature_unloaded(tmp_path):
-    # fitted profiles are integrated by the package's own rule
-    src = str(Path(campaigns.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    # fitted profiles are fitted and integrated by the package's own numpy code
     argv = ["roundtrip", "--out", str(tmp_path), "--seed", "7", "--config", str(tmp_path / "cfg.json")]
     (tmp_path / "cfg.json").write_text(json.dumps(SMALL["roundtrip"]))
-    code = f"import sys; from musielak.cli import main; assert main({argv!r}) == 0; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "False", out.stdout
+    loaded = _scipy_modules_after(f"import sys; from musielak.cli import main; assert main({argv!r}) == 0")
+    assert loaded == "[]", loaded
 
 
 def test_threads_flag_is_usage_error(tmp_path, capsys):
@@ -235,6 +239,7 @@ def test_explicit_matrix_construct(tmp_path):
     doc = load_json(tmp_path, "construct")
     knots = doc["results"][0]["knot_values"][0]
     assert knots[0] == 0.0 and knots[2] == pytest.approx(1.5)
+    assert doc["passed"] is True and doc["gate"]["worst"] == doc["results"][0]["rebuild_error"] < 1e-15
 
 
 def test_failed_invariant_exits_two(tmp_path, monkeypatch):
@@ -292,6 +297,10 @@ def _break_roundtrip(monkeypatch):
     monkeypatch.setattr(construct, "roundtrip_check", lambda a: report)
 
 
+def _break_construct(monkeypatch):
+    monkeypatch.setattr(construct, "rows_from_knots", _scaled(construct.rows_from_knots, 1.0 + 1e-6))
+
+
 def _break_distortion(monkeypatch):
     report = embed.DistortionReport(0.1, 10.0, 2, "forced")
     monkeypatch.setattr(embed, "distortion_estimate", lambda *args, **kwargs: report)
@@ -307,6 +316,7 @@ def _break_distortion(monkeypatch):
         ("embed-report", "khintchine", _break_khintchine),
         ("embed-report", "distortion", _break_distortion),
         ("roundtrip", None, _break_roundtrip),
+        ("construct", None, _break_construct),
     ],
 )
 def test_violated_gate_exits_two(tmp_path, monkeypatch, command, part, breaker):

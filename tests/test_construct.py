@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from musielak.construct import (
     ConstructionError,
     FProfile,
+    _Pchip,
     conjugate_inverse_knots,
     fit_concave_profile,
     functions_from_matrix,
@@ -21,6 +22,7 @@ from musielak.construct import (
     power_profile,
     power_profile_value,
     roundtrip_check,
+    rows_from_knots,
 )
 from musielak.convex import MusielakSystem, PowerFunction, is_two_concave
 from musielak.perms import WeightMatrix
@@ -41,6 +43,11 @@ def analytic_profile_integral(p, lo, hi):
 
 def random_matrix(n):
     return WeightMatrix(np.sort(rng.uniform(0.05, 1, (n, n)), axis=1)[:, ::-1])
+
+
+def power_matrix(exponents):
+    n = len(exponents)
+    return matrix_from_functions(MusielakSystem(tuple(power_orlicz(p) for p in exponents)), n)
 
 
 def quad_fitted_row(knot_values):
@@ -84,6 +91,23 @@ def quad_fitted_row(knot_values):
     return np.array(row)
 
 
+def scipy_fit_concave_profile(knot_values):
+    """Oracle: one row's scipy PCHIP fit of H = v^2 normalized to H(1) = 1, as a profile, and its scale."""
+    v = np.asarray(knot_values, dtype=float)
+    n = len(v) - 1
+    grid = np.arange(n + 1) / n
+    hvals = v**2
+    fit = PchipInterpolator(grid, hvals / hvals[-1])
+    c, x = fit.c, fit.x[:-1]
+    radicand = PPoly(np.stack([-2 * c[0], -c[1] - 3 * x * c[0], -2 * x * c[1], c[3] - x * c[2]]), fit.x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = -c[1] / (3.0 * c[0])
+    knots = np.union1d(grid[1:-1], (x + u)[(u > 0) & (u < np.diff(fit.x))])
+    d2 = fit.derivative(2)
+    prof = FProfile(fit, fit.derivative(), d2, knots=knots, curvature=lambda s: (d2(s), radicand(s)))
+    return prof, math.sqrt(hvals[-1])
+
+
 class TestKnotValues:
     def test_constant_matrix_identity(self):
         # all-ones matrix: (l/n)^2 + (l/n)(n-l)/n collapses to l/n
@@ -105,6 +129,65 @@ class TestKnotValues:
         a = WeightMatrix(np.array([[2.0, 1.0], [2.0, 1.0]]))
         v = conjugate_inverse_knots(a)
         np.testing.assert_allclose(v[0], [0.0, math.sqrt(1.25), 1.5], rtol=1e-14)
+
+
+class TestRowsFromKnots:
+    """The exact discrete inverse is an oracle for ``conjugate_inverse_knots``."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_rows_recovered(self, n):
+        for _ in range(20):
+            a = random_matrix(n)
+            np.testing.assert_allclose(rows_from_knots(conjugate_inverse_knots(a)), a.entries, rtol=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_power_rows_recovered(self, n):
+        a = power_matrix(np.linspace(1.05, 1.95, n))
+        np.testing.assert_allclose(rows_from_knots(conjugate_inverse_knots(a)), a.entries, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_tied_entries_recovered_exactly(self, n):
+        # where leading entries tie, the intercepts are 0 up to rounding
+        assert np.all(rows_from_knots(conjugate_inverse_knots(WeightMatrix(np.ones((n, n))))) == 1.0)
+        a = WeightMatrix(np.tile([3.0] * (n - n // 2) + [0.5] * (n // 2), (n, 1)))
+        np.testing.assert_allclose(rows_from_knots(conjugate_inverse_knots(a)), a.entries, rtol=1e-13)
+
+    def test_hand_example(self):
+        v = conjugate_inverse_knots(WeightMatrix(np.array([[2.0, 1.0], [2.0, 1.0]])))
+        np.testing.assert_allclose(rows_from_knots(v[0]), [[2.0, 1.0]], rtol=1e-15)
+
+
+class TestPchip:
+    """The numpy PCHIP against scipy's ``PchipInterpolator``."""
+
+    @staticmethod
+    def check(y):
+        x = np.arange(y.shape[1]) / (y.shape[1] - 1)
+        fit = _Pchip(x, y)
+        ref = PchipInterpolator(x, y, axis=1)
+        s = np.concatenate([x, rng.uniform(0.0, 1.0, 40)])
+        np.testing.assert_allclose(fit.slopes, ref.derivative()(x), rtol=1e-13, atol=1e-13)
+        for nu in range(3):
+            np.testing.assert_allclose(fit(s, nu), ref.derivative(nu)(s), rtol=1e-13, atol=1e-13)
+        return fit
+
+    @pytest.mark.parametrize("points", range(2, 18))
+    def test_random_rows(self, points):
+        steps = rng.uniform(0.01, 1.0, (4, points))
+        steps[0, points // 2] = 0.0  # a flat step: slopes 0 beside it
+        self.check(np.cumsum(steps, axis=1))  # increasing
+        self.check(rng.normal(size=(3, points)))  # sign changes: the shape-preserving end slopes
+
+    @pytest.mark.parametrize("points", range(2, 18))
+    def test_collinear_rows_are_lines(self, points):
+        x = np.arange(points) / (points - 1)
+        fit = self.check(np.stack([2.0 + 3.0 * x, x, 0.5 - x]))
+        assert np.max(np.abs(fit(rng.uniform(0.0, 1.0, 40), 2))) < 1e-12
+
+    def test_two_points_linear(self):
+        fit = self.check(np.array([[0.0, 1.0], [1.0, 3.0]]))
+        np.testing.assert_array_equal(fit.slopes, [[1.0, 1.0], [2.0, 2.0]])
+        assert np.all(fit(np.linspace(0, 1, 9), 2) == 0.0)
 
 
 class TestFunctionsFromMatrix:
@@ -307,6 +390,35 @@ class TestRoundtrip:
         swapped = 1.0 / rep.ratios
         assert swapped.min() == pytest.approx(1.0 / rep.c_high)
         assert swapped.max() == pytest.approx(1.0 / rep.c_low)
+
+
+class TestBatchedFit:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_roundtrip_matches_per_row_scipy_fits(self, n):
+        a = power_matrix(np.linspace(1.1, 1.9, n))
+        v = conjugate_inverse_knots(a)
+        profiles, scales = zip(*(scipy_fit_concave_profile(row) for row in v))
+        rebuilt = WeightMatrix(matrix_from_profiles(profiles, n).entries * np.array(scales)[:, None])
+        expected = (conjugate_inverse_knots(rebuilt)[:, 1:] / v[:, 1:]).ravel()
+        np.testing.assert_allclose(roundtrip_check(a).ratios, expected, rtol=1e-12)
+
+    def test_rows_of_one_profile(self):
+        v = conjugate_inverse_knots(power_matrix([1.2, 1.5, 1.8]))
+        prof, scales = fit_concave_profile(v)
+        t = np.array([0.01, 0.5, 1.0])
+        assert prof.value(t).shape == (3, 3) and scales.shape == (3,)
+        for i, row in enumerate(v):
+            single, scale = fit_concave_profile(row)
+            assert scale == scales[i]
+            np.testing.assert_allclose(prof.value(t)[i], single.value(t), rtol=1e-14)
+            assert prof.integral(0.0, 0.5)[i] == pytest.approx(single.integral(0.0, 0.5), rel=1e-14)
+
+    def test_guard_names_the_first_failing_row(self):
+        good = conjugate_inverse_knots(WeightMatrix(np.ones((3, 3))))[0]
+        bad = conjugate_inverse_knots(WeightMatrix(np.tile([1.0, 1.0, 0.5], (3, 1))))[0]
+        prof, _ = fit_concave_profile(np.stack([good, bad, bad]))
+        with pytest.raises(ConstructionError, match=r"^row 1: H\(s\) - s H'\(s\) <= 0 at s = "):
+            matrix_from_profiles([prof], 3)
 
 
 class TestConfig:
