@@ -7,12 +7,16 @@ one declared bound.  All randomness flows from a single seed through
 per-instance derived samplers, so a campaign is reproducible instance by
 instance.
 
+Each CLI command runs one campaign, whose parameters are the config keys
+of the command, without defaults (``cli.COMMANDS`` holds those).
+
 Every campaign returns ``gate`` (the bound, the worst value found and the
 margin between them) and ``passed``, which is ``margin >= 0``; an empty
 sweep has no margin and passes.  Every campaign but ``construct_campaign``
 also returns ``rows`` (for CSV export), ``dims`` (the n it checked), and
 ``per_n`` and ``band`` (summaries of the ``ratio`` column);
-``construct_campaign`` returns its ``results`` instead.
+``construct_campaign`` returns its ``results`` instead.  A campaign that
+joins two parts returns one such block per part.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ __all__ = [
     "khintchine_campaign",
     "roundtrip_campaign",
     "distortion_campaign",
+    "lemma_oracles_campaign",
+    "embed_report_campaign",
     "construct_campaign",
 ]
 
@@ -54,27 +60,21 @@ ROUNDTRIP_RANGE = (0.25, 4.0)
 DISTORTION_MAX = math.sqrt(2.0) * BAND_SPREAD_MAX
 # Construct: rows rebuilt from their knot values, relative to the input.
 REBUILD_MAX = 1e-9
+N_KHINTCHINE = 5  # the Khintchine part of embed-report: 2^5 5! = 3840 terms per instance
 
 
 def make_matrix(
-    family: str,
-    n: int,
-    sampler: PermutationSampler | None = None,
-    exponents=DEFAULT_EXPONENTS,
-    ncols: int | None = None,
+    family: str, n: int, sampler: PermutationSampler | None = None, exponents=DEFAULT_EXPONENTS
 ) -> WeightMatrix:
-    """Draw one weight matrix from the named instance family."""
-    N = ncols if ncols is not None else n
+    """Draw one n x n weight matrix from the named instance family."""
     if family == "constant":
-        return WeightMatrix(np.ones((n, N)))
+        return WeightMatrix(np.ones((n, n)))
     if family == "random-decreasing":
         if sampler is None:
             raise ValueError("random-decreasing needs a sampler")
-        rows = np.sort(sampler.uniform(0.05, 1.0, (n, N)), axis=1)[:, ::-1]
+        rows = np.sort(sampler.uniform(0.05, 1.0, (n, n)), axis=1)[:, ::-1]
         return WeightMatrix(rows)
     if family == "power-family":
-        if n != N:
-            raise ValueError("power-family matrices are square")
         return construct.matrix_from_functions(make_power_system(n, exponents), n)
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 
@@ -162,6 +162,14 @@ def _constants(rows):
     return min(r["lhs"] for r in rows), max(r["rhs"] for r in rows)
 
 
+def _merge(**parts) -> dict:
+    """One report from named campaign reports: rows joined, passed if all passed."""
+    report = {name: {k: v for k, v in part.items() if k != "rows"} for name, part in parts.items()}
+    report["rows"] = [r for part in parts.values() for r in part["rows"]]
+    report["passed"] = all(part["passed"] for part in parts.values())
+    return report
+
+
 # ---------------------------------------------------------------------------
 # campaigns
 
@@ -176,9 +184,7 @@ def _band_rows(tag: str, n: int, a: WeightMatrix, system, s, vectors: int) -> li
     return rows
 
 
-def thm1_campaign(
-    dims, seed: int, instances: int = 5, vectors: int = 100, family: str = "random-decreasing"
-) -> dict:
+def thm1_campaign(dims, seed: int, instances: int, vectors: int, family: str) -> dict:
     """Band of exact l2 average vs. Luxemburg norm of the matrix-built system."""
 
     def one(n, s, tag):
@@ -188,7 +194,7 @@ def thm1_campaign(
     return _run(seed, _per_instance(dims, instances), one, BAND_SPREAD_MAX, _spread)
 
 
-def thm2_campaign(dims, seed: int, vectors: int = 500, exponents=DEFAULT_EXPONENTS) -> dict:
+def thm2_campaign(dims, seed: int, vectors: int, exponents) -> dict:
     """Same band as thm1 but for matrices produced from power systems."""
 
     def one(n, s, tag):
@@ -198,7 +204,7 @@ def thm2_campaign(dims, seed: int, vectors: int = 500, exponents=DEFAULT_EXPONEN
     return _run(seed, _per_dim(dims), one, BAND_SPREAD_MAX, _spread)
 
 
-def lemma21_campaign(dims, seed: int, instances: int = 200) -> dict:
+def lemma21_campaign(dims, seed: int, instances: int) -> dict:
     """Exact two-permutation max average vs. the rearrangement bound."""
 
     def one(n, s, tag):
@@ -210,18 +216,18 @@ def lemma21_campaign(dims, seed: int, instances: int = 200) -> dict:
     return _run(seed, _per_instance(dims, instances, "l21-"), one, LEMMA21_MAX, _max_ratio)
 
 
-def lemma22_campaign(dims, seed: int, instances: int = 200, tol: float = 1e-8) -> dict:
+def lemma22_campaign(dims, seed: int, instances: int) -> dict:
     """Exact 1/2 .. 2 sandwich of the matrix norm by the prefix-sum system."""
 
     def one(n, s, tag):
         a = make_matrix("random-decreasing", n, s)
-        rep = perms.lemma_matrixnorm_check(a, s.normals(n), tol=tol)
+        rep = perms.lemma_matrixnorm_check(a, s.normals(n))
         return [_row(tag, n, rep.lower, rep.value, rep.ratio, passed=rep.passed)]
 
     return _run(seed, _per_instance(dims, instances, "l22-"), one, SANDWICH_FAILURES_MAX, _failures)
 
 
-def khintchine_campaign(dims, seed: int, instances: int = 200) -> dict:
+def khintchine_campaign(dims, seed: int, instances: int) -> dict:
     """Exact Khintchine sandwich of the embedded L1 norm, per instance."""
 
     def one(n, s, tag):
@@ -233,10 +239,10 @@ def khintchine_campaign(dims, seed: int, instances: int = 200) -> dict:
     return _run(seed, _per_instance(dims, instances, "kh-"), one, SANDWICH_FAILURES_MAX, _failures)
 
 
-def roundtrip_campaign(
-    dims, seed: int, family: str = "power-family", exponents=DEFAULT_EXPONENTS
-) -> dict:
+def roundtrip_campaign(dims, seed: int, family: str, exponents) -> dict:
     """Uniform-equivalence constants of the composed constructions."""
+    if family == "random-decreasing":  # PCHIP of concave knot data is not concave in general
+        raise ValueError("family 'random-decreasing' cannot run roundtrip: its PCHIP fits fail 2-concavity")
 
     def one(n, s, tag):
         rep = construct.roundtrip_check(make_matrix(family, n, s, exponents))
@@ -245,7 +251,7 @@ def roundtrip_campaign(
     return _run(seed, _per_dim(dims, "rt-"), one, ROUNDTRIP_RANGE, _constants)
 
 
-def distortion_campaign(dims, seed: int, samples: int = 500, exponents=DEFAULT_EXPONENTS) -> dict:
+def distortion_campaign(dims, seed: int, samples: int, exponents) -> dict:
     """Embedding distortion witness for power-family pipelines."""
 
     def one(n, s, tag):
@@ -257,41 +263,46 @@ def distortion_campaign(dims, seed: int, samples: int = 500, exponents=DEFAULT_E
     return _run(seed, _per_dim(dims, "dist-"), one, DISTORTION_MAX, _max_ratio)
 
 
-def construct_campaign(
-    dims,
-    seed: int,
-    family: str = "random-decreasing",
-    exponents=DEFAULT_EXPONENTS,
-    matrix=None,
-) -> dict:
+def lemma_oracles_campaign(dims, seed: int, instances: int) -> dict:
+    """Lemma 2.1 at the n it enumerates exactly, Lemma 2.2 at every n."""
+    return _merge(
+        lemma21=lemma21_campaign([n for n in dims if n <= perms.N_EXACT_PAIRS], seed, instances),
+        lemma22=lemma22_campaign(dims, seed, instances),
+    )
+
+
+def embed_report_campaign(dims, seed: int, instances: int, samples: int, exponents) -> dict:
+    """Khintchine sandwich up to ``N_KHINTCHINE``, embedding distortion at every n."""
+    return _merge(
+        khintchine=khintchine_campaign([n for n in dims if n <= N_KHINTCHINE], seed, instances),
+        distortion=distortion_campaign(dims, seed, samples, exponents),
+    )
+
+
+def construct_campaign(dims, seed: int, family: str, exponents, matrix) -> dict:
     """Build matrices/systems for a dimension sweep with validation info.
 
     An explicit ``matrix`` (list of rows) bypasses the family sweep; invalid
-    input (e.g. an increasing row) is rejected with the offending row index.
+    input (e.g. an increasing row) is rejected naming ``matrix`` and the row.
+    Every matrix must build a system by ``construct.functions_from_matrix``.
     The gate holds the largest relative difference between the input rows
     and the rows that ``construct.rows_from_knots`` rebuilds from their knot
     values (``rebuild_error`` per result) against ``REBUILD_MAX``.
     """
     if matrix is not None:
-        a = WeightMatrix(np.asarray(matrix, dtype=float))
-        construct.functions_from_matrix(a)
-        out = [_construction(a)]
+        try:
+            out = [_construction(WeightMatrix(np.asarray(matrix, dtype=float)))]
+        except ValueError as exc:
+            raise ValueError(f"matrix: {exc}") from exc
     else:
         root = PermutationSampler(seed)
-        out = []
-        for n in dims:
-            s = root.spawn(n)
-            if family == "power-family":
-                a = construct.matrix_from_functions(make_power_system(n, exponents), n)
-            else:
-                a = make_matrix(family, n, s)
-                construct.functions_from_matrix(a)
-            out.append(_construction(a))
+        out = [_construction(make_matrix(family, n, root.spawn(n), exponents)) for n in dims]
     worst = max((r["rebuild_error"] for r in out), default=None)
     return {"results": out, **_gate(REBUILD_MAX, worst)}
 
 
 def _construction(a: WeightMatrix) -> dict:
+    construct.functions_from_matrix(a)  # raises ConstructionError if the rows build no system
     knots = construct.conjugate_inverse_knots(a)
     rebuilt = construct.rows_from_knots(knots)
     return {

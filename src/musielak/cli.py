@@ -1,11 +1,11 @@
 """Experiment runner: reproducible campaigns with JSON/CSV reports.
 
 Subcommands: construct, verify-thm1, verify-thm2, roundtrip, lemma-oracles,
-embed-report.  A campaign is defined by a JSON config file; --seed and
---out override the config on the command line.  Exit code 0 means every
-gate in the run passed, 2 means at least one failed (the report's ``gate``
-blocks name the bound, the worst value and the margin), 1 is a usage or
-config error.
+embed-report, each declared once in ``COMMANDS``.  A JSON config file
+overrides a command's defaults key by key; --seed and --out override the
+config.  Exit code 0 means every gate in the run passed, 2 means at least
+one failed (the report's ``gate`` blocks name the bound, the worst value
+and the margin), 1 is a usage or config error.
 """
 
 from __future__ import annotations
@@ -15,43 +15,42 @@ import datetime
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__, campaigns, embed, perms
 
 _EXPONENTS = list(campaigns.DEFAULT_EXPONENTS)
 
-# The config keys each command reads, with their defaults.  Any other key is
-# a config error.
-COMMAND_CONFIG = {
-    "construct": {
-        "seed": 0,
-        "dims": [2, 3, 4],
-        "family": "random-decreasing",
-        "exponents": _EXPONENTS,
-        "matrix": None,
-    },
-    "verify-thm1": {
-        "seed": 0,
-        "dims": [2, 3, 4, 5],
-        "instances": 5,
-        "vectors": 100,
-        "family": "random-decreasing",
-    },
-    "verify-thm2": {"seed": 0, "dims": [3, 4, 5], "vectors": 200, "exponents": _EXPONENTS},
-    "roundtrip": {"seed": 0, "dims": [3, 4, 5], "family": "power-family", "exponents": _EXPONENTS},
-    "lemma-oracles": {"seed": 0, "dims": [2, 3, 4], "instances": 100},
-    "embed-report": {
-        "seed": 0,
-        "dims": [2, 3, 4],
-        "instances": 100,
-        "samples": 200,
-        "exponents": _EXPONENTS,
-    },
-}
 
-# The largest n a command enumerates exactly; a larger n in dims is a config error.
-MAX_DIM = {"verify-thm1": perms.N_EXACT, "verify-thm2": perms.N_EXACT, "embed-report": embed.N_EXACT_PSI}
-N_KHINTCHINE = 5  # the Khintchine part of embed-report: 2^5 5! = 3840 terms per instance
+class Command(NamedTuple):
+    campaign: str  # a function of ``campaigns``, looked up when the command runs
+    config: dict  # the keys it reads, named like the campaign's parameters, with defaults
+    max_dim: float = float("inf")  # the largest n in dims; a larger n is a config error
+
+
+COMMANDS = {
+    "construct": Command(
+        "construct_campaign",
+        dict(seed=0, dims=[2, 3, 4], family="random-decreasing", exponents=_EXPONENTS, matrix=None),
+    ),
+    "verify-thm1": Command(
+        "thm1_campaign",
+        dict(seed=0, dims=[2, 3, 4, 5], instances=5, vectors=100, family="random-decreasing"),
+        perms.N_EXACT,
+    ),
+    "verify-thm2": Command(
+        "thm2_campaign", dict(seed=0, dims=[3, 4, 5], vectors=200, exponents=_EXPONENTS), perms.N_EXACT
+    ),
+    "roundtrip": Command(
+        "roundtrip_campaign", dict(seed=0, dims=[3, 4, 5], family="power-family", exponents=_EXPONENTS)
+    ),
+    "lemma-oracles": Command("lemma_oracles_campaign", dict(seed=0, dims=[2, 3, 4], instances=100)),
+    "embed-report": Command(
+        "embed_report_campaign",
+        dict(seed=0, dims=[2, 3, 4], instances=100, samples=200, exponents=_EXPONENTS),
+        embed.N_EXACT_PSI,
+    ),
+}
 
 CSV_COLUMNS = ["instance_id", "n", "lhs", "rhs", "ratio"]
 
@@ -86,16 +85,31 @@ def write_csv(path: Path, rows) -> None:
             fh.write(",".join(_fmt(row.get(c, "")) for c in CSV_COLUMNS) + "\n")
 
 
-def _merge(**parts) -> dict:
-    """One report from named campaign reports: rows joined, passed if all passed."""
-    report = {name: {k: v for k, v in part.items() if k != "rows"} for name, part in parts.items()}
-    report["rows"] = [r for part in parts.values() for r in part["rows"]]
-    report["passed"] = all(part["passed"] for part in parts.values())
-    return report
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_square(rows) -> bool:
+    n = len(rows) if isinstance(rows, list) else 0
+    return n > 0 and all(isinstance(r, list) and len(r) == n and all(map(_is_number, r)) for r in rows)
+
+
+# What each config key must hold, and how an error says it.
+_FIELDS = {
+    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+    **dict.fromkeys(("instances", "vectors", "samples"), (lambda v: _is_int(v, 1), "an integer >= 1")),
+    "dims": (lambda v: isinstance(v, list) and all(_is_int(n, 1) for n in v), "a list of integers >= 1"),
+    "exponents": (
+        lambda v: isinstance(v, list) and len(v) > 0 and all(_is_number(p) and 1 < p < 2 for p in v),
+        "a non-empty list of numbers in (1, 2)",
+    ),
+    "family": (lambda v: v in campaigns.FAMILIES, f"one of {campaigns.FAMILIES}"),
+    "matrix": (lambda v: v is None or _is_square(v), "null or a square list of rows of numbers"),
+}
 
 
 def _resolve_config(command: str, cfg: dict) -> dict:
@@ -104,86 +118,35 @@ def _resolve_config(command: str, cfg: dict) -> dict:
     Rejects a key the command does not read, and a field of the wrong type
     or range, naming the key.
     """
-    if command not in COMMAND_CONFIG:
-        raise ConfigError(f"unknown command {command!r}")
-    defaults = COMMAND_CONFIG[command]
+    spec = COMMANDS[command]
     for key in cfg:
-        if key not in defaults:
+        if key not in spec.config:
             raise ConfigError(
-                f"unknown config key {key!r} for {command}; accepted keys: {', '.join(sorted(defaults))}"
+                f"unknown config key {key!r} for {command}; accepted keys: {', '.join(sorted(spec.config))}"
             )
-    used = {**defaults, **cfg}
-    _check_config(used)
-    limit = MAX_DIM.get(command, float("inf"))
-    if any(n > limit for n in used["dims"]):
-        raise ConfigError(f"dims must be at most {limit} for {command}, got {used['dims']!r}")
-    if command == "roundtrip" and used["family"] == "random-decreasing":  # see the README
-        raise ConfigError("family 'random-decreasing' cannot run roundtrip: its PCHIP fits fail 2-concavity")
+    used = {**spec.config, **cfg}
+    for key, value in used.items():
+        valid, wanted = _FIELDS[key]
+        if not valid(value):
+            raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+    if any(n > spec.max_dim for n in used["dims"]):
+        raise ConfigError(f"dims must be at most {spec.max_dim} for {command}, got {used['dims']!r}")
     return used
-
-
-def _check_config(cfg: dict) -> None:
-    """Reject a config field of the wrong type or range, naming the field."""
-    if not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
-        raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
-    for key in ("instances", "vectors", "samples"):
-        if key in cfg and not (_is_int(cfg[key]) and cfg[key] >= 1):
-            raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
-    dims = cfg["dims"]
-    if not isinstance(dims, list) or not all(_is_int(n) and n >= 1 for n in dims):
-        raise ConfigError(f"dims must be a list of integers >= 1, got {dims!r}")
-    exponents = cfg.get("exponents", _EXPONENTS)
-    if not isinstance(exponents, list) or not exponents or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) and 1 < p < 2 for p in exponents
-    ):
-        raise ConfigError(f"exponents must be a non-empty list of numbers in (1, 2), got {exponents!r}")
-    if cfg.get("family", "power-family") not in campaigns.FAMILIES:
-        raise ConfigError(f"family must be one of {campaigns.FAMILIES}, got {cfg['family']!r}")
 
 
 def run_command(command: str, cfg: dict) -> dict:
     """Run ``command`` with config ``cfg``; the report's ``config`` holds the values used."""
     used = _resolve_config(command, cfg)
-    report = _dispatch(command, **used)
+    report = getattr(campaigns, COMMANDS[command].campaign)(**used)
     report["config"] = used
     return report
-
-
-def _dispatch(command: str, seed, dims, **cfg) -> dict:
-    if command == "construct":
-        return campaigns.construct_campaign(
-            dims, seed, cfg["family"], cfg["exponents"], matrix=cfg["matrix"]
-        )
-    if command == "verify-thm1":
-        return campaigns.thm1_campaign(
-            dims, seed, instances=cfg["instances"], vectors=cfg["vectors"], family=cfg["family"]
-        )
-    if command == "verify-thm2":
-        return campaigns.thm2_campaign(dims, seed, vectors=cfg["vectors"], exponents=cfg["exponents"])
-    if command == "roundtrip":
-        return campaigns.roundtrip_campaign(
-            dims, seed, family=cfg["family"], exponents=cfg["exponents"]
-        )
-    if command == "lemma-oracles":
-        pairs = [n for n in dims if n <= perms.N_EXACT_PAIRS]
-        return _merge(
-            lemma21=campaigns.lemma21_campaign(pairs, seed, instances=cfg["instances"]),
-            lemma22=campaigns.lemma22_campaign(dims, seed, instances=cfg["instances"]),
-        )
-    khintchine = [n for n in dims if n <= N_KHINTCHINE]
-    return _merge(
-        khintchine=campaigns.khintchine_campaign(khintchine, seed, instances=cfg["instances"]),
-        distortion=campaigns.distortion_campaign(
-            dims, seed, samples=cfg["samples"], exponents=cfg["exponents"]
-        ),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="musielak", description="permutation-average / Musielak-Orlicz experiment runner"
     )
-    parser.add_argument("command", choices=sorted(COMMAND_CONFIG))
+    parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", metavar="PATH", help="campaign config JSON")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")

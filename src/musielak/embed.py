@@ -24,8 +24,8 @@ from .perms import (
     AverageResult,
     PermutationSampler,
     WeightMatrix,
-    all_permutations,
     ave_l2,
+    _permutation_rows,
     _summarize,
 )
 
@@ -66,18 +66,11 @@ def psi_image_norm(
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError("vector length must match matrix dimension")
+    perms = _permutation_rows(n, mode, sampler, samples, N_EXACT_PSI)
     if mode == "exact":
-        if n > N_EXACT_PSI:
-            raise ValueError(f"exact mode limited to n <= {N_EXACT_PSI}")
-        perms = all_permutations(n)
         terms = x * a.entries[np.arange(n), perms]  # (n!, n)
         sums = np.abs(sign_patterns(n) @ terms.T)  # (2^n, n!)
         return AverageResult(float(sums.mean()), "exact", sums.size)
-    if mode != "monte-carlo":
-        raise ValueError("mode must be 'exact' or 'monte-carlo'")
-    if sampler is None:
-        raise ValueError("monte-carlo mode needs a sampler")
-    perms = sampler.permutations(n, samples)
     eps = sampler.signs(n, samples)
     vals = np.abs((x * a.entries[np.arange(n), perms] * eps).sum(axis=1))
     return _summarize(vals, "monte-carlo")

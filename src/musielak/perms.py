@@ -65,14 +65,17 @@ class WeightMatrix:
         n, N = entries.shape
         if n > N:
             raise ValueError("need n <= N")
-        for i in range(n):
-            row = entries[i]
-            if not np.isfinite(row).all():
+        nonfinite = ~np.isfinite(entries).all(axis=1)
+        nonpositive = ~(entries[:, -1:] > 0).all(axis=1)
+        increasing = (entries[:, 1:] > entries[:, :-1]).any(axis=1)
+        bad = nonfinite | nonpositive | increasing
+        if bad.any():  # the first bad row, by its first failing check
+            i = int(np.argmax(bad))
+            if nonfinite[i]:
                 raise ValueError(f"row {i} has a non-finite entry")
-            if row[-1] <= 0:
+            if nonpositive[i]:
                 raise ValueError(f"row {i} is not strictly positive")
-            if np.any(np.diff(row) > 0):
-                raise ValueError(f"row {i} is not nonincreasing")
+            raise ValueError(f"row {i} is not nonincreasing")
 
     @property
     def n(self) -> int:
@@ -201,6 +204,19 @@ def all_permutations(n: int) -> np.ndarray:
     return table
 
 
+def _permutation_rows(n: int, mode: str, sampler, samples: int, limit: int) -> np.ndarray:
+    """The permutations an average runs over: all of them (n <= ``limit``), or a sample."""
+    if mode == "exact":
+        if n > limit:
+            raise ValueError(f"exact mode limited to n <= {limit}")
+        return all_permutations(n)
+    if mode != "monte-carlo":
+        raise ValueError("mode must be 'exact' or 'monte-carlo'")
+    if sampler is None:
+        raise ValueError("monte-carlo mode needs a sampler")
+    return sampler.permutations(n, samples)
+
+
 def _summarize(values: np.ndarray, mode: str) -> AverageResult:
     if mode == "exact":
         return AverageResult(float(values.mean()), "exact", values.size)
@@ -256,14 +272,10 @@ def ave_l2(
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError("vector length must match matrix dimension")
-    if mode == "exact":
+    if mode == "exact":  # ave_l2_exact enumerates, and checks the limit
         value = ave_l2_exact(a, x[None, :])[0]
         return AverageResult(float(value), "exact", math.factorial(n))
-    if mode != "monte-carlo":
-        raise ValueError("mode must be 'exact' or 'monte-carlo'")
-    if sampler is None:
-        raise ValueError("monte-carlo mode needs a sampler")
-    gathered = a.entries[np.arange(n), sampler.permutations(n, samples)]  # (P, n)
+    gathered = a.entries[np.arange(n), _permutation_rows(n, mode, sampler, samples, N_EXACT)]  # (P, n)
     return _summarize(np.sqrt(((x * gathered) ** 2).sum(axis=1)), "monte-carlo")
 
 
@@ -279,17 +291,10 @@ def ave_max_two(
         raise ValueError("needs a cubic n x n x n array")
     n = a3.shape[0]
     idx = np.arange(n)
-    if mode == "exact":
-        if n > N_EXACT_PAIRS:
-            raise ValueError(f"exact mode limited to n <= {N_EXACT_PAIRS}")
-        perms = all_permutations(n)
-        vals = np.abs(a3[idx[None, None, :], perms[:, None, :], perms[None, :, :]])
+    pis = _permutation_rows(n, mode, sampler, samples, N_EXACT_PAIRS)
+    if mode == "exact":  # every pair of rows of the table
+        vals = np.abs(a3[idx[None, None, :], pis[:, None, :], pis[None, :, :]])
         return _summarize(vals.max(axis=2).ravel(), "exact")
-    if mode != "monte-carlo":
-        raise ValueError("mode must be 'exact' or 'monte-carlo'")
-    if sampler is None:
-        raise ValueError("monte-carlo mode needs a sampler")
-    pis = sampler.permutations(n, samples)
     sigmas = sampler.permutations(n, samples)
     vals = np.abs(a3[idx[None, :], pis, sigmas]).max(axis=1)
     return _summarize(vals, "monte-carlo")
@@ -378,16 +383,6 @@ def ave_max_vector(
     y = np.asarray(y, dtype=float)
     if b.shape != y.shape or b.ndim != 1:
         raise ValueError("need two vectors of equal length")
-    n = b.size
-    if mode == "exact":
-        if n > N_EXACT:
-            raise ValueError(f"exact mode limited to n <= {N_EXACT}")
-        perms = all_permutations(n)
-    elif mode == "monte-carlo":
-        if sampler is None:
-            raise ValueError("monte-carlo mode needs a sampler")
-        perms = sampler.permutations(n, samples)
-    else:
-        raise ValueError("mode must be 'exact' or 'monte-carlo'")
+    perms = _permutation_rows(b.size, mode, sampler, samples, N_EXACT)
     vals = np.abs(y * b[perms]).max(axis=1)
     return _summarize(vals, mode)

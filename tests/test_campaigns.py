@@ -29,7 +29,7 @@ def _row(report, instance_id):
 
 def test_thm1_row_replays_from_instance_key():
     n, k, v = 3, 1, 2
-    row = _row(campaigns.thm1_campaign([n], SEED, instances=2, vectors=3), f"n{n}-i{k}-x{v}")
+    row = _row(campaigns.thm1_campaign([n], SEED, instances=2, vectors=3, family="random-decreasing"), f"n{n}-i{k}-x{v}")
     s = PermutationSampler(SEED).spawn(n * 10_000 + k)
     a = _decreasing(s, n)
     x = [s.normals(n) for _ in range(v + 1)][-1]

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from musielak import campaigns, construct, embed, perms
+from musielak import campaigns, cli, construct, embed, perms
 from musielak.cli import main
 
 SMALL = {
@@ -104,6 +105,30 @@ def test_invalid_matrix_reports_row(tmp_path, capsys):
     cfg = {"matrix": [[1.0, 2.0], [2.0, 1.0]]}  # first row increases
     assert run(tmp_path, "construct", cfg) == 1
     assert "row 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", ["abc", [[1, 2], [3]], [[2, 1]], [1, 2], [], [[2, 1], [2, 1], [2, 1]]])
+def test_malformed_matrix_names_matrix(tmp_path, capsys, matrix):
+    assert run(tmp_path, "construct", {"matrix": matrix}) == 1
+    assert capsys.readouterr().err.startswith("error: matrix")
+    assert not (tmp_path / "construct.json").exists()
+
+
+def test_every_construct_family_builds_its_system(tmp_path, monkeypatch):
+    def fails(a):
+        raise construct.ConstructionError("row 0: forced")
+
+    monkeypatch.setattr(construct, "functions_from_matrix", fails)
+    assert run(tmp_path, "construct", {"dims": [2], "family": "power-family"}) == 1
+    assert not (tmp_path / "construct.json").exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_config_keys_are_the_campaign_parameters(command):
+    spec = cli.COMMANDS[command]
+    params = inspect.signature(getattr(campaigns, spec.campaign)).parameters
+    assert set(params) == set(spec.config)
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
 
 
 @pytest.mark.parametrize("dims", [[0], [2, -1], [2.5], [True], "3", 3, None])
@@ -243,7 +268,7 @@ def test_explicit_matrix_construct(tmp_path):
 
 
 def test_failed_invariant_exits_two(tmp_path, monkeypatch):
-    def broken(dims, seed, instances=200, tol=1e-8):
+    def broken(dims, seed, instances):
         return {"rows": [], "failures": ["forced"], "passed": False}
 
     monkeypatch.setattr(campaigns, "lemma22_campaign", broken)

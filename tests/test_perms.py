@@ -358,3 +358,32 @@ class TestSerialization:
     def test_non_finite_matrix_rejected(self, bad):
         with pytest.raises(ValueError, match="row 1 has a non-finite entry"):
             WeightMatrix(np.array([[2.0, 1.0], [bad, 1.0]]))
+
+    def test_rejection_matches_the_row_loop(self):
+        def first_bad_row(entries):  # the per-row validation, checks in message order
+            for i, row in enumerate(entries):
+                if not np.isfinite(row).all():
+                    return f"row {i} has a non-finite entry"
+                if row[-1] <= 0:
+                    return f"row {i} is not strictly positive"
+                if np.any(np.diff(row) > 0):
+                    return f"row {i} is not nonincreasing"
+            return None
+
+        r = np.random.default_rng(17)
+        seen = set()
+        for _ in range(400):
+            n = int(r.integers(1, 5))
+            entries = np.sort(r.uniform(0.05, 1.0, (n, n + int(r.integers(0, 3)))), axis=1)[:, ::-1].copy()
+            for _ in range(int(r.integers(0, 3))):
+                i, j = r.integers(entries.shape[0]), r.integers(entries.shape[1])
+                entries[i, j] = r.choice([np.nan, np.inf, -np.inf, -0.5, 0.0, 2.0])
+            expected = first_bad_row(entries)
+            seen.add(expected and expected.split(" ", 2)[2])
+            if expected is None:
+                WeightMatrix(entries)
+            else:
+                with pytest.raises(ValueError) as err:
+                    WeightMatrix(entries)
+                assert str(err.value) == expected
+        assert seen == {None, "has a non-finite entry", "is not strictly positive", "is not nonincreasing"}
