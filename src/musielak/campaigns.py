@@ -282,8 +282,9 @@ def embed_report_campaign(dims, seed: int, instances: int, samples: int, exponen
 def construct_campaign(dims, seed: int, family: str, exponents, matrix) -> dict:
     """Build matrices/systems for a dimension sweep with validation info.
 
-    An explicit ``matrix`` (list of rows) bypasses the family sweep; invalid
-    input (e.g. an increasing row) is rejected naming ``matrix`` and the row.
+    An explicit ``matrix`` (list of rows) replaces the family sweep, and
+    ``dims``, ``family`` and ``exponents`` are then None; invalid input
+    (e.g. an increasing row) is rejected naming ``matrix`` and the row.
     Every matrix must build a system by ``construct.functions_from_matrix``.
     The gate holds the largest relative difference between the input rows
     and the rows that ``construct.rows_from_knots`` rebuilds from their knot

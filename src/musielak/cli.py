@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from pathlib import Path
@@ -115,8 +116,9 @@ _FIELDS = {
 def _resolve_config(command: str, cfg: dict) -> dict:
     """The values ``command`` runs with: its defaults overridden by ``cfg``.
 
-    Rejects a key the command does not read, and a field of the wrong type
-    or range, naming the key.
+    Rejects a key the command does not read, a field of the wrong type or
+    range, and a key given next to an explicit ``matrix``, naming the key.
+    With a ``matrix`` the values used are the seed and the matrix alone.
     """
     spec = COMMANDS[command]
     for key in cfg:
@@ -131,17 +133,27 @@ def _resolve_config(command: str, cfg: dict) -> dict:
             raise ConfigError(f"{key} must be {wanted}, got {value!r}")
     if any(n > spec.max_dim for n in used["dims"]):
         raise ConfigError(f"dims must be at most {spec.max_dim} for {command}, got {used['dims']!r}")
+    if used.get("matrix") is not None:  # an explicit matrix replaces the sweep the other keys describe
+        for key in cfg:
+            if key not in ("seed", "matrix"):
+                raise ConfigError(f"{key} cannot be given with matrix, which replaces the {command} sweep")
+        return {"seed": used["seed"], "matrix": used["matrix"]}
     return used
 
 
 def run_command(command: str, cfg: dict) -> dict:
-    """Run ``command`` with config ``cfg``; the report's ``config`` holds the values used."""
+    """Run ``command`` with config ``cfg``; the report's ``config`` holds the values used.
+
+    The campaign gets every key of the command; a key the run does not use is None.
+    """
+    spec = COMMANDS[command]
     used = _resolve_config(command, cfg)
-    report = getattr(campaigns, COMMANDS[command].campaign)(**used)
+    report = getattr(campaigns, spec.campaign)(**{**dict.fromkeys(spec.config), **used})
     report["config"] = used
     return report
 
 
+@functools.cache  # built on first use, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="musielak", description="permutation-average / Musielak-Orlicz experiment runner"

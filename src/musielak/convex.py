@@ -22,6 +22,7 @@ and the loop ends once F(s) <= 1 or s stops decreasing in floating point.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -71,25 +72,32 @@ class PiecewiseAffineConvex:
         object.__setattr__(self, "values", values)
         if knots.ndim != 1 or knots.shape != values.shape:
             raise ValueError("knots and values must be 1-d arrays of equal length")
-        if knots[0] != 0.0 or values[0] != 0.0:
+        # the checks run on plain-float copies, which the scalar paths (inverse, value_and_slope) keep
+        ks, vs = knots.tolist(), values.tolist()
+        if ks[0] != 0.0 or vs[0] != 0.0:
             raise ValueError("first knot must be (0, 0)")
-        dk, dv = knots[1:] - knots[:-1], values[1:] - values[:-1]
-        if (dk <= 0).any():
+        dk = [b - a for a, b in zip(ks, ks[1:])]
+        dv = [b - a for a, b in zip(vs, vs[1:])]
+        if any(d <= 0 for d in dk):
             raise ValueError("knots must be strictly increasing")
-        if (dv < 0).any():
+        if any(d < 0 for d in dv):
             raise ValueError("values must be nondecreasing")
-        slopes = np.concatenate([dv / dk, [self.ext_slope]])  # segments, then the extension
-        if (slopes[1:] - slopes[:-1] < -1e-12).any():
+        slopes = [v / k for v, k in zip(dv, dk)] + [float(self.ext_slope)]  # segments, then the extension
+        if any(b - a < -1e-12 for a, b in zip(slopes, slopes[1:])):
             raise ValueError("segment slopes must be nondecreasing (convexity)")
-        if self.domain_bound is not None and self.domain_bound < knots[-1]:
+        if self.domain_bound is not None and self.domain_bound < ks[-1]:
             raise ValueError("domain_bound must not cut into the knot range")
-        object.__setattr__(self, "_slopes", slopes)
-        # plain-float copies for the scalar paths (inverse, value_and_slope)
-        object.__setattr__(self, "_knot_list", knots.tolist())
-        object.__setattr__(self, "_value_list", values.tolist())
-        object.__setattr__(self, "_slope_list", slopes.tolist())
+        object.__setattr__(self, "_slopes", np.array(slopes))
+        object.__setattr__(self, "_knot_list", ks)
+        object.__setattr__(self, "_value_list", vs)
+        object.__setattr__(self, "_slope_list", slopes)
         cap = math.inf if self.domain_bound is None else self.domain_bound * (1 + 1e-15)
         object.__setattr__(self, "_finite_up_to", cap)
+
+    @functools.cached_property
+    def unit_inverse(self) -> float:
+        """M^{-1}(1), computed on first use: a flat tail with no domain bound raises only then."""
+        return self.inverse(1.0)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -199,6 +207,11 @@ class PowerFunction:
             raise ValueError("argument must be nonnegative")
         return float((y / self.scale) ** (1.0 / self.p))
 
+    @functools.cached_property
+    def unit_inverse(self) -> float:
+        """M^{-1}(1), computed on first use."""
+        return self.inverse(1.0)
+
     def conjugate(self) -> "PowerFunction":
         """Closed-form conjugate: (c t^p)* = x^q / (q (c p)^(q-1))."""
         q = self.p / (self.p - 1.0)
@@ -285,7 +298,7 @@ def luxemburg_norm(system: MusielakSystem, x) -> float:
     terms = [(m, xi) for m, xi in zip(system, absx.tolist()) if xi > 0.0]
     if not terms:
         return 0.0
-    s = min(m.inverse(1.0) / xi for m, xi in terms)
+    s = min(m.unit_inverse / xi for m, xi in terms)
     terms = [(m.value_and_slope, xi) for m, xi in terms]
     while True:
         total = slope = 0.0

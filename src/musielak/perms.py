@@ -287,16 +287,18 @@ def ave_max_two(
 ) -> AverageResult:
     """Ave over pairs (pi, sigma) of max_i |a(i, pi(i), sigma(i))|."""
     a3 = np.asarray(a3, dtype=float)
-    if a3.ndim != 3 or len(set(a3.shape)) != 1:
-        raise ValueError("needs a cubic n x n x n array")
+    if a3.ndim != 3 or len(set(a3.shape)) != 1 or a3.size == 0:
+        raise ValueError("needs a cubic n x n x n array, n >= 1")
     n = a3.shape[0]
-    idx = np.arange(n)
     pis = _permutation_rows(n, mode, sampler, samples, N_EXACT_PAIRS)
-    if mode == "exact":  # every pair of rows of the table
-        vals = np.abs(a3[idx[None, None, :], pis[:, None, :], pis[None, :, :]])
-        return _summarize(vals.max(axis=2).ravel(), "exact")
+    if mode == "exact":  # every pair of rows of the table, one coordinate i at a time
+        gathers = (np.abs(a3[i]).take(pis[:, i], 0).take(pis[:, i], 1) for i in range(n))
+        acc = next(gathers)  # (P, P): |a(i, pi(i), sigma(i))| over pairs (pi, sigma)
+        for g in gathers:
+            np.maximum(acc, g, out=acc)
+        return _summarize(acc.ravel(), "exact")
     sigmas = sampler.permutations(n, samples)
-    vals = np.abs(a3[idx[None, :], pis, sigmas]).max(axis=1)
+    vals = np.abs(a3[np.arange(n)[None, :], pis, sigmas]).max(axis=1)
     return _summarize(vals, "monte-carlo")
 
 

@@ -267,6 +267,21 @@ def test_explicit_matrix_construct(tmp_path):
     assert doc["passed"] is True and doc["gate"]["worst"] == doc["results"][0]["rebuild_error"] < 1e-15
 
 
+def test_explicit_matrix_config_holds_seed_and_matrix(tmp_path):
+    # the sweep keys are not used next to a matrix, so the report does not echo their defaults
+    cfg = {"matrix": [[2.0, 1.0], [2.0, 1.0]]}
+    assert run(tmp_path, "construct", cfg) == 0
+    assert load_json(tmp_path, "construct")["config"] == {"seed": 7, **cfg}
+
+
+@pytest.mark.parametrize("key,value", [("dims", [2, 3]), ("family", "constant"), ("exponents", [1.5])])
+def test_sweep_key_with_explicit_matrix_is_usage_error(tmp_path, capsys, key, value):
+    assert run(tmp_path, "construct", {"matrix": [[2.0, 1.0], [2.0, 1.0]], key: value}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and "matrix" in err
+    assert not (tmp_path / "construct.json").exists()
+
+
 def test_failed_invariant_exits_two(tmp_path, monkeypatch):
     def broken(dims, seed, instances):
         return {"rows": [], "failures": ["forced"], "passed": False}
@@ -274,6 +289,20 @@ def test_failed_invariant_exits_two(tmp_path, monkeypatch):
     monkeypatch.setattr(campaigns, "lemma22_campaign", broken)
     assert run(tmp_path, "lemma-oracles", SMALL["lemma-oracles"]) == 2
     assert load_json(tmp_path, "lemma-oracles")["passed"] is False
+
+
+def test_consecutive_main_calls_parse_their_own_arguments(tmp_path):
+    # the parser is built once and shared: no flag of one call may carry into the next
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(first, "verify-thm2", SMALL["verify-thm2"], extra=["--format", "json"]) == 0
+    second.mkdir()
+    (second / "cfg.json").write_text(json.dumps(SMALL["lemma-oracles"]))
+    assert main(["lemma-oracles", "--out", str(second), "--config", str(second / "cfg.json")]) == 0
+    assert sorted(p.name for p in first.iterdir()) == ["cfg.json", "verify-thm2.json"]
+    assert sorted(p.name for p in second.iterdir()) == ["cfg.json", "lemma-oracles.csv", "lemma-oracles.json"]
+    assert load_json(first, "verify-thm2")["config"]["seed"] == 7
+    assert load_json(second, "lemma-oracles")["config"]["seed"] == 0
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_unknown_command_is_usage_error(tmp_path, capsys):

@@ -513,3 +513,86 @@ def test_conjugate_of_finite_domain_matches_loop(a):
 @given(m=pwa_functions)
 def test_conjugate_of_unbounded_domain_matches_loop(m):
     assert_same_bits([m.conjugate()], [loop_conjugate(m)])
+
+
+# -- the list-based validation against the numpy checks it replaced ------------
+
+
+def numpy_checked_slopes(knots, values, ext_slope, domain_bound):
+    """Reference validation: the checks of ``PiecewiseAffineConvex`` on numpy arrays; returns its slopes."""
+    knots = np.asarray(knots, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if knots.ndim != 1 or knots.shape != values.shape:
+        raise ValueError("knots and values must be 1-d arrays of equal length")
+    if knots[0] != 0.0 or values[0] != 0.0:
+        raise ValueError("first knot must be (0, 0)")
+    with np.errstate(all="ignore"):
+        dk, dv = knots[1:] - knots[:-1], values[1:] - values[:-1]
+        if (dk <= 0).any():
+            raise ValueError("knots must be strictly increasing")
+        if (dv < 0).any():
+            raise ValueError("values must be nondecreasing")
+        slopes = np.concatenate([dv / dk, [ext_slope]])
+        if (slopes[1:] - slopes[:-1] < -1e-12).any():
+            raise ValueError("segment slopes must be nondecreasing (convexity)")
+    if domain_bound is not None and domain_bound < knots[-1]:
+        raise ValueError("domain_bound must not cut into the knot range")
+    return slopes
+
+
+special_floats = st.sampled_from([0.0, -0.0, 1e-300, -1e-13, 1e300, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def pwa_inputs(draw):
+    """(knots, values, ext_slope, domain_bound) near a valid function, often broken by NaN, inf or a tie."""
+    m = draw(st.integers(0, 4))
+    gap = st.one_of(st.floats(0.0, 2.0, exclude_min=True), special_floats)
+    gaps = draw(st.lists(gap, min_size=m, max_size=m))
+    # slope steps a little below 0 probe the convexity tolerance of 1e-12
+    step = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-5e-13, -2e-12]), special_floats)
+    steps = draw(st.lists(step, min_size=m + 1, max_size=m + 1))
+    origin = draw(st.sampled_from([0.0, 0.0, 0.0, -0.0, 1e-300, math.nan]))
+    with np.errstate(all="ignore"):
+        slopes = np.cumsum(steps)
+        knots = np.concatenate([[origin], origin + np.cumsum(gaps)])
+        values = np.concatenate([[0.0], np.cumsum(slopes[:-1] * gaps)])
+    if draw(st.sampled_from([False] * 9 + [True])):
+        values = values[:-1]
+    past = st.one_of(st.floats(0.0, 2.0), special_floats).map(lambda d: float(knots[-1]) + d)
+    bound = draw(st.one_of(st.none(), past, special_floats))
+    return knots.tolist(), values.tolist(), float(slopes[-1]), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=pwa_inputs())
+def test_list_checks_match_numpy_checks(args):
+    try:
+        want = numpy_checked_slopes(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            PiecewiseAffineConvex(*args)
+        assert str(got.value) == str(exc)
+    else:
+        assert PiecewiseAffineConvex(*args)._slopes.tobytes() == want.tobytes()
+
+
+def test_unit_inverse_is_computed_once(monkeypatch):
+    calls = []
+    for cls in (PiecewiseAffineConvex, PowerFunction):
+        inverse = cls.inverse
+        monkeypatch.setattr(cls, "inverse", lambda m, y, inverse=inverse: calls.append(y) or inverse(m, y))
+    pwa, power = PiecewiseAffineConvex([0, 1, 2], [0, 1, 3], 3.0), PowerFunction(1.5, 2.0)
+    system = MusielakSystem((pwa, power, pwa))
+    first = luxemburg_norm(system, [1.0, 2.0, 3.0])
+    assert luxemburg_norm(system, [1.0, 2.0, 3.0]) == first and luxemburg_norm(system, [3.0, 0.5, 1.0]) > 0
+    assert calls == [1.0, 1.0]  # one M^{-1}(1) per distinct function, over three solves
+    assert (pwa.unit_inverse, power.unit_inverse) == (pwa.inverse(1.0), power.inverse(1.0))
+
+
+def test_zero_function_raises_only_when_solved():
+    zero = PiecewiseAffineConvex([0.0, 1.0], [0.0, 0.0], 0.0)  # flat tail, no domain bound
+    system = MusielakSystem((zero,))
+    assert luxemburg_norm(system, [0.0]) == 0.0
+    with pytest.raises(DegenerateTailError):
+        luxemburg_norm(system, [1.0])

@@ -191,7 +191,28 @@ class TestAveL2:
         assert abs(res.value - exact) < 5 * res.stderr
 
 
+def fancy_index_ave_max_two(a3) -> float:
+    """The exact pair average as one (n!, n!, n) fancy index: the oracle for the per-coordinate gathers."""
+    n = a3.shape[0]
+    idx, pis = np.arange(n), all_permutations(n)
+    vals = np.abs(a3[idx[None, None, :], pis[:, None, :], pis[None, :, :]])
+    return float(vals.max(axis=2).ravel().mean())
+
+
 class TestAveMaxTwo:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_same_bits_as_fancy_index(self, n):
+        cubes = np.random.default_rng(n)
+        for draw in range(4):
+            a3 = cubes.normal(size=(n, n, n))
+            if draw % 2:  # small integers: ties, zeros and negative entries
+                a3 = np.round(2 * a3)
+            assert ave_max_two(a3).value == fancy_index_ave_max_two(a3)
+
+    def test_empty_cube_rejected(self):
+        with pytest.raises(ValueError, match="cubic"):
+            ave_max_two(np.ones((0, 0, 0)))
+
     def test_single_entry(self):
         assert ave_max_two(np.full((1, 1, 1), -2.5)).value == pytest.approx(2.5)
 
