@@ -74,6 +74,8 @@ class PiecewiseAffineConvex:
             raise ValueError("knots and values must be 1-d arrays of equal length")
         # the checks run on plain-float copies, which the scalar paths (inverse, value_and_slope) keep
         ks, vs = knots.tolist(), values.tolist()
+        if not ks:
+            raise ValueError("knots must not be empty: the first knot is (0, 0)")
         if ks[0] != 0.0 or vs[0] != 0.0:
             raise ValueError("first knot must be (0, 0)")
         dk = [b - a for a, b in zip(ks, ks[1:])]

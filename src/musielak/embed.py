@@ -69,7 +69,8 @@ def psi_image_norm(
     perms = _permutation_rows(n, mode, sampler, samples, N_EXACT_PSI)
     if mode == "exact":
         terms = x * a.entries[np.arange(n), perms]  # (n!, n)
-        sums = np.abs(sign_patterns(n) @ terms.T)  # (2^n, n!)
+        sums = sign_patterns(n) @ terms.T  # (2^n, n!)
+        np.abs(sums, out=sums)
         return AverageResult(float(sums.mean()), "exact", sums.size)
     eps = sampler.signs(n, samples)
     vals = np.abs((x * a.entries[np.arange(n), perms] * eps).sum(axis=1))

@@ -224,16 +224,45 @@ def _summarize(values: np.ndarray, mode: str) -> AverageResult:
     return AverageResult(float(values.mean()), "monte-carlo", values.size, stderr)
 
 
-# elements of the (vectors, n!) work array in one pass of ave_l2_exact
+@functools.cache
+def _prefix_tree(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The prefix tree of ``all_permutations(n)``: ``(levels, leaf_order)``, read-only.
+
+    ``levels[k]`` holds pi(k) (``intp``) at each of the n!/(n-k-1)! prefixes
+    of length k + 1, laid out child-slot-major: with P = n!/(n-k)! prefixes
+    of length k, child j of prefix p (its j-th smallest unused value) sits at
+    j * P + p.  Level n - 1 is the n! leaves; row r of the table is leaf
+    ``leaf_order[r]``.
+    """
+    table = all_permutations(n)
+    node = np.zeros(len(table), dtype=np.intp)  # each row's node at the current level
+    levels = []
+    width = 1  # prefixes of length k
+    for k in range(n):
+        slot = (table[:, k + 1 :] < table[:, k : k + 1]).sum(axis=1)  # rank of pi(k) among the unused values
+        node += slot * width
+        width *= n - k
+        level = np.empty(width, dtype=np.intp)
+        level[node] = table[:, k]
+        level.flags.writeable = False
+        levels.append(level)
+    node.flags.writeable = False
+    return tuple(levels), node
+
+
+# elements of each (vectors, n!) work buffer in one pass of ave_l2_exact
 _BATCH_ELEMENTS = 1 << 16
 
 
 def ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
     """Exact l2 permutation averages of each row of the (V, n) batch ``xs``.
 
-    One enumeration serves the whole batch.  The sums over i are
-    accumulated elementwise in a fixed order (no BLAS), so row v of the
-    result has the same bits as a batch of ``xs[v]`` alone.
+    One walk down the prefix tree of S_n serves the whole batch: the partial
+    sum sum_{i<k} x_i^2 a_{i,pi(i)}^2 of a prefix is computed once for all
+    the permutations that share it.  Each leaf is still summed in i order
+    and the leaves are averaged in table order (no BLAS), so row v of the
+    result has the same bits as a batch of ``xs[v]`` alone, and as the flat
+    sum over the table's rows.
     """
     if not a.is_square:
         raise ValueError("needs a square matrix")
@@ -243,18 +272,35 @@ def ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
         raise ValueError("vector length must match matrix dimension")
     if n > N_EXACT:
         raise ValueError(f"exact mode limited to n <= {N_EXACT}")
-    table = all_permutations(n)
+    levels, leaf_order = _prefix_tree(n)
+    leaves = len(leaf_order)
+    step = max(1, _BATCH_ELEMENTS // leaves)
+    width = min(step, len(xs)) * leaves
+    # one allocation for the two work buffers, reused by every level of every pass, and for
+    # a_{k,pi(k)}^2 at each node of each level k: fresh temporaries cost page faults
+    block = np.empty(2 * width + sum(level.size for level in levels))
+    work = block[:width], block[width : 2 * width]
     e2 = a.entries**2
-    g2 = np.stack([e2[i].take(table[:, i]) for i in range(n)])  # (n, n!): a_{i,pi(i)}^2
+    g2, end = [], 2 * width
+    for k, level in enumerate(levels):
+        g2.append(np.take(e2[k], level, out=block[end : end + level.size], mode="clip"))
+        end += level.size
     x2 = xs**2
     out = np.empty(len(xs))
-    step = max(1, _BATCH_ELEMENTS // len(table))
     for start in range(0, len(xs), step):
         chunk = x2[start : start + step]
-        acc = chunk[:, :1] * g2[0]
-        for i in range(1, n):
-            acc += chunk[:, i : i + 1] * g2[i]
-        out[start : start + step] = np.sqrt(acc, out=acc).mean(axis=1)
+        rows = len(chunk)
+        acc = work[0][:rows].reshape(rows, 1)  # the empty prefix; 0 + p is p for every p >= 0
+        acc[:] = 0.0
+        for k, g in enumerate(g2):
+            nxt = work[(k + 1) % 2][: rows * g.size].reshape(rows, g.size)
+            np.multiply(chunk[:, k : k + 1], g, out=nxt)
+            grown = nxt.reshape(rows, n - k, -1)  # (vectors, child slot, parent prefix)
+            np.add(grown, acc[:, None, :], out=grown)
+            acc = nxt
+        ordered = work[(n + 1) % 2][: rows * leaves].reshape(rows, leaves)
+        np.take(acc, leaf_order, axis=1, out=ordered, mode="clip")  # leaves back in table order
+        out[start : start + rows] = np.sqrt(ordered, out=ordered).mean(axis=1)
     return out
 
 

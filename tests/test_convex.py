@@ -104,6 +104,10 @@ class TestEval:
         with pytest.raises(ValueError):
             PiecewiseAffineConvex([0, 1], [0, 1], 1.0)(-0.5)
 
+    def test_empty_knots_rejected(self):
+        with pytest.raises(ValueError, match="knots"):
+            PiecewiseAffineConvex([], [], 1.0)
+
     def test_value_and_slope_pwa(self):
         m = PiecewiseAffineConvex([0, 1, 2], [0, 1, 3], 3.0, domain_bound=4.0)
         # left derivative: the slope of the segment ending at a knot
@@ -386,6 +390,11 @@ class TestSerialization:
         t = np.linspace(0, 3, 30)
         for m1, m2 in zip(s, s2):
             np.testing.assert_allclose(m1(t), m2(t))
+
+    def test_empty_knots_rejected(self):
+        doc = {"n": 1, "functions": [{"kind": "pwa", "knots": [], "values": [], "ext_slope": 1.0}]}
+        with pytest.raises(ValueError, match="knots"):
+            system_from_json(json.dumps(doc))
 
     def test_schema(self):
         s = MusielakSystem((PowerFunction(2),))

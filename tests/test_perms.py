@@ -13,6 +13,7 @@ from musielak.perms import (
     AverageResult,
     PermutationSampler,
     WeightMatrix,
+    _prefix_tree,
     all_permutations,
     ave_l2,
     ave_l2_exact,
@@ -408,3 +409,37 @@ class TestSerialization:
                     WeightMatrix(entries)
                 assert str(err.value) == expected
         assert seen == {None, "has a non-finite entry", "is not strictly positive", "is not nonincreasing"}
+
+
+def _flat_ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
+    """Reference: the sums over i on the flat (V, n!) array of the table's rows, then the mean."""
+    table = all_permutations(a.n)
+    e2 = a.entries**2
+    x2 = np.asarray(xs, dtype=float) ** 2
+    acc = x2[:, :1] * e2[0].take(table[:, 0])
+    for i in range(1, a.n):
+        acc += x2[:, i : i + 1] * e2[i].take(table[:, i])
+    return np.sqrt(acc).mean(axis=1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@np.errstate(over="ignore")
+def test_prefix_tree_kernel_has_the_flat_kernels_bits(n):
+    a = random_matrix(n)
+    xs = np.vstack([np.zeros(n), rng.normal(size=(15, n))])  # several passes at n = 7 and 8
+    for scale in (1e-170, 1e-150, 1.0, 1e150, 1e170):
+        values = ave_l2_exact(a, scale * xs)
+        np.testing.assert_array_equal(values, _flat_ave_l2_exact(a, scale * xs))
+        assert values[0] == 0.0
+    # squares underflow to 0 and overflow to inf at the extreme scales
+    assert (ave_l2_exact(a, 1e-170 * xs) == 0.0).all()
+    assert np.isinf(ave_l2_exact(a, 1e170 * xs[1:])).all()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_prefix_tree_leaves_rebuild_the_table(n):
+    levels, leaf_order = _prefix_tree(n)
+    assert [len(level) for level in levels] == [math.perm(n, k + 1) for k in range(n)]
+    # child-slot-major: the ancestor at level k of leaf t is node t mod (size of level k)
+    rebuilt = np.stack([level[leaf_order % len(level)] for level in levels], axis=1)
+    np.testing.assert_array_equal(rebuilt, all_permutations(n))
