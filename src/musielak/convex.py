@@ -264,7 +264,11 @@ def is_two_concave(
 
     Checks midpoint concavity between consecutive grid points.  The strict
     variant additionally requires strictly negative second differences.
+    The grid stops at ``domain_bound**2`` where M has a finite domain, since
+    M(sqrt t) is +inf past it.
     """
+    if getattr(m, "domain_bound", None) is not None:
+        hi = min(hi, m.domain_bound**2)
     t = np.logspace(math.log10(lo), math.log10(hi), num_points)
     g = lambda u: m(np.sqrt(u))
     mid = 0.5 * (t[:-1] + t[1:])

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import inspect
 import itertools
 import json
@@ -335,13 +334,7 @@ def _break_lemma22(monkeypatch):
 
 
 def _break_khintchine(monkeypatch):
-    psi = embed.psi_image_norm
-
-    def inflated(*args, **kwargs):
-        res = psi(*args, **kwargs)
-        return dataclasses.replace(res, value=10.0 * res.value)
-
-    monkeypatch.setattr(embed, "psi_image_norm", inflated)
+    monkeypatch.setattr(embed, "psi_exact", _scaled(embed.psi_exact, 10.0))
 
 
 def _break_roundtrip(monkeypatch):

@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from musielak.campaigns import make_matrix
 from musielak.construct import ConstructionError, conjugate_inverse_knots, functions_from_matrix
 from musielak.convex import (
     DegenerateTailError,
@@ -220,6 +222,13 @@ class TestTwoConcavity:
         rep = is_two_concave(PowerFunction(3.0))
         assert not rep.passed
         assert rep.worst_margin > 0
+
+    def test_finite_domain_gives_finite_margin(self):
+        # M(sqrt t) is +inf past domain_bound**2; the grid must stop there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in functions_from_matrix(make_matrix("power-family", 4)):
+                assert math.isfinite(is_two_concave(m).worst_margin)
 
 
 class TestLuxemburgNorm:

@@ -8,12 +8,14 @@ from musielak.construct import functions_from_matrix, matrix_from_functions, pow
 from musielak.convex import MusielakSystem
 from musielak.embed import (
     DistortionReport,
+    N_EXACT_PSI,
     distortion_estimate,
     khintchine_sandwich_check,
+    psi_exact,
     psi_image_norm,
     sign_patterns,
 )
-from musielak.perms import PermutationSampler, WeightMatrix, ave_l2
+from musielak.perms import PermutationSampler, WeightMatrix, all_permutations, ave_l2
 
 rng = np.random.default_rng(31337)
 
@@ -31,6 +33,13 @@ def brute_psi_norm(a: WeightMatrix, x):
             total += abs(sum(x[i] * eps[i] * a.entries[i, p[i]] for i in range(n)))
             count += 1
     return total / count
+
+
+def matmul_psi_norm(a: WeightMatrix, x):
+    """Oracle: the full (2^n, n!) table of signed sums by one matrix product."""
+    n = a.n
+    terms = np.asarray(x) * a.entries[np.arange(n), all_permutations(n)]  # (n!, n)
+    return float(np.abs(sign_patterns(n) @ terms.T).mean())
 
 
 class TestSignPatterns:
@@ -95,6 +104,43 @@ class TestPsiNorm:
         )
         assert res.mode == "monte-carlo" and res.stderr > 0
         assert abs(res.value - exact) < 5 * res.stderr
+
+
+class TestPsiExact:
+    def test_against_brute_force(self):
+        for n in range(1, N_EXACT_PSI + 1):
+            a = random_matrix(n)
+            x = rng.normal(size=n)
+            assert psi_exact(a, x[None, :])[0] == pytest.approx(brute_psi_norm(a, x), rel=1e-13)
+
+    def test_against_matmul_oracle(self):
+        for n in range(1, N_EXACT_PSI + 1):
+            a = random_matrix(n)
+            xs = rng.normal(size=(3, n))
+            expected = [matmul_psi_norm(a, x) for x in xs]
+            np.testing.assert_allclose(psi_exact(a, xs), expected, rtol=1e-13)
+
+    def test_batch_has_the_bits_of_single_calls(self):
+        # 40 vectors at n = 6 take several passes of the kernel
+        a = random_matrix(6)
+        xs = rng.normal(size=(40, 6))
+        single = [psi_exact(a, x[None, :])[0] for x in xs]
+        assert np.array_equal(psi_exact(a, xs), single)
+
+    def test_coordinate_sign_flip(self):
+        a = random_matrix(5)
+        x = rng.normal(size=5)
+        flipped = x * np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+        np.testing.assert_allclose(psi_exact(a, [flipped]), psi_exact(a, [x]), rtol=1e-13)
+
+    def test_exact_limit_named(self):
+        n = N_EXACT_PSI + 1
+        with pytest.raises(ValueError, match=f"n <= {N_EXACT_PSI}"):
+            psi_exact(random_matrix(n), np.ones((1, n)))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="vector length"):
+            psi_exact(random_matrix(3), np.ones((2, 4)))
 
 
 class TestKhintchine:
