@@ -25,13 +25,13 @@ n = 5
 a = WeightMatrix(np.sort(rng.uniform(0.05, 1, (n, n)), axis=1)[:, ::-1])
 x = rng.normal(size=n)
 
-# Exact average over all n! permutations.
-exact = ave_l2(a, x, mode="exact")
+# Without a sampler: the exact average over all n! permutations.
+exact = ave_l2(a, x)
 print(f"exact Ave_pi (sum a_(i,pi(i))^2 x_i^2)^(1/2) = {exact.value:.8f} ({exact.samples} perms)")
 
-# Monte Carlo with a counter-based seeded sampler: reproducible, with a
-# standard error estimate.
-mc = ave_l2(a, x, mode="monte-carlo", sampler=PermutationSampler(42), samples=50_000)
+# With a counter-based seeded sampler: a reproducible Monte Carlo estimate,
+# with its standard error.
+mc = ave_l2(a, x, sampler=PermutationSampler(42), samples=50_000)
 print(f"monte-carlo estimate = {mc.value:.8f} +- {mc.stderr:.2e}")
 
 # The matrix norm (greedy over column budgets) is sandwiched between 1/2
@@ -44,6 +44,6 @@ print(f"sandwich: {rep.lower:.6f} <= {rep.value:.6f} <= {rep.upper:.6f}  passed 
 # Averages of maxima over two independent permutations, against the bound
 # by the n^2 largest entries of the decreasing rearrangement.
 a3 = rng.normal(size=(4, 4, 4))
-lhs = ave_max_two(a3, mode="exact").value
+lhs = ave_max_two(a3).value
 rhs = dra_sum_bound(a3)
 print(f"two-permutation max average = {lhs:.6f}, rearrangement bound = {rhs:.6f}, ratio = {lhs / rhs:.3f}")

@@ -41,7 +41,7 @@ for t in [0.05, 0.25, 1.0]:
     print(f"profile f({t}) = {num:.8f}  (closed form {exact:.8f})")
 
 mixed = MusielakSystem(tuple(power_orlicz(p) for p in [1.2, 1.5, 1.8, 1.5]))
-b = matrix_from_functions(mixed, 4)
+b = matrix_from_functions(mixed)
 print("matrix from the mixed power system:")
 print(np.round(b.entries, 4))
 

@@ -26,7 +26,7 @@ a = WeightMatrix(np.sort(rng.uniform(0.05, 1, (n, n)), axis=1)[:, ::-1])
 x = rng.normal(size=n)
 
 # The embedded norm, by exhaustive enumeration of 2^n n! coordinates.
-res = psi_image_norm(a, x, mode="exact")
+res = psi_image_norm(a, x)
 print(f"||Psi(x)||_1 = {res.value:.8f}  ({res.samples} table entries)")
 
 # Khintchine sandwich: (1/sqrt 2) Ave <= ||Psi(x)|| <= Ave, exactly.

@@ -12,11 +12,8 @@ from .convex import (
     MusielakSystem,
     PiecewiseAffineConvex,
     PowerFunction,
-    equivalence_constants,
     is_two_concave,
     luxemburg_norm,
-    system_from_json,
-    system_to_json,
 )
 from .perms import (
     AverageResult,
@@ -30,9 +27,7 @@ from .perms import (
     dra,
     dra_sum_bound,
     lemma_matrixnorm_check,
-    matrix_from_json,
     matrix_norm_a,
-    matrix_to_json,
     prefix_sum_system,
 )
 from .construct import (

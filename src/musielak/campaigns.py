@@ -58,8 +58,8 @@ SANDWICH_FAILURES_MAX = 0
 ROUNDTRIP_RANGE = (0.25, 4.0)
 # Distortion of the embedding: Khintchine's sqrt 2 times the band bound.
 DISTORTION_MAX = math.sqrt(2.0) * BAND_SPREAD_MAX
-# Construct: rows rebuilt from their knot values, relative to the input.
-REBUILD_MAX = 1e-9
+# Construct: knot values of the rows rebuilt from the knot values, relative to the input's.
+KNOT_REBUILD_MAX = 1e-12
 N_KHINTCHINE = 5  # the Khintchine part of embed-report: 2^5 5! = 3840 terms per instance
 
 
@@ -75,7 +75,7 @@ def make_matrix(
         rows = np.sort(sampler.uniform(0.05, 1.0, (n, n)), axis=1)[:, ::-1]
         return WeightMatrix(rows)
     if family == "power-family":
-        return construct.matrix_from_functions(make_power_system(n, exponents), n)
+        return construct.matrix_from_functions(make_power_system(n, exponents))
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
@@ -199,7 +199,7 @@ def thm2_campaign(dims, seed: int, vectors: int, exponents) -> dict:
 
     def one(n, s, tag):
         system = make_power_system(n, exponents)
-        return _band_rows(tag, n, construct.matrix_from_functions(system, n), system, s, vectors)
+        return _band_rows(tag, n, construct.matrix_from_functions(system), system, s, vectors)
 
     return _run(seed, _per_dim(dims), one, BAND_SPREAD_MAX, _spread)
 
@@ -209,7 +209,7 @@ def lemma21_campaign(dims, seed: int, instances: int) -> dict:
 
     def one(n, s, tag):
         a3 = s.normals((n, n, n))
-        lhs = perms.ave_max_two(a3, mode="exact").value
+        lhs = perms.ave_max_two(a3).value
         rhs = perms.dra_sum_bound(a3)
         return [_row(tag, n, lhs, rhs, lhs / rhs)]
 
@@ -256,7 +256,7 @@ def distortion_campaign(dims, seed: int, samples: int, exponents) -> dict:
 
     def one(n, s, tag):
         system = make_power_system(n, exponents)
-        a = construct.matrix_from_functions(system, n)
+        a = construct.matrix_from_functions(system)
         rep = embed.distortion_estimate(system, a, s, samples=samples)
         return [_row(tag, n, rep.ratio_min, rep.ratio_max, rep.distortion)]
 
@@ -286,9 +286,10 @@ def construct_campaign(dims, seed: int, family: str, exponents, matrix) -> dict:
     ``dims``, ``family`` and ``exponents`` are then None; invalid input
     (e.g. an increasing row) is rejected naming ``matrix`` and the row.
     Every matrix must build a system by ``construct.functions_from_matrix``.
-    The gate holds the largest relative difference between the input rows
-    and the rows that ``construct.rows_from_knots`` rebuilds from their knot
-    values (``rebuild_error`` per result) against ``REBUILD_MAX``.
+    The gate holds the knot values of the rows that ``construct.rows_from_knots``
+    rebuilds against the input's, relative (``knot_error`` per result), to
+    ``KNOT_REBUILD_MAX``.  The rows themselves (``rebuild_error``) are not
+    gated: near a tie of leading entries the inverse is only Hölder-1/2.
     """
     if matrix is not None:
         try:
@@ -298,17 +299,20 @@ def construct_campaign(dims, seed: int, family: str, exponents, matrix) -> dict:
     else:
         root = PermutationSampler(seed)
         out = [_construction(make_matrix(family, n, root.spawn(n), exponents)) for n in dims]
-    worst = max((r["rebuild_error"] for r in out), default=None)
-    return {"results": out, **_gate(REBUILD_MAX, worst)}
+    worst = max((r["knot_error"] for r in out), default=None)
+    return {"results": out, **_gate(KNOT_REBUILD_MAX, worst)}
 
 
 def _construction(a: WeightMatrix) -> dict:
     construct.functions_from_matrix(a)  # raises ConstructionError if the rows build no system
     knots = construct.conjugate_inverse_knots(a)
     rebuilt = construct.rows_from_knots(knots)
+    # rounding near a tie can leave the rebuilt rows increasing, so they are not a WeightMatrix
+    rebuilt_knots = construct._knot_values(rebuilt)
     return {
         "n": a.n,
         "matrix": [list(map(float, r)) for r in a.entries],
         "knot_values": [list(map(float, r)) for r in knots],
         "rebuild_error": float(np.max(np.abs(rebuilt - a.entries) / a.entries)),
+        "knot_error": float(np.max(np.abs(rebuilt_knots[:, 1:] - knots[:, 1:]) / knots[:, 1:])),
     }

@@ -28,7 +28,6 @@ sqrt(H - t H') = F - t f with F(t) = int_0^t f.)
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -68,8 +67,12 @@ def conjugate_inverse_knots(a: WeightMatrix) -> np.ndarray:
     """The (n, n+1) array of knot values v_{i,l} = M_i^{*-1}(l/n), v_{i,0} = 0."""
     if not a.is_square:
         raise ValueError("needs a square matrix")
-    n = a.n
-    rows = a.entries
+    return _knot_values(a.entries)
+
+
+def _knot_values(rows: np.ndarray) -> np.ndarray:
+    """``conjugate_inverse_knots`` of an (n, n) array, which need not be a valid ``WeightMatrix``."""
+    n = len(rows)
     prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(rows, axis=1)], axis=1) / n
     sq_tail = np.concatenate(
         [np.cumsum((rows**2)[:, ::-1], axis=1)[:, ::-1] / n, np.zeros((n, 1))], axis=1
@@ -292,18 +295,15 @@ def _interval_averages(profiles, edges) -> np.ndarray:
 # the power family
 
 
-def power_orlicz(p: float, strict: bool = True) -> PowerFunction:
+def power_orlicz(p: float) -> PowerFunction:
     """Power Orlicz function rescaled so its conjugate satisfies M*(1) = 1.
 
     With q = p/(p-1) the rescaled function is M(t) = q^(1-p)/p * t^p, whose
-    conjugate is exactly x^q.  For the strictly-2-concave pipeline p must
-    lie in (1, 2); outside that range pass ``strict=False`` to get the
-    function with a warning.
+    conjugate is exactly x^q.  p must lie in (1, 2), where M is strictly
+    2-concave; any other p raises ``ValueError``.
     """
     if not 1 < p < 2:
-        if strict:
-            raise ValueError("p must lie in (1, 2) for the strictly 2-concave pipeline")
-        warnings.warn(f"p = {p} is outside (1, 2); the result is not strictly 2-concave")
+        raise ValueError("p must lie in (1, 2) for the strictly 2-concave pipeline")
     q = p / (p - 1.0)
     scale = q ** (1.0 - p) / p
     return PowerFunction(p, scale)
@@ -358,8 +358,8 @@ def matrix_from_profiles(profiles, n: int) -> WeightMatrix:
     return WeightMatrix(_interval_averages(profiles, np.arange(n + 1) / n))
 
 
-def matrix_from_functions(system: MusielakSystem, n: int | None = None) -> WeightMatrix:
-    """The matrix generating the Musielak-Orlicz norm of a power system.
+def matrix_from_functions(system: MusielakSystem) -> WeightMatrix:
+    """The n x n matrix, n = ``system.n``, generating the Musielak-Orlicz norm of a power system.
 
     Each function is normalized (argument rescaling) so that M_i*(1) = 1,
     H_i = (M_i^{*-1})^2 is formed, and the rows are the interval averages of
@@ -367,25 +367,20 @@ def matrix_from_functions(system: MusielakSystem, n: int | None = None) -> Weigh
     scale, and its profile integrates in closed form.  Rows come out positive
     and nonincreasing because the profiles are nonnegative and nonincreasing.
     """
-    n = n if n is not None else system.n
-    if system.n != n:
-        raise ValueError("system dimension must match the requested matrix size")
     if not all(isinstance(m, PowerFunction) for m in system):
         raise TypeError(
             "matrix_from_functions needs power functions; "
             "fit piecewise-affine systems with fit_concave_profile first"
         )
-    return WeightMatrix(np.array([_power_row(m.p, n) for m in system]))
+    return WeightMatrix(np.array([_power_row(m.p, system.n) for m in system]))
 
 
-def h_reconstruct_check(profile: FProfile, grid=None) -> float:
-    """Max grid error of H(t) = (int_0^t f)^2 + t int_t^1 f^2 over points t in (0, 1].
+def h_reconstruct_check(profile: FProfile) -> float:
+    """Max error of H(t) = (int_0^t f)^2 + t int_t^1 f^2 over the points t = 1/64, 2/64, ..., 1.
 
     One ``_interval_averages`` call gives the heads, one rule over the grid's pieces the tails.
     """
-    t = np.unique(np.linspace(1.0 / 64, 1.0, 64) if grid is None else np.asarray(grid, dtype=float))
-    if not np.all((t > 0) & (t <= 1)):
-        raise ValueError("grid points must lie in (0, 1]")
+    t = np.linspace(1.0 / 64, 1.0, 64)
     edges = np.append(0.0, t)
     heads = np.cumsum(np.diff(edges) * _interval_averages([profile], edges)[0])
     breaks = _breaks([profile], t)

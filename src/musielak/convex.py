@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -38,9 +37,6 @@ __all__ = [
     "TwoConcavityReport",
     "is_two_concave",
     "luxemburg_norm",
-    "equivalence_constants",
-    "system_to_json",
-    "system_from_json",
 ]
 
 
@@ -253,23 +249,25 @@ class TwoConcavityReport:
     worst_margin: float  # largest relative second difference; positive = violation
 
 
-def is_two_concave(
-    m: OrliczFunction,
-    num_points: int = 2048,
-    lo: float = 1e-6,
-    hi: float = 1e3,
-    tol: float = 1e-12,
-) -> TwoConcavityReport:
+# is_two_concave's grid: points log-spaced over [lo, hi], and the tolerance of the second differences
+TWO_CONCAVITY_POINTS = 2048
+TWO_CONCAVITY_RANGE = (1e-6, 1e3)
+TWO_CONCAVITY_TOL = 1e-12
+
+
+def is_two_concave(m: OrliczFunction) -> TwoConcavityReport:
     """Certify concavity of t -> M(sqrt t) on a log-spaced grid.
 
-    Checks midpoint concavity between consecutive grid points.  The strict
-    variant additionally requires strictly negative second differences.
-    The grid stops at ``domain_bound**2`` where M has a finite domain, since
-    M(sqrt t) is +inf past it.
+    Checks midpoint concavity between consecutive grid points, within
+    ``TWO_CONCAVITY_TOL``.  The strict variant additionally requires
+    second differences below ``-TWO_CONCAVITY_TOL``.  The grid stops at
+    ``domain_bound**2`` where M has a finite domain, since M(sqrt t) is
+    +inf past it.
     """
+    lo, hi = TWO_CONCAVITY_RANGE
     if getattr(m, "domain_bound", None) is not None:
         hi = min(hi, m.domain_bound**2)
-    t = np.logspace(math.log10(lo), math.log10(hi), num_points)
+    t = np.logspace(math.log10(lo), math.log10(hi), TWO_CONCAVITY_POINTS)
     g = lambda u: m(np.sqrt(u))
     mid = 0.5 * (t[:-1] + t[1:])
     # second difference: g(a) + g(b) - 2 g((a+b)/2); <= 0 means concave
@@ -277,8 +275,8 @@ def is_two_concave(
     scale = np.maximum(np.abs(g(mid)), 1.0)
     rel = d2 / scale
     worst = float(rel.max())
-    passed = worst <= tol
-    strictly = passed and bool(np.all(rel < -tol))
+    passed = worst <= TWO_CONCAVITY_TOL
+    strictly = passed and bool(np.all(rel < -TWO_CONCAVITY_TOL))
     return TwoConcavityReport(passed, strictly, worst)
 
 
@@ -342,71 +340,3 @@ class EquivalenceReport:
     @property
     def spread(self) -> float:
         return self.c_high / self.c_low
-
-
-def equivalence_constants(
-    a: MusielakSystem, b: MusielakSystem, grid, instance: str = ""
-) -> EquivalenceReport:
-    """Inverse-ratio equivalence constants between two systems.
-
-    Evaluates M_i^{-1}(t) / N_i^{-1}(t) over all coordinates i and all grid
-    points t > 0 and reports the extreme ratios.
-    """
-    if a.n != b.n:
-        raise ValueError("systems must have equal dimension")
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0):
-        raise ValueError("grid points must be positive")
-    ratios = []
-    for ma, mb in zip(a, b):
-        for t in grid:
-            denom = mb.inverse(float(t))
-            if denom == 0.0:
-                raise ValueError("invalid Orlicz function: zero inverse at t > 0")
-            ratios.append(ma.inverse(float(t)) / denom)
-    ratios = np.asarray(ratios)
-    return EquivalenceReport(float(ratios.min()), float(ratios.max()), ratios, ratios.size, instance)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def _function_to_dict(m: OrliczFunction) -> dict:
-    if isinstance(m, PowerFunction):
-        return {"kind": "power", "p": m.p, "scale": m.scale}
-    d = {
-        "kind": "pwa",
-        "knots": list(map(float, m.knots)),
-        "values": list(map(float, m.values)),
-        "ext_slope": float(m.ext_slope),
-    }
-    if m.domain_bound is not None:
-        d["domain_bound"] = float(m.domain_bound)
-    return d
-
-
-def _function_from_dict(d: dict) -> OrliczFunction:
-    if d["kind"] == "power":
-        return PowerFunction(d["p"], d.get("scale", 1.0))
-    if d["kind"] == "pwa":
-        return PiecewiseAffineConvex(
-            np.asarray(d["knots"]),
-            np.asarray(d["values"]),
-            d["ext_slope"],
-            d.get("domain_bound"),
-        )
-    raise ValueError(f"unknown function kind {d['kind']!r}")
-
-
-def system_to_json(system: MusielakSystem) -> str:
-    doc = {"n": system.n, "functions": [_function_to_dict(m) for m in system]}
-    return json.dumps(doc)
-
-
-def system_from_json(text: str) -> MusielakSystem:
-    doc = json.loads(text)
-    funcs = [_function_from_dict(d) for d in doc["functions"]]
-    if doc.get("n") is not None and doc["n"] != len(funcs):
-        raise ValueError("declared dimension does not match function count")
-    return MusielakSystem(tuple(funcs))

@@ -23,7 +23,6 @@ nodes of level n - 2 average to the norm.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +36,7 @@ from .perms import (
     PermutationSampler,
     WeightMatrix,
     ave_l2,
-    _permutation_rows,
-    _prefix_tree,
+    _node_entries,
     _summarize,
 )
 
@@ -54,24 +52,14 @@ __all__ = [
 
 # 2^6 * 6! = 46080 terms
 N_EXACT_PSI = 6
+# absolute slack of each side of the Khintchine sandwich in ``khintchine_sandwich_check``
+KHINTCHINE_TOL = 1e-12
 
 
 def sign_patterns(n: int) -> np.ndarray:
     """(2^n, n) array of all +-1 patterns."""
     bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
     return (2 * bits - 1).astype(float)
-
-
-@functools.cache
-def _node_entries(n: int) -> np.ndarray:
-    """Flat indices into an (n, n) matrix of a_{k,pi(k)} at every node of ``_prefix_tree(n)``.
-
-    Level k's nodes in the tree's layout, levels concatenated; read-only.
-    """
-    levels, _ = _prefix_tree(n)
-    flat = np.concatenate([k * n + level for k, level in enumerate(levels)])
-    flat.flags.writeable = False
-    return flat
 
 
 def psi_exact(a: WeightMatrix, xs) -> np.ndarray:
@@ -135,15 +123,14 @@ def psi_exact(a: WeightMatrix, xs) -> np.ndarray:
 def psi_image_norm(
     a: WeightMatrix,
     x,
-    mode: str = "exact",
     sampler: PermutationSampler | None = None,
     samples: int = DEFAULT_SAMPLES,
 ) -> AverageResult:
     """Normalized L1 norm of the embedded vector.
 
-    Exact mode covers all (sign pattern, permutation) pairs by
-    ``psi_exact``; Monte Carlo samples independent uniform pairs and
-    reports the standard error.
+    Without a sampler, exact over all (sign pattern, permutation) pairs by
+    ``psi_exact``; with one, the mean over ``samples`` independent uniform
+    pairs drawn from it, with its standard error.
     """
     if not a.is_square:
         raise ValueError("needs a square matrix")
@@ -151,13 +138,13 @@ def psi_image_norm(
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError("vector length must match matrix dimension")
-    if mode == "exact":  # psi_exact enumerates, and checks the limit
+    if sampler is None:  # psi_exact enumerates, and checks the limit
         value = psi_exact(a, x[None, :])[0]
         return AverageResult(float(value), "exact", 2**n * math.factorial(n))
-    perms = _permutation_rows(n, mode, sampler, samples, N_EXACT_PSI)
+    perms = sampler.permutations(n, samples)
     eps = sampler.signs(n, samples)
     vals = np.abs((x * a.entries[np.arange(n), perms] * eps).sum(axis=1))
-    return _summarize(vals, "monte-carlo")
+    return _summarize(vals, exact=False)
 
 
 @dataclass
@@ -168,11 +155,11 @@ class KhintchineReport:
     passed: bool
 
 
-def khintchine_sandwich_check(a: WeightMatrix, x, tol: float = 1e-12) -> KhintchineReport:
-    """Exact check of (1/sqrt 2) Ave <= ||Psi(x)|| <= Ave."""
-    ave = ave_l2(a, x, mode="exact").value
+def khintchine_sandwich_check(a: WeightMatrix, x) -> KhintchineReport:
+    """Exact check of (1/sqrt 2) Ave <= ||Psi(x)|| <= Ave, within ``KHINTCHINE_TOL``."""
+    ave = ave_l2(a, x).value
     psi = psi_exact(a, np.asarray(x, dtype=float)[None, :])[0]
-    passed = ave / np.sqrt(2.0) - tol <= psi <= ave + tol
+    passed = ave / np.sqrt(2.0) - KHINTCHINE_TOL <= psi <= ave + KHINTCHINE_TOL
     return KhintchineReport(ave / np.sqrt(2.0), float(psi), ave, passed)
 
 
@@ -203,7 +190,7 @@ def distortion_estimate(
     system: MusielakSystem,
     a: WeightMatrix,
     sampler: PermutationSampler,
-    samples: int = 2000,
+    samples: int,
 ) -> DistortionReport:
     """Ratio band of ||Psi(x)|| / ||x||_{sum M_i} over sampled directions.
 

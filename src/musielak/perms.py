@@ -4,18 +4,18 @@ The central quantity is the l2 permutation average
 
     Ave_pi ( sum_i |x_i a_{i,pi(i)}|^2 )^(1/2)
 
-over the symmetric group, evaluated either exactly (full enumeration, small
-n) or by seeded Monte Carlo.  The module also provides the two-permutation
-max average and the decreasing-rearrangement bound it is equivalent to, the
-matrix norm ||x||_a (greedy top-N selection), and the piecewise-affine
-system whose Luxemburg norm sandwiches ||x||_a within exact factors 1/2 and
-2.
+over the symmetric group.  Each average enumerates every permutation when
+called without a sampler (up to its exact limit), and is a seeded Monte
+Carlo estimate over ``samples`` draws of the ``PermutationSampler`` it is
+given.  The module also provides the two-permutation max average and the
+decreasing-rearrangement bound it is equivalent to, the matrix norm ||x||_a
+(greedy top-N selection), and the piecewise-affine system whose Luxemburg
+norm sandwiches ||x||_a within exact factors 1/2 and 2.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,8 +38,6 @@ __all__ = [
     "build_b_vector",
     "ave_max_vector",
     "all_permutations",
-    "matrix_to_json",
-    "matrix_from_json",
     "N_EXACT",
     "N_EXACT_PAIRS",
     "DEFAULT_SAMPLES",
@@ -49,6 +47,8 @@ __all__ = [
 N_EXACT = 8
 N_EXACT_PAIRS = 5
 DEFAULT_SAMPLES = 100_000
+# absolute slack of each side of the Lemma 2.2 sandwich in ``lemma_matrixnorm_check``
+SANDWICH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,6 @@ class WeightMatrix:
     @property
     def is_square(self) -> bool:
         return self.n == self.ncols
-
-
-def matrix_to_json(a: WeightMatrix) -> str:
-    doc = {"n": a.n, "N": a.ncols, "rows": [list(map(float, r)) for r in a.entries]}
-    return json.dumps(doc)
-
-
-def matrix_from_json(text: str) -> WeightMatrix:
-    doc = json.loads(text)
-    a = WeightMatrix(np.asarray(doc["rows"], dtype=float))
-    if a.n != doc["n"] or a.ncols != doc["N"]:
-        raise ValueError("declared shape does not match rows")
-    return a
 
 
 class PermutationSampler:
@@ -162,11 +149,6 @@ class AverageResult:
         if self.mode == "exact" and self.stderr != 0.0:
             raise ValueError("exact results have zero standard error")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"value": self.value, "mode": self.mode, "samples": self.samples, "stderr": self.stderr}
-        )
-
 
 def dra(values) -> np.ndarray:
     """Decreasing rearrangement: absolute values sorted nonincreasingly.
@@ -204,21 +186,17 @@ def all_permutations(n: int) -> np.ndarray:
     return table
 
 
-def _permutation_rows(n: int, mode: str, sampler, samples: int, limit: int) -> np.ndarray:
-    """The permutations an average runs over: all of them (n <= ``limit``), or a sample."""
-    if mode == "exact":
-        if n > limit:
-            raise ValueError(f"exact mode limited to n <= {limit}")
-        return all_permutations(n)
-    if mode != "monte-carlo":
-        raise ValueError("mode must be 'exact' or 'monte-carlo'")
-    if sampler is None:
-        raise ValueError("monte-carlo mode needs a sampler")
-    return sampler.permutations(n, samples)
+def _permutation_rows(n: int, sampler, samples: int, limit: int) -> np.ndarray:
+    """The permutations an average runs over: all of them without a sampler (n <= ``limit``), or a sample."""
+    if sampler is not None:
+        return sampler.permutations(n, samples)
+    if n > limit:
+        raise ValueError(f"exact mode limited to n <= {limit}")
+    return all_permutations(n)
 
 
-def _summarize(values: np.ndarray, mode: str) -> AverageResult:
-    if mode == "exact":
+def _summarize(values: np.ndarray, exact: bool) -> AverageResult:
+    if exact:
         return AverageResult(float(values.mean()), "exact", values.size)
     stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     return AverageResult(float(values.mean()), "monte-carlo", values.size, stderr)
@@ -228,7 +206,7 @@ def _summarize(values: np.ndarray, mode: str) -> AverageResult:
 def _prefix_tree(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The prefix tree of ``all_permutations(n)``: ``(levels, leaf_order)``, read-only.
 
-    ``levels[k]`` holds pi(k) (``intp``) at each of the n!/(n-k-1)! prefixes
+    ``levels[k]`` holds pi(k) (``uint8``) at each of the n!/(n-k-1)! prefixes
     of length k + 1, laid out child-slot-major: with P = n!/(n-k)! prefixes
     of length k, child j of prefix p (its j-th smallest unused value) sits at
     j * P + p.  Level n - 1 is the n! leaves; row r of the table is leaf
@@ -242,12 +220,27 @@ def _prefix_tree(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         slot = (table[:, k + 1 :] < table[:, k : k + 1]).sum(axis=1)  # rank of pi(k) among the unused values
         node += slot * width
         width *= n - k
-        level = np.empty(width, dtype=np.intp)
+        level = np.empty(width, dtype=np.uint8)
         level[node] = table[:, k]
         level.flags.writeable = False
         levels.append(level)
     node.flags.writeable = False
     return tuple(levels), node
+
+
+@functools.cache
+def _node_entries(n: int) -> np.ndarray:
+    """Flat indices into an (n, n) matrix of a_{k,pi(k)} at every node of ``_prefix_tree(n)``.
+
+    Level k's nodes in the tree's layout, levels concatenated; read-only.
+    """
+    levels, _ = _prefix_tree(n)
+    flat, end = np.empty(sum(level.size for level in levels), dtype=np.intp), 0
+    for k, level in enumerate(levels):
+        np.add(level, k * n, out=flat[end : end + level.size], dtype=np.intp)
+        end += level.size
+    flat.flags.writeable = False
+    return flat
 
 
 # elements of each (vectors, n!) work buffer in one pass of ave_l2_exact
@@ -278,12 +271,13 @@ def ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
     width = min(step, len(xs)) * leaves
     # one allocation for the two work buffers, reused by every level of every pass, and for
     # a_{k,pi(k)}^2 at each node of each level k: fresh temporaries cost page faults
-    block = np.empty(2 * width + sum(level.size for level in levels))
+    nodes = _node_entries(n)
+    block = np.empty(2 * width + nodes.size)
     work = block[:width], block[width : 2 * width]
-    e2 = a.entries**2
-    g2, end = [], 2 * width
-    for k, level in enumerate(levels):
-        g2.append(np.take(e2[k], level, out=block[end : end + level.size], mode="clip"))
+    flat = np.take(a.entries**2, nodes, out=block[2 * width :], mode="clip")
+    g2, end = [], 0
+    for level in levels:
+        g2.append(flat[end : end + level.size])
         end += level.size
     x2 = xs**2
     out = np.empty(len(xs))
@@ -307,7 +301,6 @@ def ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
 def ave_l2(
     a: WeightMatrix,
     x,
-    mode: str = "exact",
     sampler: PermutationSampler | None = None,
     samples: int = DEFAULT_SAMPLES,
 ) -> AverageResult:
@@ -318,16 +311,15 @@ def ave_l2(
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError("vector length must match matrix dimension")
-    if mode == "exact":  # ave_l2_exact enumerates, and checks the limit
+    if sampler is None:  # ave_l2_exact enumerates, and checks the limit
         value = ave_l2_exact(a, x[None, :])[0]
         return AverageResult(float(value), "exact", math.factorial(n))
-    gathered = a.entries[np.arange(n), _permutation_rows(n, mode, sampler, samples, N_EXACT)]  # (P, n)
-    return _summarize(np.sqrt(((x * gathered) ** 2).sum(axis=1)), "monte-carlo")
+    gathered = a.entries[np.arange(n), sampler.permutations(n, samples)]  # (P, n)
+    return _summarize(np.sqrt(((x * gathered) ** 2).sum(axis=1)), exact=False)
 
 
 def ave_max_two(
     a3,
-    mode: str = "exact",
     sampler: PermutationSampler | None = None,
     samples: int = DEFAULT_SAMPLES,
 ) -> AverageResult:
@@ -336,16 +328,16 @@ def ave_max_two(
     if a3.ndim != 3 or len(set(a3.shape)) != 1 or a3.size == 0:
         raise ValueError("needs a cubic n x n x n array, n >= 1")
     n = a3.shape[0]
-    pis = _permutation_rows(n, mode, sampler, samples, N_EXACT_PAIRS)
-    if mode == "exact":  # every pair of rows of the table, one coordinate i at a time
+    pis = _permutation_rows(n, sampler, samples, N_EXACT_PAIRS)
+    if sampler is None:  # every pair of rows of the table, one coordinate i at a time
         gathers = (np.abs(a3[i]).take(pis[:, i], 0).take(pis[:, i], 1) for i in range(n))
         acc = next(gathers)  # (P, P): |a(i, pi(i), sigma(i))| over pairs (pi, sigma)
         for g in gathers:
             np.maximum(acc, g, out=acc)
-        return _summarize(acc.ravel(), "exact")
+        return _summarize(acc.ravel(), exact=True)
     sigmas = sampler.permutations(n, samples)
     vals = np.abs(a3[np.arange(n)[None, :], pis, sigmas]).max(axis=1)
-    return _summarize(vals, "monte-carlo")
+    return _summarize(vals, exact=False)
 
 
 def dra_sum_bound(a3) -> float:
@@ -403,12 +395,12 @@ class SandwichReport:
         return self.value / self.upper if self.upper > 0 else 1.0
 
 
-def lemma_matrixnorm_check(a: WeightMatrix, x, tol: float = 1e-8) -> SandwichReport:
-    """Check (1/2)||x||_a <= ||x||_{sum M_i} <= 2 ||x||_a for the prefix system."""
+def lemma_matrixnorm_check(a: WeightMatrix, x) -> SandwichReport:
+    """Check (1/2)||x||_a <= ||x||_{sum M_i} <= 2 ||x||_a for the prefix system, within ``SANDWICH_TOL``."""
     na = matrix_norm_a(a, x)
     system = prefix_sum_system(a)
     nl = luxemburg_norm(system, x)
-    passed = 0.5 * na - tol <= nl <= 2.0 * na + tol
+    passed = 0.5 * na - SANDWICH_TOL <= nl <= 2.0 * na + SANDWICH_TOL
     return SandwichReport(0.5 * na, nl, 2.0 * na, passed)
 
 
@@ -422,7 +414,6 @@ def build_b_vector(n: int) -> np.ndarray:
 def ave_max_vector(
     b,
     y,
-    mode: str = "exact",
     sampler: PermutationSampler | None = None,
     samples: int = DEFAULT_SAMPLES,
 ) -> AverageResult:
@@ -431,6 +422,6 @@ def ave_max_vector(
     y = np.asarray(y, dtype=float)
     if b.shape != y.shape or b.ndim != 1:
         raise ValueError("need two vectors of equal length")
-    perms = _permutation_rows(b.size, mode, sampler, samples, N_EXACT)
+    perms = _permutation_rows(b.size, sampler, samples, N_EXACT)
     vals = np.abs(y * b[perms]).max(axis=1)
-    return _summarize(vals, mode)
+    return _summarize(vals, exact=sampler is None)

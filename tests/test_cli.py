@@ -263,7 +263,20 @@ def test_explicit_matrix_construct(tmp_path):
     doc = load_json(tmp_path, "construct")
     knots = doc["results"][0]["knot_values"][0]
     assert knots[0] == 0.0 and knots[2] == pytest.approx(1.5)
-    assert doc["passed"] is True and doc["gate"]["worst"] == doc["results"][0]["rebuild_error"] < 1e-15
+    result = doc["results"][0]
+    assert doc["passed"] is True and doc["gate"]["worst"] == result["knot_error"] < 1e-15
+    assert result["rebuild_error"] < 1e-15
+
+
+def test_near_tie_matrix_passes_the_knot_gate(tmp_path):
+    # the rows rebuilt from the knots are off by 5e-8 where the leading entries nearly tie,
+    # but their knot values are the input's to rounding
+    cfg = {"matrix": [[1.0, 0.9999999, 0.5]] * 3}
+    assert run(tmp_path, "construct", cfg) == 0
+    doc = load_json(tmp_path, "construct")
+    assert doc["gate"]["bound"] == campaigns.KNOT_REBUILD_MAX
+    assert doc["gate"]["worst"] == doc["results"][0]["knot_error"] <= campaigns.KNOT_REBUILD_MAX
+    assert doc["results"][0]["rebuild_error"] > campaigns.KNOT_REBUILD_MAX
 
 
 def test_explicit_matrix_config_holds_seed_and_matrix(tmp_path):

@@ -47,7 +47,7 @@ def random_matrix(n):
 
 def power_matrix(exponents):
     n = len(exponents)
-    return matrix_from_functions(MusielakSystem(tuple(power_orlicz(p) for p in exponents)), n)
+    return matrix_from_functions(MusielakSystem(tuple(power_orlicz(p) for p in exponents)))
 
 
 def quad_fitted_row(knot_values):
@@ -267,21 +267,21 @@ class TestMatrixFromFunctions:
     def test_degenerate_gives_ones(self):
         # H(t) = t, i.e. M*(x) = x^2, M(t) = t^2/4
         system = MusielakSystem((PowerFunction(2.0, 0.25),) * 3)
-        a = matrix_from_functions(system, 3)
+        a = matrix_from_functions(system)
         np.testing.assert_allclose(a.entries, np.ones((3, 3)), atol=1e-9)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_flat_profile_rows_tie_exactly(self, n):
         # interval widths of arange(n + 1) / n differ by rounding; the rows
         # of a flat profile must still be nonincreasing
-        a = matrix_from_functions(MusielakSystem((PowerFunction(2.0, 0.25),) * n), n)
+        a = matrix_from_functions(MusielakSystem((PowerFunction(2.0, 0.25),) * n))
         assert np.all(a.entries == a.entries[0, 0]) and a.entries[0, 0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("p", [1.01, 1.15, 1.2, 1.5, 1.8, 1.85, 1.99])
     def test_closed_form_matches_quadrature(self, p):
         prof = power_profile(p)
         for n in range(2, 17):
-            a = matrix_from_functions(MusielakSystem((power_orlicz(p),) * n), n)
+            a = matrix_from_functions(MusielakSystem((power_orlicz(p),) * n))
             quadrature = [n * prof.integral(j / n, (j + 1) / n) for j in range(n)]
             np.testing.assert_allclose(a.entries[0], quadrature, rtol=1e-12)
             rows = matrix_from_profiles([prof], n).entries[0]
@@ -289,25 +289,25 @@ class TestMatrixFromFunctions:
 
     def test_p_above_two_rejected(self):
         with pytest.raises(ConstructionError, match="not concave"):
-            matrix_from_functions(MusielakSystem((PowerFunction(2.5),) * 3), 3)
+            matrix_from_functions(MusielakSystem((PowerFunction(2.5),) * 3))
 
     def test_power_family_against_analytic(self):
         n, p = 4, 1.5
         system = MusielakSystem((power_orlicz(p),) * n)
-        a = matrix_from_functions(system, n)
+        a = matrix_from_functions(system)
         expected = np.array([n * analytic_profile_integral(p, j / n, (j + 1) / n) for j in range(n)])
         np.testing.assert_allclose(a.entries, np.tile(expected, (n, 1)), rtol=1e-12)
 
     def test_rows_positive_nonincreasing(self):
         system = MusielakSystem(tuple(power_orlicz(p) for p in [1.2, 1.5, 1.8, 1.3, 1.7]))
-        a = matrix_from_functions(system, 5)
+        a = matrix_from_functions(system)
         assert np.all(a.entries > 0)
         assert np.all(np.diff(a.entries, axis=1) <= 0)
 
     def test_rejects_pwa_members(self):
         a = random_matrix(3)
         with pytest.raises(TypeError):
-            matrix_from_functions(functions_from_matrix(a), 3)
+            matrix_from_functions(functions_from_matrix(a))
 
 
 class TestReconstructionIdentity:
@@ -350,10 +350,6 @@ class TestPowerOrlicz:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             power_orlicz(2.5)
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            power_orlicz(2.5, strict=False)
-        assert len(w) == 1
 
     def test_h_strictly_concave(self):
         # (M*^{-1})^2 = t^(2/q) has strictly negative second differences
@@ -383,7 +379,7 @@ class TestRoundtrip:
 
     def test_power_family_band(self):
         system = MusielakSystem(tuple(power_orlicz(p) for p in [1.2, 1.5, 1.8]))
-        a = matrix_from_functions(system, 3)
+        a = matrix_from_functions(system)
         rep = roundtrip_check(a)
         assert 0.25 <= rep.c_low <= rep.c_high <= 4.0
         # swapping original/reconstructed inverts every ratio

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -15,11 +14,8 @@ from musielak.convex import (
     MusielakSystem,
     PiecewiseAffineConvex,
     PowerFunction,
-    equivalence_constants,
     is_two_concave,
     luxemburg_norm,
-    system_from_json,
-    system_to_json,
 )
 from musielak.perms import WeightMatrix, prefix_sum_system
 
@@ -375,41 +371,9 @@ def test_newton_matches_bisection(kind, data):
 
 
 class TestEquivalence:
-    def test_identical_systems(self):
-        s = MusielakSystem((PowerFunction(1.5), PowerFunction(2)))
-        rep = equivalence_constants(s, s, np.linspace(0.1, 5, 20))
-        assert rep.c_low == pytest.approx(1) and rep.c_high == pytest.approx(1)
-
-    def test_argument_scaling(self):
-        # N(t) = M(t/2) means N^{-1} = 2 M^{-1}, so every ratio is 1/2
-        a = MusielakSystem((PowerFunction(2, 1.0),))
-        b = MusielakSystem((PowerFunction(2, 0.25),))
-        rep = equivalence_constants(a, b, np.linspace(0.1, 5, 20))
-        assert rep.c_low == pytest.approx(0.5) and rep.c_high == pytest.approx(0.5)
-
     def test_report_invariant(self):
         with pytest.raises(ValueError):
             EquivalenceReport(1.0, 2.0, np.array([0.5]), 1)
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        s = MusielakSystem((PowerFunction(1.5, 0.7), random_pwa(), random_pwa().conjugate()))
-        s2 = system_from_json(system_to_json(s))
-        t = np.linspace(0, 3, 30)
-        for m1, m2 in zip(s, s2):
-            np.testing.assert_allclose(m1(t), m2(t))
-
-    def test_empty_knots_rejected(self):
-        doc = {"n": 1, "functions": [{"kind": "pwa", "knots": [], "values": [], "ext_slope": 1.0}]}
-        with pytest.raises(ValueError, match="knots"):
-            system_from_json(json.dumps(doc))
-
-    def test_schema(self):
-        s = MusielakSystem((PowerFunction(2),))
-        doc = json.loads(system_to_json(s))
-        assert doc["n"] == 1
-        assert doc["functions"][0] == {"kind": "power", "p": 2.0, "scale": 1.0}
 
 
 # -- the array builders against the per-row reference -------------------------

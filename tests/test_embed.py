@@ -99,9 +99,7 @@ class TestPsiNorm:
         a = random_matrix(4)
         x = rng.normal(size=4)
         exact = psi_image_norm(a, x).value
-        res = psi_image_norm(
-            a, x, mode="monte-carlo", sampler=PermutationSampler(17), samples=40_000
-        )
+        res = psi_image_norm(a, x, sampler=PermutationSampler(17), samples=40_000)
         assert res.mode == "monte-carlo" and res.stderr > 0
         assert abs(res.value - exact) < 5 * res.stderr
 
@@ -181,7 +179,7 @@ class TestDistortion:
 
     def test_power_family_bounded(self):
         system = MusielakSystem((power_orlicz(1.5),) * 4)
-        a = matrix_from_functions(system, 4)
+        a = matrix_from_functions(system)
         rep = distortion_estimate(system, a, PermutationSampler(9), samples=100)
         assert 1.0 <= rep.distortion < 10.0
 
@@ -195,4 +193,4 @@ class TestDistortion:
     def test_dimension_mismatch(self):
         a = random_matrix(3)
         with pytest.raises(ValueError):
-            distortion_estimate(functions_from_matrix(random_matrix(4)), a, PermutationSampler(0))
+            distortion_estimate(functions_from_matrix(random_matrix(4)), a, PermutationSampler(0), samples=10)

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,10 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from musielak.convex import luxemburg_norm
+from musielak.embed import N_EXACT_PSI, psi_exact, psi_image_norm
 from musielak.perms import (
+    N_EXACT,
+    N_EXACT_PAIRS,
     AverageResult,
     PermutationSampler,
     WeightMatrix,
@@ -23,9 +25,7 @@ from musielak.perms import (
     dra,
     dra_sum_bound,
     lemma_matrixnorm_check,
-    matrix_from_json,
     matrix_norm_a,
-    matrix_to_json,
     prefix_sum_system,
 )
 
@@ -181,15 +181,50 @@ class TestAveL2:
 
     def test_exact_limit(self):
         with pytest.raises(ValueError):
-            ave_l2(random_matrix(9), np.ones(9), mode="exact")
+            ave_l2(random_matrix(9), np.ones(9))
 
     def test_monte_carlo_close_to_exact(self):
         a = random_matrix(5)
         x = rng.normal(size=5)
         exact = ave_l2(a, x).value
-        res = ave_l2(a, x, mode="monte-carlo", sampler=PermutationSampler(11), samples=20_000)
+        res = ave_l2(a, x, sampler=PermutationSampler(11), samples=20_000)
         assert res.mode == "monte-carlo" and res.stderr > 0
         assert abs(res.value - exact) < 5 * res.stderr
+
+
+def average_inputs(n):
+    """A weight matrix, a vector and a cube of size n, the same for each n."""
+    draws = np.random.default_rng(n)
+    a = WeightMatrix(np.sort(draws.uniform(0.05, 1, (n, n)), axis=1)[:, ::-1])
+    return a, draws.normal(size=n), draws.normal(size=(n, n, n))
+
+
+# each average called on average_inputs(n), and its exact limit
+AVERAGES = {
+    "ave_l2": (lambda a, x, a3, **kw: ave_l2(a, x, **kw), N_EXACT),
+    "ave_max_two": (lambda a, x, a3, **kw: ave_max_two(a3, **kw), N_EXACT_PAIRS),
+    "ave_max_vector": (lambda a, x, a3, **kw: ave_max_vector(build_b_vector(len(x)), x, **kw), N_EXACT),
+    "psi_image_norm": (lambda a, x, a3, **kw: psi_image_norm(a, x, **kw), N_EXACT_PSI),
+}
+# the batched kernels that the exact values must equal bit for bit
+EXACT_KERNELS = {"ave_l2": ave_l2_exact, "psi_image_norm": psi_exact}
+
+
+@pytest.mark.parametrize("name", sorted(AVERAGES))
+def test_sampler_selects_exact_or_monte_carlo(name):
+    average, limit = AVERAGES[name]
+    a, x, a3 = average_inputs(4)
+    exact = average(a, x, a3)
+    assert exact.mode == "exact" and exact.stderr == 0.0
+    if name in EXACT_KERNELS:
+        assert exact.value == EXACT_KERNELS[name](a, x[None, :])[0]
+    estimate = average(a, x, a3, sampler=PermutationSampler(7), samples=20_000)
+    assert estimate.mode == "monte-carlo" and estimate.samples == 20_000 and estimate.stderr > 0
+    assert abs(estimate.value - exact.value) < 5 * estimate.stderr
+    past = average_inputs(limit + 1)
+    with pytest.raises(ValueError, match=f"limited to n <= {limit}"):
+        average(*past)
+    assert average(*past, sampler=PermutationSampler(7), samples=100).mode == "monte-carlo"
 
 
 def fancy_index_ave_max_two(a3) -> float:
@@ -236,7 +271,7 @@ class TestAveMaxTwo:
     def test_monte_carlo(self):
         a3 = rng.normal(size=(4, 4, 4))
         exact = ave_max_two(a3).value
-        res = ave_max_two(a3, mode="monte-carlo", sampler=PermutationSampler(3), samples=20_000)
+        res = ave_max_two(a3, sampler=PermutationSampler(3), samples=20_000)
         assert abs(res.value - exact) < 5 * res.stderr
 
 
@@ -361,15 +396,6 @@ class TestAveMaxVector:
 
 
 class TestSerialization:
-    def test_matrix_roundtrip(self):
-        a = random_matrix(3, 5)
-        b = matrix_from_json(matrix_to_json(a))
-        np.testing.assert_array_equal(a.entries, b.entries)
-
-    def test_average_result_json(self):
-        doc = json.loads(AverageResult(1.5, "exact", 24).to_json())
-        assert doc == {"value": 1.5, "mode": "exact", "samples": 24, "stderr": 0.0}
-
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError, match="row 1"):
             WeightMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
