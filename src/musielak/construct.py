@@ -516,6 +516,4 @@ def roundtrip_check(a: WeightMatrix) -> EquivalenceReport:
     rebuilt = WeightMatrix(matrix_from_profiles([profile], n).entries * scales[:, None])
     v2 = conjugate_inverse_knots(rebuilt)
     ratios = (v2[:, 1:] / v[:, 1:]).ravel()
-    return EquivalenceReport(
-        float(ratios.min()), float(ratios.max()), ratios, ratios.size, f"roundtrip n={n}"
-    )
+    return EquivalenceReport(float(ratios.min()), float(ratios.max()), ratios)

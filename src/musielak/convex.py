@@ -325,8 +325,6 @@ class EquivalenceReport:
     c_low: float
     c_high: float
     ratios: np.ndarray
-    samples: int
-    instance: str = ""
 
     def __post_init__(self):
         self.ratios = np.asarray(self.ratios, dtype=float)

@@ -10,15 +10,9 @@ Khintchine's inequality, and the ratio against the Musielak-Orlicz norm
 gives an empirical upper-bound witness for the Banach-Mazur distance to the
 image subspace.
 
-``psi_exact`` computes the exact norm for a batch of vectors in one walk
-down the prefix tree of S_n (``perms._prefix_tree``), with the sign
-patterns as a second tree over the same levels: a node is a pair
-(eps_0 .. eps_k, pi(0) .. pi(k)) and holds the partial sum over i <= k,
-computed once for every leaf below it.  The sum only changes sign under
-eps -> -eps, so eps_0 = +1 is fixed and each level k = 1 .. n - 2 doubles
-the sign axis.  The last level is folded by the exact identity
-|u + v| + |u - v| = 2 max(|u|, |v|), so the n! 2^(n-2) maxima over the
-nodes of level n - 2 average to the norm.
+``psi_exact`` computes the exact norm of a batch of vectors with one
+``perms.walk_prefix_tree`` over the signs +-1, and folds the last level in
+closed form.
 """
 
 from __future__ import annotations
@@ -30,14 +24,12 @@ import numpy as np
 
 from .convex import MusielakSystem, luxemburg_norm
 from .perms import (
-    _BATCH_ELEMENTS,
     DEFAULT_SAMPLES,
     AverageResult,
     PermutationSampler,
     WeightMatrix,
     ave_l2,
-    _node_entries,
-    _summarize,
+    walk_prefix_tree,
 )
 
 __all__ = [
@@ -65,59 +57,22 @@ def sign_patterns(n: int) -> np.ndarray:
 def psi_exact(a: WeightMatrix, xs) -> np.ndarray:
     """Exact normalized L1 norms ||Psi(x)|| of each row of the (V, n) batch ``xs``.
 
-    One walk down the (eps, pi) prefix tree (see the module docstring)
-    serves the whole batch, in passes of at most ``perms._BATCH_ELEMENTS``
-    nodes per buffer.  Each node is summed in i order, elementwise (no
-    BLAS), so row v of the result has the same bits as a batch of ``xs[v]``
-    alone.
+    The sum only changes sign under eps -> -eps, so the walk fixes
+    eps_0 = +1 and stops one level short, at the partial sums u over
+    i <= n - 2.  With v = x_{n-1} a_{n-1,pi(n-1)}, the exact identity
+    |u + v| + |u - v| = 2 max(|u|, |v|) folds the last level, so the norm is
+    the mean of max(|u|, |v|) over the n! 2^(n-2) nodes of level n - 2 (or
+    the empty prefix, u = 0, for n = 1).  A vector alone and in a batch give
+    the same bits.
     """
-    if not a.is_square:
-        raise ValueError("needs a square matrix")
-    n = a.n
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != n:
-        raise ValueError("vector length must match matrix dimension")
-    if n > N_EXACT_PSI:
-        raise ValueError(f"exact mode limited to n <= {N_EXACT_PSI}")
-    leaves = math.factorial(n)
-    nodes = leaves << max(n - 2, 0)  # (eps, pi) nodes of level n - 2, one per maximum
-    step = max(1, _BATCH_ELEMENTS // nodes)
-    batch = min(step, len(xs))
-    # one allocation for the two node buffers, reused by every level of every pass, and the
-    # +-x_k a_{k,pi(k)} terms of one level
-    block = np.empty(2 * batch * (nodes + leaves))
-    width = batch * nodes
-    work, terms = (block[:width], block[width : 2 * width]), block[2 * width :]
-    gathered, end = [], 0  # a_{k,pi(k)} at each node of each level k, in one gather
-    flat = a.entries.take(_node_entries(n))
-    for k in range(n):
-        size = leaves // math.factorial(n - k - 1)
-        gathered.append(flat[end : end + size])
-        end += size
-    out = np.empty(len(xs))
-    for start in range(0, len(xs), step):
-        chunk = xs[start : start + step]
-        rows = len(chunk)
-        sums = work[1][: rows * n].reshape(rows, 1, n)  # (vectors, sign pattern, prefix) at level 0
-        np.multiply(chunk[:, :1, None], gathered[0], out=sums)  # eps_0 = +1
-        signed = np.multiply.outer(chunk, (1.0, -1.0))  # (vectors, k, eps_k)
-        for k in range(1, n - 1):
-            signs, prefixes = sums.shape[1:]
-            g = gathered[k].reshape(n - k, prefixes)  # (child slot, parent prefix)
-            term = terms[: 2 * rows * g.size].reshape(rows, 2, 1, n - k, prefixes)
-            np.multiply(signed[:, k, :, None, None, None], g, out=term)  # -(x g) is (-x) g exactly
-            nxt = work[(k + 1) % 2][: 2 * (n - k) * sums.size].reshape(rows, 2, signs, n - k, prefixes)
-            np.add(sums[:, None, :, None, :], term, out=nxt)  # u - t is u + (-t) exactly
-            sums = nxt.reshape(rows, 2 * signs, g.size)
-        # fold the last level: mean over eps_{n-1} of |u + eps v| is max(|u|, |v|), with
-        # u = sums and v = x_{n-1} a_{n-1,pi(n-1)}; for n = 1, u is v itself
-        last = terms[: rows * leaves].reshape(rows, 1, leaves)
-        np.multiply(np.abs(chunk[:, -1, None, None]), gathered[-1], out=last)
+
+    def fold(sums, v):  # v holds |v| at each leaf
         np.abs(sums, out=sums)
-        np.maximum(sums, last, out=sums)
-        np.add.reduce(sums.reshape(rows, -1), axis=1, out=out[start : start + rows])
-    out /= nodes  # the mean, as ndarray.mean computes it
-    return out
+        np.maximum(sums, v[:, None, :], out=sums)
+        # the mean, as ndarray.mean computes it
+        return np.add.reduce(sums.reshape(len(sums), -1), axis=1) / sums[0].size
+
+    return walk_prefix_tree(a, xs, N_EXACT_PSI, (1.0, -1.0), 1, a.n - 1, fold)
 
 
 def psi_image_norm(
@@ -144,7 +99,7 @@ def psi_image_norm(
     perms = sampler.permutations(n, samples)
     eps = sampler.signs(n, samples)
     vals = np.abs((x * a.entries[np.arange(n), perms] * eps).sum(axis=1))
-    return _summarize(vals, exact=False)
+    return AverageResult.mean_of(vals, exact=False)
 
 
 @dataclass
@@ -175,7 +130,6 @@ class DistortionReport:
     ratio_min: float
     ratio_max: float
     samples: int
-    scheme: str
 
     def __post_init__(self):
         if self.ratio_min <= 0 or self.ratio_max < self.ratio_min:
@@ -206,9 +160,4 @@ def distortion_estimate(
     if (denoms == 0.0).any():
         raise ValueError("zero-norm direction")
     ratios = psi_exact(a, directions) / denoms
-    return DistortionReport(
-        float(ratios.min()),
-        float(ratios.max()),
-        ratios.size,
-        f"gaussian+basis+ones (seed {sampler.seed})",
-    )
+    return DistortionReport(float(ratios.min()), float(ratios.max()), ratios.size)

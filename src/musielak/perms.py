@@ -7,10 +7,14 @@ The central quantity is the l2 permutation average
 over the symmetric group.  Each average enumerates every permutation when
 called without a sampler (up to its exact limit), and is a seeded Monte
 Carlo estimate over ``samples`` draws of the ``PermutationSampler`` it is
-given.  The module also provides the two-permutation max average and the
-decreasing-rearrangement bound it is equivalent to, the matrix norm ||x||_a
-(greedy top-N selection), and the piecewise-affine system whose Luxemburg
-norm sandwiches ||x||_a within exact factors 1/2 and 2.
+given.  The exact l2 average of a batch of vectors is one walk down the
+prefix tree of S_n (``walk_prefix_tree``), which sums each prefix once for
+all the permutations that share it; the exact L1 norm of ``embed`` is the
+same walk with a sign axis.  The module also provides the two-permutation
+max average and the decreasing-rearrangement bound it is equivalent to, the
+matrix norm ||x||_a (greedy top-N selection), and the piecewise-affine
+system whose Luxemburg norm sandwiches ||x||_a within exact factors 1/2
+and 2.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ __all__ = [
     "build_b_vector",
     "ave_max_vector",
     "all_permutations",
+    "walk_prefix_tree",
     "N_EXACT",
     "N_EXACT_PAIRS",
     "DEFAULT_SAMPLES",
@@ -108,7 +113,9 @@ class PermutationSampler:
         return PermutationSampler(int(derived))
 
     def permutations(self, n: int, count: int) -> np.ndarray:
-        """(count, n) array of independent uniform permutations."""
+        """(count, n) array of independent uniform permutations: the draws of a Monte Carlo average."""
+        if count < 1:  # a mean of no draws is nan
+            raise ValueError(f"samples must be at least 1, got {count}")
         perms = np.tile(np.arange(n), (count, 1))
         rows = np.arange(count)
         for i in range(n - 1, 0, -1):
@@ -148,6 +155,14 @@ class AverageResult:
             raise ValueError("mode must be 'exact' or 'monte-carlo'")
         if self.mode == "exact" and self.stderr != 0.0:
             raise ValueError("exact results have zero standard error")
+
+    @classmethod
+    def mean_of(cls, values: np.ndarray, exact: bool) -> AverageResult:
+        """The mean of ``values``: over a whole table if ``exact``, else over Monte Carlo draws."""
+        if exact:
+            return cls(float(values.mean()), "exact", values.size)
+        stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+        return cls(float(values.mean()), "monte-carlo", values.size, stderr)
 
 
 def dra(values) -> np.ndarray:
@@ -195,13 +210,6 @@ def _permutation_rows(n: int, sampler, samples: int, limit: int) -> np.ndarray:
     return all_permutations(n)
 
 
-def _summarize(values: np.ndarray, exact: bool) -> AverageResult:
-    if exact:
-        return AverageResult(float(values.mean()), "exact", values.size)
-    stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return AverageResult(float(values.mean()), "monte-carlo", values.size, stderr)
-
-
 @functools.cache
 def _prefix_tree(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The prefix tree of ``all_permutations(n)``: ``(levels, leaf_order)``, read-only.
@@ -243,19 +251,33 @@ def _node_entries(n: int) -> np.ndarray:
     return flat
 
 
-# elements of each (vectors, n!) work buffer in one pass of ave_l2_exact
+# elements of each of the two work buffers in one pass of ``walk_prefix_tree``
 _BATCH_ELEMENTS = 1 << 16
 
 
-def ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
-    """Exact l2 permutation averages of each row of the (V, n) batch ``xs``.
+def walk_prefix_tree(
+    a: WeightMatrix, xs, limit: int, signs: tuple[float, ...], power: int, depth: int, fold
+) -> np.ndarray:
+    """Walk ``depth`` levels down the signed prefix tree of S_n, for each row of the (V, n) batch ``xs``.
 
-    One walk down the prefix tree of S_n serves the whole batch: the partial
-    sum sum_{i<k} x_i^2 a_{i,pi(i)}^2 of a prefix is computed once for all
-    the permutations that share it.  Each leaf is still summed in i order
-    and the leaves are averaged in table order (no BLAS), so row v of the
-    result has the same bits as a batch of ``xs[v]`` alone, and as the flat
-    sum over the table's rows.
+    The exact kernels ``ave_l2_exact`` and ``embed.psi_exact`` are this walk
+    and a fold of its last level.  A node of level k is a pair
+    (eps_0 .. eps_k, pi(0) .. pi(k)) and holds the partial sum
+    sum_{i<=k} eps_i x_i^power a_{i,pi(i)}^power, computed once for every
+    permutation below it.  eps_0 = +1, and each later eps_i runs over
+    ``signs``, which starts with +1.  Level k is laid out (eps_k, parent
+    sign pattern, child slot, parent prefix), the prefixes as in
+    ``_prefix_tree``: its terms are multiplied into the next work buffer,
+    and its parent level is added in place by one broadcast.
+
+    ``depth`` is n or n - 1.  The batch runs in passes of at most
+    ``_BATCH_ELEMENTS`` nodes per work buffer; each pass's rows of the
+    result are ``fold(sums, spare)``.  ``sums`` is (rows, sign patterns,
+    prefixes) at level depth - 1, or the empty prefix 0 for depth 0.
+    ``spare`` is a free (rows, n!) buffer, which for depth n - 1 holds the
+    last level's |x_{n-1}|^power a_{n-1,pi(n-1)}^power.  Every node is
+    summed in i order, elementwise (no BLAS), so row v of the result has the
+    same bits as a batch of ``xs[v]`` alone.
     """
     if not a.is_square:
         raise ValueError("needs a square matrix")
@@ -263,39 +285,66 @@ def ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != n:
         raise ValueError("vector length must match matrix dimension")
-    if n > N_EXACT:
-        raise ValueError(f"exact mode limited to n <= {N_EXACT}")
+    if n > limit:
+        raise ValueError(f"exact mode limited to n <= {limit}")
     levels, leaf_order = _prefix_tree(n)
-    leaves = len(leaf_order)
-    step = max(1, _BATCH_ELEMENTS // leaves)
-    width = min(step, len(xs)) * leaves
+    leaves = leaf_order.size
+    nodes = len(signs) ** (depth - 1) * levels[depth - 1].size if depth else 1  # of the deepest level walked
+    step = max(1, _BATCH_ELEMENTS // nodes)
+    rows = min(step, len(xs))  # vectors per pass
     # one allocation for the two work buffers, reused by every level of every pass, and for
-    # a_{k,pi(k)}^2 at each node of each level k: fresh temporaries cost page faults
-    nodes = _node_entries(n)
-    block = np.empty(2 * width + nodes.size)
-    work = block[:width], block[width : 2 * width]
-    flat = np.take(a.entries**2, nodes, out=block[2 * width :], mode="clip")
-    g2, end = [], 0
-    for level in levels:
-        g2.append(flat[end : end + level.size])
+    # a_{k,pi(k)}^power at each node of each level k: fresh temporaries cost page faults
+    entries = _node_entries(n)
+    block = np.empty(2 * rows * nodes + entries.size)
+    work = block[: rows * nodes], block[rows * nodes : 2 * rows * nodes]
+    flat = (a.entries**power).take(entries, out=block[2 * rows * nodes :], mode="clip")
+    # every pass has the same shape, so each level's views are made once: its gathers (child
+    # slot, parent prefix), its nodes (vectors, eps_k, parent sign pattern, child slot, parent
+    # prefix), and its parent level as (vectors, 1, sign pattern, 1, prefix)
+    root = parent = work[0][:rows].reshape(rows, 1, 1, 1, 1)  # the empty prefix
+    plan, end, patterns = [], 0, 1
+    for k, level in enumerate(levels[:depth]):
+        eps = 1 if k == 0 else len(signs)  # eps_0 = +1 only
+        shape = (n - k, level.size // (n - k))
+        nxt = work[(k + 1) % 2][: rows * eps * patterns * level.size].reshape(rows, eps, patterns, *shape)
+        plan.append((eps, flat[end : end + level.size].reshape(shape), nxt, parent))
+        patterns *= eps
+        parent = nxt.reshape(rows, 1, patterns, 1, level.size)
         end += level.size
-    x2 = xs**2
+    sums = parent[:, 0, :, 0]  # (vectors, sign pattern, prefix) at level depth - 1
+    spare = work[(depth + 1) % 2][: rows * leaves].reshape(rows, leaves)
+    xp = xs**power
+    signed = np.multiply.outer(xp, signs)[..., None, None, None]  # (vectors, i, eps_i, 1, 1, 1)
     out = np.empty(len(xs))
     for start in range(0, len(xs), step):
-        chunk = x2[start : start + step]
-        rows = len(chunk)
-        acc = work[0][:rows].reshape(rows, 1)  # the empty prefix; 0 + p is p for every p >= 0
-        acc[:] = 0.0
-        for k, g in enumerate(g2):
-            nxt = work[(k + 1) % 2][: rows * g.size].reshape(rows, g.size)
-            np.multiply(chunk[:, k : k + 1], g, out=nxt)
-            grown = nxt.reshape(rows, n - k, -1)  # (vectors, child slot, parent prefix)
-            np.add(grown, acc[:, None, :], out=grown)
-            acc = nxt
-        ordered = work[(n + 1) % 2][: rows * leaves].reshape(rows, leaves)
-        np.take(acc, leaf_order, axis=1, out=ordered, mode="clip")  # leaves back in table order
-        out[start : start + rows] = np.sqrt(ordered, out=ordered).mean(axis=1)
+        start = min(start, len(xs) - rows)  # the last pass ends at the last vector, repeating a few
+        x = signed[start : start + rows]
+        root.fill(0.0)
+        for k, (eps, g, nxt, parent) in enumerate(plan):
+            np.multiply(x[:, k, :eps], g, out=nxt)
+            np.add(nxt, parent, out=nxt)  # t + u is u + t exactly: each sum stays in i order
+        if depth < n:
+            np.multiply(np.abs(xp[start : start + rows, -1:]), flat[-leaves:], out=spare)
+        out[start : start + rows] = fold(sums, spare)
     return out
+
+
+def ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
+    """Exact l2 permutation averages of each row of the (V, n) batch ``xs``.
+
+    ``walk_prefix_tree`` over all n levels, with the single sign +1, sums
+    x_i^2 a_{i,pi(i)}^2 for the whole batch, each prefix once for all the
+    permutations that share it.  The leaves are put back in table order
+    before the mean, so row v of the result has the same bits as a batch of
+    ``xs[v]`` alone, and as the flat sum over the table's rows.
+    """
+
+    def fold(sums, spare):
+        _, leaf_order = _prefix_tree(a.n)
+        sums.reshape(spare.shape).take(leaf_order, axis=1, out=spare, mode="clip")  # table order
+        return np.sqrt(spare, out=spare).mean(axis=1)
+
+    return walk_prefix_tree(a, xs, N_EXACT, (1.0,), 2, a.n, fold)
 
 
 def ave_l2(
@@ -315,7 +364,7 @@ def ave_l2(
         value = ave_l2_exact(a, x[None, :])[0]
         return AverageResult(float(value), "exact", math.factorial(n))
     gathered = a.entries[np.arange(n), sampler.permutations(n, samples)]  # (P, n)
-    return _summarize(np.sqrt(((x * gathered) ** 2).sum(axis=1)), exact=False)
+    return AverageResult.mean_of(np.sqrt(((x * gathered) ** 2).sum(axis=1)), exact=False)
 
 
 def ave_max_two(
@@ -334,10 +383,10 @@ def ave_max_two(
         acc = next(gathers)  # (P, P): |a(i, pi(i), sigma(i))| over pairs (pi, sigma)
         for g in gathers:
             np.maximum(acc, g, out=acc)
-        return _summarize(acc.ravel(), exact=True)
+        return AverageResult.mean_of(acc.ravel(), exact=True)
     sigmas = sampler.permutations(n, samples)
     vals = np.abs(a3[np.arange(n)[None, :], pis, sigmas]).max(axis=1)
-    return _summarize(vals, exact=False)
+    return AverageResult.mean_of(vals, exact=False)
 
 
 def dra_sum_bound(a3) -> float:
@@ -424,4 +473,4 @@ def ave_max_vector(
         raise ValueError("need two vectors of equal length")
     perms = _permutation_rows(b.size, sampler, samples, N_EXACT)
     vals = np.abs(y * b[perms]).max(axis=1)
-    return _summarize(vals, exact=sampler is None)
+    return AverageResult.mean_of(vals, exact=sampler is None)

@@ -353,7 +353,7 @@ def _break_khintchine(monkeypatch):
 def _break_roundtrip(monkeypatch):
     from musielak.convex import EquivalenceReport
 
-    report = EquivalenceReport(0.1, 1.0, [0.1, 1.0], 2)
+    report = EquivalenceReport(0.1, 1.0, [0.1, 1.0])
     monkeypatch.setattr(construct, "roundtrip_check", lambda a: report)
 
 
@@ -362,7 +362,7 @@ def _break_construct(monkeypatch):
 
 
 def _break_distortion(monkeypatch):
-    report = embed.DistortionReport(0.1, 10.0, 2, "forced")
+    report = embed.DistortionReport(0.1, 10.0, 2)
     monkeypatch.setattr(embed, "distortion_estimate", lambda *args, **kwargs: report)
 
 

@@ -373,7 +373,7 @@ def test_newton_matches_bisection(kind, data):
 class TestEquivalence:
     def test_report_invariant(self):
         with pytest.raises(ValueError):
-            EquivalenceReport(1.0, 2.0, np.array([0.5]), 1)
+            EquivalenceReport(1.0, 2.0, np.array([0.5]))
 
 
 # -- the array builders against the per-row reference -------------------------

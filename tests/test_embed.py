@@ -185,10 +185,10 @@ class TestDistortion:
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):
-            DistortionReport(2.0, 1.0, 5, "x")
+            DistortionReport(2.0, 1.0, 5)
         with pytest.raises(ValueError):
-            DistortionReport(0.0, 1.0, 5, "x")
-        assert DistortionReport(0.5, 1.5, 5, "x").distortion == pytest.approx(3.0)
+            DistortionReport(0.0, 1.0, 5)
+        assert DistortionReport(0.5, 1.5, 5).distortion == pytest.approx(3.0)
 
     def test_dimension_mismatch(self):
         a = random_matrix(3)

@@ -225,6 +225,26 @@ def test_sampler_selects_exact_or_monte_carlo(name):
     with pytest.raises(ValueError, match=f"limited to n <= {limit}"):
         average(*past)
     assert average(*past, sampler=PermutationSampler(7), samples=100).mode == "monte-carlo"
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            average(a, x, a3, sampler=PermutationSampler(7), samples=samples)
+
+
+@pytest.mark.parametrize(
+    "kernel,limit", [(ave_l2_exact, N_EXACT), (psi_exact, N_EXACT_PSI)], ids=["ave_l2_exact", "psi_exact"]
+)
+def test_exact_kernels_check_their_input(kernel, limit):
+    a, x, _ = average_inputs(3)
+    with pytest.raises(ValueError, match="square"):
+        kernel(WeightMatrix(np.ones((2, 3))), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="must match matrix dimension"):
+        kernel(a, np.ones((2, 4)))
+    with pytest.raises(ValueError, match="must match matrix dimension"):
+        kernel(a, x)  # a single vector, not a batch
+    past, _, _ = average_inputs(limit + 1)
+    with pytest.raises(ValueError, match=f"limited to n <= {limit}"):
+        kernel(past, np.ones((1, limit + 1)))
+    assert kernel(a, np.empty((0, 3))).shape == (0,)
 
 
 def fancy_index_ave_max_two(a3) -> float:
