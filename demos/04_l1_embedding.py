@@ -25,9 +25,9 @@ n = 4
 a = WeightMatrix(np.sort(rng.uniform(0.05, 1, (n, n)), axis=1)[:, ::-1])
 x = rng.normal(size=n)
 
-# The embedded norm, by exhaustive enumeration of 2^n n! coordinates.
-res = psi_image_norm(a, x)
-print(f"||Psi(x)||_1 = {res.value:.8f}  ({res.samples} table entries)")
+# The embedded norm of a batch of vectors, by exhaustive enumeration of 2^n n! coordinates.
+res = psi_image_norm(a, [x, 2.0 * x])
+print(f"||Psi(x)||_1 = {res.value[0]:.8f}, ||Psi(2x)||_1 = {res.value[1]:.8f}  ({res.samples} table entries)")
 
 # Khintchine sandwich: (1/sqrt 2) Ave <= ||Psi(x)|| <= Ave, exactly.
 rep = khintchine_sandwich_check(a, x)

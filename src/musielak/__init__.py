@@ -20,7 +20,6 @@ from .perms import (
     PermutationSampler,
     WeightMatrix,
     ave_l2,
-    ave_l2_exact,
     ave_max_two,
     ave_max_vector,
     build_b_vector,
@@ -50,7 +49,6 @@ from .embed import (
     distortion_estimate,
     khintchine_sandwich_check,
     psi_image_norm,
-    sign_patterns,
 )
 
 __version__ = "0.1.0"

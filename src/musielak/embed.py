@@ -10,9 +10,10 @@ Khintchine's inequality, and the ratio against the Musielak-Orlicz norm
 gives an empirical upper-bound witness for the Banach-Mazur distance to the
 image subspace.
 
-``psi_exact`` computes the exact norm of a batch of vectors with one
-``perms.walk_prefix_tree`` over the signs +-1, and folds the last level in
-closed form.
+``psi_image_norm`` computes the norm of a (V, n) batch of vectors.  Exact,
+it is one ``perms.walk_prefix_tree`` over the signs +-1, with the last
+level folded in closed form; with a sampler, ``perms.monte_carlo_average``
+over one draw of (sign pattern, permutation) pairs shared by the batch.
 """
 
 from __future__ import annotations
@@ -27,15 +28,15 @@ from .perms import (
     DEFAULT_SAMPLES,
     AverageResult,
     PermutationSampler,
+    SandwichReport,
     WeightMatrix,
     ave_l2,
+    monte_carlo_average,
     walk_prefix_tree,
 )
 
 __all__ = [
     "DistortionReport",
-    "sign_patterns",
-    "psi_exact",
     "psi_image_norm",
     "khintchine_sandwich_check",
     "distortion_estimate",
@@ -48,23 +49,26 @@ N_EXACT_PSI = 6
 KHINTCHINE_TOL = 1e-12
 
 
-def sign_patterns(n: int) -> np.ndarray:
-    """(2^n, n) array of all +-1 patterns."""
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    return (2 * bits - 1).astype(float)
+def psi_image_norm(
+    a: WeightMatrix,
+    xs,
+    sampler: PermutationSampler | None = None,
+    samples: int = DEFAULT_SAMPLES,
+) -> AverageResult:
+    """Normalized L1 norms ||Psi(x)|| of each row of the (V, n) batch ``xs``.
 
-
-def psi_exact(a: WeightMatrix, xs) -> np.ndarray:
-    """Exact normalized L1 norms ||Psi(x)|| of each row of the (V, n) batch ``xs``.
-
+    Without a sampler, exact over all (sign pattern, permutation) pairs.
     The sum only changes sign under eps -> -eps, so the walk fixes
     eps_0 = +1 and stops one level short, at the partial sums u over
     i <= n - 2.  With v = x_{n-1} a_{n-1,pi(n-1)}, the exact identity
     |u + v| + |u - v| = 2 max(|u|, |v|) folds the last level, so the norm is
     the mean of max(|u|, |v|) over the n! 2^(n-2) nodes of level n - 2 (or
-    the empty prefix, u = 0, for n = 1).  A vector alone and in a batch give
-    the same bits.
+    the empty prefix, u = 0, for n = 1).  With a sampler, the mean over
+    ``samples`` uniform pairs by ``monte_carlo_average``, with its standard
+    error.  A vector alone and in a batch give the same bits.
     """
+    if sampler is not None:
+        return monte_carlo_average(a, xs, (1.0, -1.0), 1, np.abs, sampler, samples)
 
     def fold(sums, v):  # v holds |v| at each leaf
         np.abs(sums, out=sums)
@@ -72,50 +76,17 @@ def psi_exact(a: WeightMatrix, xs) -> np.ndarray:
         # the mean, as ndarray.mean computes it
         return np.add.reduce(sums.reshape(len(sums), -1), axis=1) / sums[0].size
 
-    return walk_prefix_tree(a, xs, N_EXACT_PSI, (1.0, -1.0), 1, a.n - 1, fold)
+    value = walk_prefix_tree(a, xs, N_EXACT_PSI, (1.0, -1.0), 1, a.n - 1, fold)
+    return AverageResult(value, "exact", 2**a.n * math.factorial(a.n), np.zeros(value.shape))
 
 
-def psi_image_norm(
-    a: WeightMatrix,
-    x,
-    sampler: PermutationSampler | None = None,
-    samples: int = DEFAULT_SAMPLES,
-) -> AverageResult:
-    """Normalized L1 norm of the embedded vector.
-
-    Without a sampler, exact over all (sign pattern, permutation) pairs by
-    ``psi_exact``; with one, the mean over ``samples`` independent uniform
-    pairs drawn from it, with its standard error.
-    """
-    if not a.is_square:
-        raise ValueError("needs a square matrix")
-    n = a.n
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError("vector length must match matrix dimension")
-    if sampler is None:  # psi_exact enumerates, and checks the limit
-        value = psi_exact(a, x[None, :])[0]
-        return AverageResult(float(value), "exact", 2**n * math.factorial(n))
-    perms = sampler.permutations(n, samples)
-    eps = sampler.signs(n, samples)
-    vals = np.abs((x * a.entries[np.arange(n), perms] * eps).sum(axis=1))
-    return AverageResult.mean_of(vals, exact=False)
-
-
-@dataclass
-class KhintchineReport:
-    lower: float  # (1/sqrt 2) * l2 average
-    value: float  # embedded L1 norm
-    upper: float  # l2 average
-    passed: bool
-
-
-def khintchine_sandwich_check(a: WeightMatrix, x) -> KhintchineReport:
+def khintchine_sandwich_check(a: WeightMatrix, x) -> SandwichReport:
     """Exact check of (1/sqrt 2) Ave <= ||Psi(x)|| <= Ave, within ``KHINTCHINE_TOL``."""
-    ave = ave_l2(a, x).value
-    psi = psi_exact(a, np.asarray(x, dtype=float)[None, :])[0]
+    xs = np.asarray(x, dtype=float)[None, :]
+    ave = float(ave_l2(a, xs).value[0])
+    psi = float(psi_image_norm(a, xs).value[0])
     passed = ave / np.sqrt(2.0) - KHINTCHINE_TOL <= psi <= ave + KHINTCHINE_TOL
-    return KhintchineReport(ave / np.sqrt(2.0), float(psi), ave, passed)
+    return SandwichReport(ave / np.sqrt(2.0), psi, ave, passed)
 
 
 @dataclass
@@ -159,5 +130,5 @@ def distortion_estimate(
     denoms = np.array([luxemburg_norm(system, x) for x in directions])
     if (denoms == 0.0).any():
         raise ValueError("zero-norm direction")
-    ratios = psi_exact(a, directions) / denoms
+    ratios = psi_image_norm(a, directions).value / denoms
     return DistortionReport(float(ratios.min()), float(ratios.max()), ratios.size)

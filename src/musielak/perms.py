@@ -7,14 +7,17 @@ The central quantity is the l2 permutation average
 over the symmetric group.  Each average enumerates every permutation when
 called without a sampler (up to its exact limit), and is a seeded Monte
 Carlo estimate over ``samples`` draws of the ``PermutationSampler`` it is
-given.  The exact l2 average of a batch of vectors is one walk down the
-prefix tree of S_n (``walk_prefix_tree``), which sums each prefix once for
-all the permutations that share it; the exact L1 norm of ``embed`` is the
-same walk with a sign axis.  The module also provides the two-permutation
-max average and the decreasing-rearrangement bound it is equivalent to, the
-matrix norm ||x||_a (greedy top-N selection), and the piecewise-affine
-system whose Luxemburg norm sandwiches ||x||_a within exact factors 1/2
-and 2.
+given.  ``ave_l2`` and ``embed.psi_image_norm`` take a (V, n) batch of
+vectors.  Exact, each is one walk down the prefix tree of S_n
+(``walk_prefix_tree``), which sums each prefix once for all the
+permutations that share it, with a sign axis for the L1 norm of ``embed``.
+Sampled, each is ``monte_carlo_average`` over one draw of permutations (and
+signs) that the whole batch shares.  Both paths check the batch at the same
+boundary, and give a row alone and in a batch the same bits.  The module
+also provides the two-permutation max average and the
+decreasing-rearrangement bound it is equivalent to, the matrix norm ||x||_a
+(greedy top-N selection), and the piecewise-affine system whose Luxemburg
+norm sandwiches ||x||_a within exact factors 1/2 and 2.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "AverageResult",
     "dra",
     "ave_l2",
-    "ave_l2_exact",
     "ave_max_two",
     "dra_sum_bound",
     "matrix_norm_a",
@@ -43,6 +45,7 @@ __all__ = [
     "ave_max_vector",
     "all_permutations",
     "walk_prefix_tree",
+    "monte_carlo_average",
     "N_EXACT",
     "N_EXACT_PAIRS",
     "DEFAULT_SAMPLES",
@@ -99,8 +102,8 @@ class PermutationSampler:
     """Reproducible uniform permutation/sign sampler.
 
     Built on a counter-based Philox stream so that identical seeds yield
-    identical draws on every platform.  Permutations are produced by an
-    explicit (vectorized) Fisher-Yates shuffle driven by the stream.
+    identical draws on every platform.  A permutation is the stable argsort
+    of n uniforms from the stream.
     """
 
     def __init__(self, seed: int):
@@ -116,15 +119,7 @@ class PermutationSampler:
         """(count, n) array of independent uniform permutations: the draws of a Monte Carlo average."""
         if count < 1:  # a mean of no draws is nan
             raise ValueError(f"samples must be at least 1, got {count}")
-        perms = np.tile(np.arange(n), (count, 1))
-        rows = np.arange(count)
-        for i in range(n - 1, 0, -1):
-            j = self._rng.integers(0, i + 1, size=count)
-            perms[rows, i], perms[rows, j] = perms[rows, j], perms[rows, i]
-        return perms
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.permutations(n, 1)[0]
+        return np.argsort(self._rng.random((count, n)), axis=1, kind="stable")
 
     def signs(self, n: int, count: int) -> np.ndarray:
         """(count, n) array of independent uniform +-1 patterns."""
@@ -142,18 +137,20 @@ class AverageResult:
     """A permutation-average value, exact or Monte Carlo.
 
     Exact results carry zero standard error; Monte Carlo results report the
-    sample standard deviation divided by sqrt(samples).
+    sample standard deviation divided by sqrt(samples).  The averages of a
+    batch of vectors (``ave_l2``, ``embed.psi_image_norm``) hold one value
+    and one standard error per vector, as (V,) arrays.
     """
 
-    value: float
+    value: float | np.ndarray
     mode: str  # "exact" | "monte-carlo"
     samples: int
-    stderr: float = 0.0
+    stderr: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.mode not in ("exact", "monte-carlo"):
             raise ValueError("mode must be 'exact' or 'monte-carlo'")
-        if self.mode == "exact" and self.stderr != 0.0:
+        if self.mode == "exact" and np.count_nonzero(self.stderr):
             raise ValueError("exact results have zero standard error")
 
     @classmethod
@@ -251,6 +248,18 @@ def _node_entries(n: int) -> np.ndarray:
     return flat
 
 
+def _check_batch(a: WeightMatrix, xs) -> np.ndarray:
+    """``xs`` as a (V, n) float batch of finite vectors for the square matrix ``a``, or a ValueError."""
+    if not a.is_square:
+        raise ValueError("needs a square matrix")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != a.n:
+        raise ValueError("vector length must match matrix dimension")
+    if not np.isfinite(xs).all():
+        raise ValueError(f"xs: row {int(np.argmin(np.isfinite(xs).all(axis=1)))} has a non-finite entry")
+    return xs
+
+
 # elements of each of the two work buffers in one pass of ``walk_prefix_tree``
 _BATCH_ELEMENTS = 1 << 16
 
@@ -260,7 +269,7 @@ def walk_prefix_tree(
 ) -> np.ndarray:
     """Walk ``depth`` levels down the signed prefix tree of S_n, for each row of the (V, n) batch ``xs``.
 
-    The exact kernels ``ave_l2_exact`` and ``embed.psi_exact`` are this walk
+    The exact paths of ``ave_l2`` and ``embed.psi_image_norm`` are this walk
     and a fold of its last level.  A node of level k is a pair
     (eps_0 .. eps_k, pi(0) .. pi(k)) and holds the partial sum
     sum_{i<=k} eps_i x_i^power a_{i,pi(i)}^power, computed once for every
@@ -279,12 +288,8 @@ def walk_prefix_tree(
     summed in i order, elementwise (no BLAS), so row v of the result has the
     same bits as a batch of ``xs[v]`` alone.
     """
-    if not a.is_square:
-        raise ValueError("needs a square matrix")
+    xs = _check_batch(a, xs)
     n = a.n
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != n:
-        raise ValueError("vector length must match matrix dimension")
     if n > limit:
         raise ValueError(f"exact mode limited to n <= {limit}")
     levels, leaf_order = _prefix_tree(n)
@@ -329,42 +334,67 @@ def walk_prefix_tree(
     return out
 
 
-def ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
-    """Exact l2 permutation averages of each row of the (V, n) batch ``xs``.
+def monte_carlo_average(
+    a: WeightMatrix,
+    xs,
+    signs: tuple[float, ...],
+    power: int,
+    finish,
+    sampler: PermutationSampler,
+    samples: int,
+) -> AverageResult:
+    """Monte Carlo means of finish(sum_i eps_i x_i^power a_{i,pi(i)}^power) for the (V, n) batch ``xs``.
 
-    ``walk_prefix_tree`` over all n levels, with the single sign +1, sums
-    x_i^2 a_{i,pi(i)}^2 for the whole batch, each prefix once for all the
-    permutations that share it.  The leaves are put back in table order
-    before the mean, so row v of the result has the same bits as a batch of
-    ``xs[v]`` alone, and as the flat sum over the table's rows.
+    The sampled counterpart of ``walk_prefix_tree``: ``samples`` permutations
+    pi are drawn from ``sampler``, and as many sign patterns eps when
+    ``signs`` has two entries (+-1), and the whole batch shares them.  The
+    terms eps_i a_{i,pi(i)}^power are gathered once; each row sums its
+    terms in i order, elementwise (no BLAS), applies ``finish`` (a ufunc)
+    and is reduced to its mean and standard error before the next row, so
+    memory is O(samples), and row v has the same bits as a batch of
+    ``xs[v]`` alone.
     """
+    xs = _check_batch(a, xs)
+    n = a.n
+    terms = (a.entries**power)[np.arange(n)[:, None], sampler.permutations(n, samples).T]  # (n, samples)
+    if len(signs) == 2:
+        terms *= sampler.signs(n, samples).T
+    value, stderr = np.empty(len(xs)), np.empty(len(xs))
+    acc, term = np.empty(samples), np.empty(samples)
+    for v, x in enumerate(xs**power):
+        np.multiply(x[0], terms[0], out=acc)
+        for i in range(1, n):
+            acc += np.multiply(x[i], terms[i], out=term)
+        row = AverageResult.mean_of(finish(acc, out=acc), exact=False)
+        value[v], stderr[v] = row.value, row.stderr
+    return AverageResult(value, "monte-carlo", samples, stderr)
+
+
+def ave_l2(
+    a: WeightMatrix,
+    xs,
+    sampler: PermutationSampler | None = None,
+    samples: int = DEFAULT_SAMPLES,
+) -> AverageResult:
+    """Ave_pi ( sum_i (x_i a_{i,pi(i)})^2 )^(1/2) over uniform pi, for each row of the (V, n) batch ``xs``.
+
+    Without a sampler, exact: ``walk_prefix_tree`` over all n levels, with
+    the single sign +1, sums x_i^2 a_{i,pi(i)}^2 for the whole batch, each
+    prefix once for all the permutations that share it.  The leaves are put
+    back in table order before the mean, so row v has the same bits as a
+    batch of ``xs[v]`` alone, and as the flat sum over the table's rows.
+    With a sampler, ``monte_carlo_average`` over ``samples`` permutations.
+    """
+    if sampler is not None:
+        return monte_carlo_average(a, xs, (1.0,), 2, np.sqrt, sampler, samples)
 
     def fold(sums, spare):
         _, leaf_order = _prefix_tree(a.n)
         sums.reshape(spare.shape).take(leaf_order, axis=1, out=spare, mode="clip")  # table order
         return np.sqrt(spare, out=spare).mean(axis=1)
 
-    return walk_prefix_tree(a, xs, N_EXACT, (1.0,), 2, a.n, fold)
-
-
-def ave_l2(
-    a: WeightMatrix,
-    x,
-    sampler: PermutationSampler | None = None,
-    samples: int = DEFAULT_SAMPLES,
-) -> AverageResult:
-    """Ave_pi ( sum_i (x_i a_{i,pi(i)})^2 )^(1/2) over uniform permutations."""
-    if not a.is_square:
-        raise ValueError("needs a square matrix")
-    n = a.n
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError("vector length must match matrix dimension")
-    if sampler is None:  # ave_l2_exact enumerates, and checks the limit
-        value = ave_l2_exact(a, x[None, :])[0]
-        return AverageResult(float(value), "exact", math.factorial(n))
-    gathered = a.entries[np.arange(n), sampler.permutations(n, samples)]  # (P, n)
-    return AverageResult.mean_of(np.sqrt(((x * gathered) ** 2).sum(axis=1)), exact=False)
+    value = walk_prefix_tree(a, xs, N_EXACT, (1.0,), 2, a.n, fold)
+    return AverageResult(value, "exact", math.factorial(a.n), np.zeros(value.shape))
 
 
 def ave_max_two(

@@ -69,7 +69,7 @@ def _equivalence_bands(dims, vectors, make_pair, rng):
         a, system = make_pair(n)
         for _ in range(vectors):
             x = rng.normal(size=n)
-            ratios.append(perms.ave_l2(a, x).value / luxemburg_norm(system, x))
+            ratios.append(perms.ave_l2(a, [x]).value[0] / luxemburg_norm(system, x))
         bands.append(band_of(ratios))
     return bands
 
@@ -177,11 +177,11 @@ def test_09_oracle_equivalences():
         greedy_ok = greedy_ok and got == pytest.approx(want, rel=1e-12)
     a = random_matrix(rng, 7)
     x = rng.normal(size=7)
-    exact = perms.ave_l2(a, x).value
+    exact = perms.ave_l2(a, [x]).value[0]
     hits = 0
     for seed in range(100):
-        res = perms.ave_l2(a, x, sampler=PermutationSampler(seed), samples=20_000)
-        hits += abs(res.value - exact) <= 4 * res.stderr
+        res = perms.ave_l2(a, [x], sampler=PermutationSampler(seed), samples=20_000)
+        hits += abs(res.value[0] - exact) <= 4 * res.stderr[0]
     _report(
         9,
         "greedy matrix norm = brute force on 500 instances; MC within 4 SE on >= 99/100 runs",

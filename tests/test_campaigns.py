@@ -33,7 +33,7 @@ def test_thm1_row_replays_from_instance_key():
     s = PermutationSampler(SEED).spawn(n * 10_000 + k)
     a = _decreasing(s, n)
     x = [s.normals(n) for _ in range(v + 1)][-1]
-    assert row["lhs"] == perms.ave_l2(a, x).value
+    assert row["lhs"] == perms.ave_l2(a, [x]).value[0]
     assert row["rhs"] == luxemburg_norm(construct.functions_from_matrix(a), x)
 
 
@@ -44,7 +44,7 @@ def test_thm2_row_replays_from_dimension_key():
     ps = itertools.islice(itertools.cycle(exponents), n)
     system = MusielakSystem(tuple(construct.power_orlicz(p) for p in ps))
     x = [s.normals(n) for _ in range(v + 1)][-1]
-    assert row["lhs"] == perms.ave_l2(construct.matrix_from_functions(system), x).value
+    assert row["lhs"] == perms.ave_l2(construct.matrix_from_functions(system), [x]).value[0]
     assert row["rhs"] == luxemburg_norm(system, x)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import itertools
 import json
@@ -347,7 +348,13 @@ def _break_lemma22(monkeypatch):
 
 
 def _break_khintchine(monkeypatch):
-    monkeypatch.setattr(embed, "psi_exact", _scaled(embed.psi_exact, 10.0))
+    psi = embed.psi_image_norm
+
+    def scaled(*args, **kwargs):
+        res = psi(*args, **kwargs)
+        return dataclasses.replace(res, value=10.0 * res.value)
+
+    monkeypatch.setattr(embed, "psi_image_norm", scaled)
 
 
 def _break_roundtrip(monkeypatch):

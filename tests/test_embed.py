@@ -11,9 +11,7 @@ from musielak.embed import (
     N_EXACT_PSI,
     distortion_estimate,
     khintchine_sandwich_check,
-    psi_exact,
     psi_image_norm,
-    sign_patterns,
 )
 from musielak.perms import PermutationSampler, WeightMatrix, all_permutations, ave_l2
 
@@ -33,6 +31,12 @@ def brute_psi_norm(a: WeightMatrix, x):
             total += abs(sum(x[i] * eps[i] * a.entries[i, p[i]] for i in range(n)))
             count += 1
     return total / count
+
+
+def sign_patterns(n: int) -> np.ndarray:
+    """(2^n, n) array of all +-1 patterns."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    return (2 * bits - 1).astype(float)
 
 
 def matmul_psi_norm(a: WeightMatrix, x):
@@ -56,52 +60,30 @@ class TestSignPatterns:
 class TestPsiNorm:
     def test_n1(self):
         a = WeightMatrix(np.array([[0.6]]))
-        res = psi_image_norm(a, [-2.0])
-        assert res.value == pytest.approx(1.2)
+        res = psi_image_norm(a, [[-2.0]])
+        assert res.value == pytest.approx([1.2])
         assert res.mode == "exact" and res.samples == 2
 
     def test_ones_matrix(self):
         # every table entry is |sum eps_i|; for n = 2 the mean of |e1 + e2|
         # over the four sign patterns is 1
         a = WeightMatrix(np.ones((2, 2)))
-        assert psi_image_norm(a, [1.0, 1.0]).value == pytest.approx(1.0)
-
-    def test_against_brute_force(self):
-        for n in [2, 3]:
-            a = random_matrix(n)
-            x = rng.normal(size=n)
-            assert psi_image_norm(a, x).value == pytest.approx(brute_psi_norm(a, x), rel=1e-13)
-
-    def test_sign_symmetry(self):
-        a = random_matrix(3)
-        x = rng.normal(size=3)
-        flipped = x * np.array([1.0, -1.0, 1.0])
-        assert psi_image_norm(a, x).value == pytest.approx(
-            psi_image_norm(a, flipped).value, rel=1e-13
-        )
+        assert psi_image_norm(a, [[1.0, 1.0]]).value == pytest.approx([1.0])
 
     def test_homogeneity(self):
         a = random_matrix(3)
-        x = rng.normal(size=3)
-        assert psi_image_norm(a, 2.5 * x).value == pytest.approx(
-            2.5 * psi_image_norm(a, x).value, rel=1e-13
+        xs = rng.normal(size=(2, 3))
+        assert psi_image_norm(a, 2.5 * xs).value == pytest.approx(
+            2.5 * psi_image_norm(a, xs).value, rel=1e-13
         )
-
-    def test_exact_limit(self):
-        with pytest.raises(ValueError):
-            psi_image_norm(random_matrix(7), np.ones(7))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            psi_image_norm(random_matrix(3), np.ones(4))
 
     def test_monte_carlo_close_to_exact(self):
         a = random_matrix(4)
-        x = rng.normal(size=4)
-        exact = psi_image_norm(a, x).value
-        res = psi_image_norm(a, x, sampler=PermutationSampler(17), samples=40_000)
-        assert res.mode == "monte-carlo" and res.stderr > 0
-        assert abs(res.value - exact) < 5 * res.stderr
+        xs = rng.normal(size=(3, 4))
+        exact = psi_image_norm(a, xs).value
+        res = psi_image_norm(a, xs, sampler=PermutationSampler(17), samples=40_000)
+        assert res.mode == "monte-carlo" and (res.stderr > 0).all()
+        assert (abs(res.value - exact) < 5 * res.stderr).all()
 
 
 class TestPsiExact:
@@ -109,36 +91,37 @@ class TestPsiExact:
         for n in range(1, N_EXACT_PSI + 1):
             a = random_matrix(n)
             x = rng.normal(size=n)
-            assert psi_exact(a, x[None, :])[0] == pytest.approx(brute_psi_norm(a, x), rel=1e-13)
+            assert psi_image_norm(a, [x]).value[0] == pytest.approx(brute_psi_norm(a, x), rel=1e-13)
 
     def test_against_matmul_oracle(self):
         for n in range(1, N_EXACT_PSI + 1):
             a = random_matrix(n)
             xs = rng.normal(size=(3, n))
             expected = [matmul_psi_norm(a, x) for x in xs]
-            np.testing.assert_allclose(psi_exact(a, xs), expected, rtol=1e-13)
+            np.testing.assert_allclose(psi_image_norm(a, xs).value, expected, rtol=1e-13)
 
     def test_batch_has_the_bits_of_single_calls(self):
         # 40 vectors at n = 6 take several passes of the kernel
         a = random_matrix(6)
         xs = rng.normal(size=(40, 6))
-        single = [psi_exact(a, x[None, :])[0] for x in xs]
-        assert np.array_equal(psi_exact(a, xs), single)
+        single = [psi_image_norm(a, [x]).value[0] for x in xs]
+        assert np.array_equal(psi_image_norm(a, xs).value, single)
 
     def test_coordinate_sign_flip(self):
         a = random_matrix(5)
         x = rng.normal(size=5)
         flipped = x * np.array([1.0, -1.0, 1.0, 1.0, -1.0])
-        np.testing.assert_allclose(psi_exact(a, [flipped]), psi_exact(a, [x]), rtol=1e-13)
+        expected = psi_image_norm(a, [x]).value
+        np.testing.assert_allclose(psi_image_norm(a, [flipped]).value, expected, rtol=1e-13)
 
     def test_exact_limit_named(self):
         n = N_EXACT_PSI + 1
         with pytest.raises(ValueError, match=f"n <= {N_EXACT_PSI}"):
-            psi_exact(random_matrix(n), np.ones((1, n)))
+            psi_image_norm(random_matrix(n), np.ones((1, n)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="vector length"):
-            psi_exact(random_matrix(3), np.ones((2, 4)))
+            psi_image_norm(random_matrix(3), np.ones((2, 4)))
 
 
 class TestKhintchine:
@@ -152,8 +135,8 @@ class TestKhintchine:
     def test_psi_below_l2_average(self):
         # the upper half of the sandwich separately (Jensen)
         a = random_matrix(4)
-        x = rng.normal(size=4)
-        assert psi_image_norm(a, x).value <= ave_l2(a, x).value + 1e-12
+        xs = rng.normal(size=(3, 4))
+        assert (psi_image_norm(a, xs).value <= ave_l2(a, xs).value + 1e-12).all()
 
     def test_lower_bound_tight_for_n1(self):
         # n = 1: |x a| on both sides, so value == upper exactly

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from musielak.convex import luxemburg_norm
-from musielak.embed import N_EXACT_PSI, psi_exact, psi_image_norm
+from musielak.embed import N_EXACT_PSI, psi_image_norm
 from musielak.perms import (
     N_EXACT,
     N_EXACT_PAIRS,
@@ -18,7 +18,6 @@ from musielak.perms import (
     _prefix_tree,
     all_permutations,
     ave_l2,
-    ave_l2_exact,
     ave_max_two,
     ave_max_vector,
     build_b_vector,
@@ -135,61 +134,57 @@ def matrix_and_batch(draw):
 @given(matrix_and_batch())
 def test_batched_exact_average_matches_brute_force(case):
     a, xs = case
-    values = ave_l2_exact(a, xs)
+    values = ave_l2(a, xs).value
     assert values.shape == (len(xs),)
     for x, value in zip(xs, values):
         assert value == pytest.approx(brute_ave_l2(a, x), rel=1e-12, abs=1e-300)
-        assert value == ave_l2(a, x).value  # the same bits, one vector or a batch
+        assert value == ave_l2(a, [x]).value[0]  # the same bits, one vector or a batch
 
 
 def test_batch_spanning_several_passes():
     # at n = 8 one pass of the kernel holds only one vector
     a, xs = random_matrix(8), rng.normal(size=(3, 8))
-    np.testing.assert_array_equal(ave_l2_exact(a, xs), [ave_l2(a, x).value for x in xs])
-    assert ave_l2_exact(a, xs[:1])[0] == pytest.approx(brute_ave_l2(a, xs[0]), rel=1e-12)
+    np.testing.assert_array_equal(ave_l2(a, xs).value, [ave_l2(a, [x]).value[0] for x in xs])
+    assert ave_l2(a, xs[:1]).value[0] == pytest.approx(brute_ave_l2(a, xs[0]), rel=1e-12)
 
 
 class TestAveL2:
     def test_constant_matrix(self):
         a = WeightMatrix(np.ones((2, 2)))
-        res = ave_l2(a, [1, 1])
-        assert res.value == pytest.approx(math.sqrt(2))
-        assert res.mode == "exact" and res.stderr == 0.0
+        res = ave_l2(a, [[1, 1]])
+        assert res.value == pytest.approx([math.sqrt(2)])
+        assert res.mode == "exact" and res.stderr.tolist() == [0.0]
 
     def test_n_equals_one(self):
         a = WeightMatrix(np.array([[0.7]]))
-        assert ave_l2(a, [-3.0]).value == pytest.approx(2.1)
+        assert ave_l2(a, [[-3.0]]).value == pytest.approx([2.1])
 
     def test_against_exhaustive_oracle(self):
         rows = np.array([[3.0, 2.0, 1.0]] * 3)
         a = WeightMatrix(rows)
-        x = np.ones(3)
+        x = np.ones((1, 3))
         expected = np.mean(
             [
                 math.sqrt(sum(rows[i, p[i]] ** 2 for i in range(3)))
                 for p in itertools.permutations(range(3))
             ]
         )
-        assert ave_l2(a, x).value == pytest.approx(expected, rel=1e-14)
+        assert ave_l2(a, x).value == pytest.approx([expected], rel=1e-14)
 
     def test_permutation_invariance(self):
         a = random_matrix(5)
-        x = rng.normal(size=5)
+        xs = rng.normal(size=(3, 5))
         sigma = rng.permutation(5)
         b = WeightMatrix(a.entries[sigma])
-        assert ave_l2(a, x).value == pytest.approx(ave_l2(b, x[sigma]).value, rel=1e-13)
-
-    def test_exact_limit(self):
-        with pytest.raises(ValueError):
-            ave_l2(random_matrix(9), np.ones(9))
+        assert ave_l2(a, xs).value == pytest.approx(ave_l2(b, xs[:, sigma]).value, rel=1e-13)
 
     def test_monte_carlo_close_to_exact(self):
         a = random_matrix(5)
-        x = rng.normal(size=5)
-        exact = ave_l2(a, x).value
-        res = ave_l2(a, x, sampler=PermutationSampler(11), samples=20_000)
-        assert res.mode == "monte-carlo" and res.stderr > 0
-        assert abs(res.value - exact) < 5 * res.stderr
+        xs = rng.normal(size=(3, 5))
+        exact = ave_l2(a, xs).value
+        res = ave_l2(a, xs, sampler=PermutationSampler(11), samples=20_000)
+        assert res.mode == "monte-carlo" and (res.stderr > 0).all()
+        assert (abs(res.value - exact) < 5 * res.stderr).all()
 
 
 def average_inputs(n):
@@ -201,13 +196,13 @@ def average_inputs(n):
 
 # each average called on average_inputs(n), and its exact limit
 AVERAGES = {
-    "ave_l2": (lambda a, x, a3, **kw: ave_l2(a, x, **kw), N_EXACT),
+    "ave_l2": (lambda a, x, a3, **kw: ave_l2(a, [x], **kw), N_EXACT),
     "ave_max_two": (lambda a, x, a3, **kw: ave_max_two(a3, **kw), N_EXACT_PAIRS),
     "ave_max_vector": (lambda a, x, a3, **kw: ave_max_vector(build_b_vector(len(x)), x, **kw), N_EXACT),
-    "psi_image_norm": (lambda a, x, a3, **kw: psi_image_norm(a, x, **kw), N_EXACT_PSI),
+    "psi_image_norm": (lambda a, x, a3, **kw: psi_image_norm(a, [x], **kw), N_EXACT_PSI),
 }
-# the batched kernels that the exact values must equal bit for bit
-EXACT_KERNELS = {"ave_l2": ave_l2_exact, "psi_image_norm": psi_exact}
+# the averages over a (V, n) batch of vectors
+BATCHED = {"ave_l2": (ave_l2, N_EXACT), "psi_image_norm": (psi_image_norm, N_EXACT_PSI)}
 
 
 @pytest.mark.parametrize("name", sorted(AVERAGES))
@@ -216,8 +211,6 @@ def test_sampler_selects_exact_or_monte_carlo(name):
     a, x, a3 = average_inputs(4)
     exact = average(a, x, a3)
     assert exact.mode == "exact" and exact.stderr == 0.0
-    if name in EXACT_KERNELS:
-        assert exact.value == EXACT_KERNELS[name](a, x[None, :])[0]
     estimate = average(a, x, a3, sampler=PermutationSampler(7), samples=20_000)
     assert estimate.mode == "monte-carlo" and estimate.samples == 20_000 and estimate.stderr > 0
     assert abs(estimate.value - exact.value) < 5 * estimate.stderr
@@ -230,21 +223,44 @@ def test_sampler_selects_exact_or_monte_carlo(name):
             average(a, x, a3, sampler=PermutationSampler(7), samples=samples)
 
 
-@pytest.mark.parametrize(
-    "kernel,limit", [(ave_l2_exact, N_EXACT), (psi_exact, N_EXACT_PSI)], ids=["ave_l2_exact", "psi_exact"]
-)
-def test_exact_kernels_check_their_input(kernel, limit):
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_exact_kernels_check_their_input(name):
+    average, limit = BATCHED[name]
     a, x, _ = average_inputs(3)
-    with pytest.raises(ValueError, match="square"):
-        kernel(WeightMatrix(np.ones((2, 3))), np.ones((1, 2)))
-    with pytest.raises(ValueError, match="must match matrix dimension"):
-        kernel(a, np.ones((2, 4)))
-    with pytest.raises(ValueError, match="must match matrix dimension"):
-        kernel(a, x)  # a single vector, not a batch
+    for sampler in (None, PermutationSampler(7)):  # the exact walk and the Monte Carlo kernel
+        with pytest.raises(ValueError, match="square"):
+            average(WeightMatrix(np.ones((2, 3))), np.ones((1, 2)), sampler, 10)
+        with pytest.raises(ValueError, match="must match matrix dimension"):
+            average(a, np.ones((2, 4)), sampler, 10)
+        with pytest.raises(ValueError, match="must match matrix dimension"):
+            average(a, x, sampler, 10)  # a single vector, not a batch
+        for bad in (np.nan, np.inf, -np.inf):
+            xs = np.ones((3, 3))
+            xs[1:, 2] = bad
+            with pytest.raises(ValueError, match="xs: row 1 has a non-finite entry"):
+                average(a, xs, sampler, 10)
+        assert average(a, np.empty((0, 3)), sampler, 10).value.shape == (0,)
     past, _, _ = average_inputs(limit + 1)
     with pytest.raises(ValueError, match=f"limited to n <= {limit}"):
-        kernel(past, np.ones((1, limit + 1)))
-    assert kernel(a, np.empty((0, 3))).shape == (0,)
+        average(past, np.ones((1, limit + 1)))
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_monte_carlo_batch_contract(name):
+    average, limit = BATCHED[name]
+    a, _, _ = average_inputs(4)
+    xs = np.random.default_rng(4).normal(size=(20, 4))
+    batch = average(a, xs, PermutationSampler(3), 5_000)
+    assert batch.mode == "monte-carlo" and batch.value.shape == batch.stderr.shape == (20,)
+    # the batch shares one sample: a row alone has the bits it has in the batch
+    alone = average(a, xs[7:8], PermutationSampler(3), 5_000)
+    assert (alone.value[0], alone.stderr[0]) == (batch.value[7], batch.stderr[7])
+    # every row within 5 standard errors of the exact average
+    assert (abs(batch.value - average(a, xs).value) < 5 * batch.stderr).all()
+    # far past the exact limits
+    big, _, _ = average_inputs(32)
+    far = average(big, np.random.default_rng(32).normal(size=(5, 32)), PermutationSampler(5), 2_000)
+    assert np.isfinite(far.value).all() and (far.stderr > 0).all()
 
 
 def fancy_index_ave_max_two(a3) -> float:
@@ -474,12 +490,12 @@ def test_prefix_tree_kernel_has_the_flat_kernels_bits(n):
     a = random_matrix(n)
     xs = np.vstack([np.zeros(n), rng.normal(size=(15, n))])  # several passes at n = 7 and 8
     for scale in (1e-170, 1e-150, 1.0, 1e150, 1e170):
-        values = ave_l2_exact(a, scale * xs)
+        values = ave_l2(a, scale * xs).value
         np.testing.assert_array_equal(values, _flat_ave_l2_exact(a, scale * xs))
         assert values[0] == 0.0
     # squares underflow to 0 and overflow to inf at the extreme scales
-    assert (ave_l2_exact(a, 1e-170 * xs) == 0.0).all()
-    assert np.isinf(ave_l2_exact(a, 1e170 * xs[1:])).all()
+    assert (ave_l2(a, 1e-170 * xs).value == 0.0).all()
+    assert np.isinf(ave_l2(a, 1e170 * xs[1:]).value).all()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
