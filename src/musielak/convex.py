@@ -246,7 +246,7 @@ class MusielakSystem:
 class TwoConcavityReport:
     passed: bool
     strictly: bool
-    worst_margin: float  # largest relative second difference; positive = violation
+    worst_margin: float  # positive = violation; see ``is_two_concave``
 
 
 # is_two_concave's grid: points log-spaced over [lo, hi], and the tolerance of the second differences
@@ -256,16 +256,19 @@ TWO_CONCAVITY_TOL = 1e-12
 
 
 def is_two_concave(m: OrliczFunction) -> TwoConcavityReport:
-    """Certify concavity of t -> M(sqrt t) on a log-spaced grid.
+    """Decide whether t -> M(sqrt t) is concave, and strictly so.
 
-    Checks midpoint concavity between consecutive grid points, within
-    ``TWO_CONCAVITY_TOL``.  The strict variant additionally requires
-    second differences below ``-TWO_CONCAVITY_TOL``.  The grid stops at
-    ``domain_bound**2`` where M has a finite domain, since M(sqrt t) is
-    +inf past it.
+    For a ``PowerFunction`` c t^p, M(sqrt t) = c t^(p/2): concave iff p <= 2,
+    strictly iff p < 2, and ``worst_margin`` is p/2 - 1.  A piecewise-affine
+    M is checked on a log-spaced grid, up to ``domain_bound**2`` if M has a
+    finite domain: its second differences between consecutive points, over
+    max(|M(sqrt mid)|, 1), must not exceed ``TWO_CONCAVITY_TOL`` (strictly:
+    must stay below ``-TWO_CONCAVITY_TOL``); ``worst_margin`` is the largest.
     """
+    if isinstance(m, PowerFunction):  # the grid's rounding hides the strictness of p just below 2
+        return TwoConcavityReport(bool(m.p <= 2), bool(m.p < 2), m.p / 2 - 1)
     lo, hi = TWO_CONCAVITY_RANGE
-    if getattr(m, "domain_bound", None) is not None:
+    if m.domain_bound is not None:
         hi = min(hi, m.domain_bound**2)
     t = np.logspace(math.log10(lo), math.log10(hi), TWO_CONCAVITY_POINTS)
     g = lambda u: m(np.sqrt(u))

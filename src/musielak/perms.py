@@ -13,8 +13,10 @@ vectors.  Exact, each is one walk down the prefix tree of S_n
 permutations that share it, with a sign axis for the L1 norm of ``embed``.
 Sampled, each is ``monte_carlo_average`` over one draw of permutations (and
 signs) that the whole batch shares.  Both paths check the batch at the same
-boundary, and give a row alone and in a batch the same bits.  The module
-also provides the two-permutation max average and the
+boundary, and give a row alone and in a batch the same bits.  The prefix
+tree is the module's one enumeration of S_n: ``all_permutations``, the
+table that the exact max averages gather from, is its leaves in tree
+order.  The module also provides the two-permutation max average and the
 decreasing-rearrangement bound it is equivalent to, the matrix norm ||x||_a
 (greedy top-N selection), and the piecewise-affine system whose Luxemburg
 norm sandwiches ||x||_a within exact factors 1/2 and 2.
@@ -176,24 +178,35 @@ def dra(values) -> np.ndarray:
 
 
 @functools.cache
-def all_permutations(n: int) -> np.ndarray:
-    """(n!, n) read-only table of all permutations of range(n), in lexicographic order.
+def _prefix_tree(n: int) -> tuple[np.ndarray, ...]:
+    """The prefix tree of S_n, the module's one enumeration of it: a read-only ``uint8`` level per k.
 
-    Built once per n: the block of permutations starting with f is f followed
-    by the table for n - 1 relabelled onto range(n) minus f.  Stored as
-    ``uint8`` (n! rows outgrow memory long before n reaches 256).
+    ``levels[k]`` holds pi(k) at each of the n!/(n-k-1)! prefixes of length
+    k + 1, laid out child-slot-major: with P = n!/(n-k)! prefixes of length
+    k, child j of prefix p (its j-th smallest unused value) sits at j * P + p.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    table = np.zeros((1, 0), dtype=np.uint8)
-    for k in range(1, n + 1):
-        rows = table.shape[0]
-        grown = np.empty((k * rows, k), dtype=np.uint8)
-        for first in range(k):
-            block = grown[first * rows : (first + 1) * rows]
-            block[:, 0] = first
-            block[:, 1:] = table + (table >= first)
-        table = grown
+    unused = np.arange(n, dtype=np.uint8)[:, None]  # (rank, prefix): each prefix's unused values, increasing
+    levels = []
+    for m in range(n, 0, -1):  # m = n - k unused values per prefix of length k
+        level = unused.ravel()  # child j of prefix p at j * P + p
+        level.flags.writeable = False
+        levels.append(level)
+        rest = np.arange(m - 1)  # child j keeps the ranks other than j
+        unused = unused[rest + (rest >= np.arange(m)[:, None])].transpose(1, 0, 2).reshape(m - 1, unused.size)
+    return tuple(levels)
+
+
+@functools.cache
+def all_permutations(n: int) -> np.ndarray:
+    """(n!, n) read-only table of all permutations of range(n): the leaves of ``_prefix_tree(n)``, in tree order.
+
+    The level-k ancestor of leaf t is node t mod |level k|, so column k is
+    level k repeated.  Stored as ``uint8`` (n! rows outgrow memory long
+    before n reaches 256).
+    """
+    table = np.empty((math.factorial(n), n), dtype=np.uint8)  # a ValueError for n < 0
+    for k, level in enumerate(_prefix_tree(n)):
+        table[:, k] = np.resize(level, len(table))
     table.flags.writeable = False
     return table
 
@@ -208,38 +221,12 @@ def _permutation_rows(n: int, sampler, samples: int, limit: int) -> np.ndarray:
 
 
 @functools.cache
-def _prefix_tree(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The prefix tree of ``all_permutations(n)``: ``(levels, leaf_order)``, read-only.
-
-    ``levels[k]`` holds pi(k) (``uint8``) at each of the n!/(n-k-1)! prefixes
-    of length k + 1, laid out child-slot-major: with P = n!/(n-k)! prefixes
-    of length k, child j of prefix p (its j-th smallest unused value) sits at
-    j * P + p.  Level n - 1 is the n! leaves; row r of the table is leaf
-    ``leaf_order[r]``.
-    """
-    table = all_permutations(n)
-    node = np.zeros(len(table), dtype=np.intp)  # each row's node at the current level
-    levels = []
-    width = 1  # prefixes of length k
-    for k in range(n):
-        slot = (table[:, k + 1 :] < table[:, k : k + 1]).sum(axis=1)  # rank of pi(k) among the unused values
-        node += slot * width
-        width *= n - k
-        level = np.empty(width, dtype=np.uint8)
-        level[node] = table[:, k]
-        level.flags.writeable = False
-        levels.append(level)
-    node.flags.writeable = False
-    return tuple(levels), node
-
-
-@functools.cache
 def _node_entries(n: int) -> np.ndarray:
     """Flat indices into an (n, n) matrix of a_{k,pi(k)} at every node of ``_prefix_tree(n)``.
 
     Level k's nodes in the tree's layout, levels concatenated; read-only.
     """
-    levels, _ = _prefix_tree(n)
+    levels = _prefix_tree(n)
     flat, end = np.empty(sum(level.size for level in levels), dtype=np.intp), 0
     for k, level in enumerate(levels):
         np.add(level, k * n, out=flat[end : end + level.size], dtype=np.intp)
@@ -292,8 +279,8 @@ def walk_prefix_tree(
     n = a.n
     if n > limit:
         raise ValueError(f"exact mode limited to n <= {limit}")
-    levels, leaf_order = _prefix_tree(n)
-    leaves = leaf_order.size
+    levels = _prefix_tree(n)
+    leaves = math.factorial(n)
     nodes = len(signs) ** (depth - 1) * levels[depth - 1].size if depth else 1  # of the deepest level walked
     step = max(1, _BATCH_ELEMENTS // nodes)
     rows = min(step, len(xs))  # vectors per pass
@@ -380,21 +367,35 @@ def ave_l2(
 
     Without a sampler, exact: ``walk_prefix_tree`` over all n levels, with
     the single sign +1, sums x_i^2 a_{i,pi(i)}^2 for the whole batch, each
-    prefix once for all the permutations that share it.  The leaves are put
-    back in table order before the mean, so row v has the same bits as a
-    batch of ``xs[v]`` alone, and as the flat sum over the table's rows.
+    prefix once for all the permutations that share it.  The leaves are in
+    the table's order, so row v has the same bits as a batch of ``xs[v]``
+    alone, and as the flat sum over the table's rows.
     With a sampler, ``monte_carlo_average`` over ``samples`` permutations.
     """
     if sampler is not None:
         return monte_carlo_average(a, xs, (1.0,), 2, np.sqrt, sampler, samples)
 
-    def fold(sums, spare):
-        _, leaf_order = _prefix_tree(a.n)
-        sums.reshape(spare.shape).take(leaf_order, axis=1, out=spare, mode="clip")  # table order
-        return np.sqrt(spare, out=spare).mean(axis=1)
+    def fold(sums, spare):  # the leaves, in the table's order
+        return np.sqrt(sums, out=sums).reshape(len(sums), -1).mean(axis=1)
 
     value = walk_prefix_tree(a, xs, N_EXACT, (1.0,), 2, a.n, fold)
     return AverageResult(value, "exact", math.factorial(a.n), np.zeros(value.shape))
+
+
+def _check_cube(a3) -> np.ndarray:
+    """``a3`` as a finite n x n x n float array, n >= 1, or a ValueError."""
+    a3 = np.asarray(a3, dtype=float)
+    if a3.ndim != 3 or len(set(a3.shape)) != 1 or a3.size == 0 or not np.isfinite(a3).all():
+        raise ValueError("needs a finite cubic n x n x n array, n >= 1")
+    return a3
+
+
+def _check_vector(v, name: str) -> np.ndarray:
+    """``v`` as a nonempty finite float vector, or a ValueError that names it."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0 or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be a nonempty finite vector")
+    return v
 
 
 def ave_max_two(
@@ -403,9 +404,7 @@ def ave_max_two(
     samples: int = DEFAULT_SAMPLES,
 ) -> AverageResult:
     """Ave over pairs (pi, sigma) of max_i |a(i, pi(i), sigma(i))|."""
-    a3 = np.asarray(a3, dtype=float)
-    if a3.ndim != 3 or len(set(a3.shape)) != 1 or a3.size == 0:
-        raise ValueError("needs a cubic n x n x n array, n >= 1")
+    a3 = _check_cube(a3)
     n = a3.shape[0]
     pis = _permutation_rows(n, sampler, samples, N_EXACT_PAIRS)
     if sampler is None:  # every pair of rows of the table, one coordinate i at a time
@@ -421,9 +420,7 @@ def ave_max_two(
 
 def dra_sum_bound(a3) -> float:
     """(1/n^2) * (sum of the n^2 largest absolute entries of the cube)."""
-    a3 = np.asarray(a3, dtype=float)
-    if a3.ndim != 3 or len(set(a3.shape)) != 1:
-        raise ValueError("needs a cubic n x n x n array")
+    a3 = _check_cube(a3)
     n = a3.shape[0]
     s = dra(a3.ravel())
     return float(s[: n * n].sum() / (n * n))
@@ -436,7 +433,7 @@ def matrix_norm_a(a: WeightMatrix, x) -> float:
     taking the N largest values among a_{i,j} |x_i| (which automatically form
     row prefixes).
     """
-    x = np.abs(np.asarray(x, dtype=float))
+    x = np.abs(_check_vector(x, "x"))
     if x.shape != (a.n,):
         raise ValueError("vector length must match matrix row count")
     vals = (a.entries * x[:, None]).ravel()
@@ -497,9 +494,8 @@ def ave_max_vector(
     samples: int = DEFAULT_SAMPLES,
 ) -> AverageResult:
     """Ave_sigma max_k |y_k b_{sigma(k)}| over uniform permutations."""
-    b = np.asarray(b, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if b.shape != y.shape or b.ndim != 1:
+    b, y = _check_vector(b, "b"), _check_vector(y, "y")
+    if b.shape != y.shape:
         raise ValueError("need two vectors of equal length")
     perms = _permutation_rows(b.size, sampler, samples, N_EXACT)
     vals = np.abs(y * b[perms]).max(axis=1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from musielak.campaigns import make_matrix
-from musielak.construct import ConstructionError, conjugate_inverse_knots, functions_from_matrix
+from musielak.construct import ConstructionError, conjugate_inverse_knots, functions_from_matrix, power_orlicz
 from musielak.convex import (
     DegenerateTailError,
     EquivalenceReport,
@@ -209,6 +209,13 @@ class TestTwoConcavity:
     def test_strict(self):
         rep = is_two_concave(PowerFunction(1.5))
         assert rep.passed and rep.strictly
+
+    @pytest.mark.parametrize("p", [1.5, 1.9, 1.95, 1.99])
+    @pytest.mark.parametrize("power", [PowerFunction, power_orlicz])
+    def test_strict_below_two(self, power, p):
+        # every p < 2 is strictly 2-concave, however close to 2
+        rep = is_two_concave(power(p))
+        assert rep.passed and rep.strictly and rep.worst_margin < 0
 
     def test_boundary_case(self):
         rep = is_two_concave(PowerFunction(2.0))

@@ -15,6 +15,7 @@ from musielak.perms import (
     AverageResult,
     PermutationSampler,
     WeightMatrix,
+    _node_entries,
     _prefix_tree,
     all_permutations,
     ave_l2,
@@ -285,6 +286,18 @@ class TestAveMaxTwo:
         with pytest.raises(ValueError, match="cubic"):
             ave_max_two(np.ones((0, 0, 0)))
 
+    @pytest.mark.parametrize("average", [ave_max_two, dra_sum_bound])
+    def test_bad_cube_rejected(self, average):
+        for shape in [(0, 0, 0), (2, 2, 3), (2, 2)]:
+            with pytest.raises(ValueError, match="needs a finite cubic n x n x n array, n >= 1"):
+                average(np.ones(shape))
+        # a NaN sorts out of dra_sum_bound's top entries, and makes ave_max_two's mean nan
+        for bad in (np.nan, np.inf, -np.inf):
+            a3 = np.ones((3, 3, 3))
+            a3[1, 2, 0] = bad
+            with pytest.raises(ValueError, match="needs a finite cubic"):
+                average(a3)
+
     def test_single_entry(self):
         assert ave_max_two(np.full((1, 1, 1), -2.5)).value == pytest.approx(2.5)
 
@@ -330,6 +343,11 @@ class TestMatrixNorm:
 
     def test_zero_vector(self):
         assert matrix_norm_a(random_matrix(3), np.zeros(3)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="x must be a nonempty finite vector"):
+            matrix_norm_a(random_matrix(3), [1.0, bad, 0.0])
 
     def test_budget_split(self):
         a = WeightMatrix(np.array([[2.0, 1.0], [3.0, 1.0]]))
@@ -406,6 +424,16 @@ class TestBVector:
 class TestAveMaxVector:
     def test_n1(self):
         assert ave_max_vector([2.0], [-1.5]).value == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_empty_or_non_finite_rejected(self, bad):
+        b, y = build_b_vector(3), np.ones(3)
+        with pytest.raises(ValueError, match="y must be a nonempty finite vector"):
+            ave_max_vector(b, [1.0, 1.0, bad])
+        with pytest.raises(ValueError, match="b must be a nonempty finite vector"):
+            ave_max_vector([bad, 1.0, 1.0], y, PermutationSampler(1), 10)
+        with pytest.raises(ValueError, match="b must be a nonempty finite vector"):
+            ave_max_vector([], [])
 
     def test_two_permutations(self):
         res = ave_max_vector(build_b_vector(2), [1.0, 0.0])
@@ -498,10 +526,22 @@ def test_prefix_tree_kernel_has_the_flat_kernels_bits(n):
     assert np.isinf(ave_l2(a, 1e170 * xs[1:]).value).all()
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_prefix_tree_leaves_rebuild_the_table(n):
-    levels, leaf_order = _prefix_tree(n)
+    levels = _prefix_tree(n)
     assert [len(level) for level in levels] == [math.perm(n, k + 1) for k in range(n)]
-    # child-slot-major: the ancestor at level k of leaf t is node t mod (size of level k)
-    rebuilt = np.stack([level[leaf_order % len(level)] for level in levels], axis=1)
+    # child-slot-major: child j of prefix p, at j * P + p, takes p's j-th smallest unused value
+    assert all((np.diff(level.reshape(n - k, -1).astype(int), axis=0) > 0).all() for k, level in enumerate(levels))
+    # the ancestor at level k of leaf t is node t mod (size of level k)
+    leaves = np.arange(math.factorial(n))
+    rebuilt = np.stack([level[leaves % len(level)] for level in levels], axis=1)
+    assert sorted(map(tuple, rebuilt.tolist())) == list(itertools.permutations(range(n)))  # each once
     np.testing.assert_array_equal(rebuilt, all_permutations(n))
+
+
+def test_exact_walk_builds_no_table():
+    for cache in (all_permutations, _prefix_tree, _node_entries):
+        cache.cache_clear()
+    ave_l2(random_matrix(8), rng.normal(size=(3, 8)))
+    psi_image_norm(random_matrix(6), rng.normal(size=(3, 6)))
+    assert all_permutations.cache_info().currsize == 0
