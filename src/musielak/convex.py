@@ -290,19 +290,23 @@ def luxemburg_norm(system: MusielakSystem, x) -> float:
     with s = 1/rho.  It starts at s0 = min_i M_i^{-1}(1)/|x_i|, where no
     term exceeds 1 or leaves its domain (the generalized inverse never
     passes a domain bound); if F(s0) <= 1, the term that attains the
-    minimum passes 1 or its domain bound right after s0, so s0 is the
-    root.  F is convex and
-    nondecreasing, so the root of the tangent at s (left derivative) lies
-    between the true root and s: the iterates fall monotonically, exactly
-    onto the root once they reach its affine piece.  Returns 0 for the zero
-    vector by definition.
+    minimum passes 1 or its domain bound right after s0, so s0 is the root.
+    F is convex and nondecreasing, so the root of the tangent at s (left
+    derivative) lies between the true root and s: the iterates fall
+    monotonically, exactly onto the root once they reach its affine piece.
+    Returns 0 for the zero vector by definition.  It solves for |x| / 2^e,
+    2^e the power of two just above max_i |x_i|, and scales back: the
+    iterates only scale (exactly), while s0 and the slope stay finite at
+    both ends of the float range.
     """
     absx = np.abs(np.asarray(x, dtype=float))
     if len(absx) != system.n:
         raise ValueError("vector length must match system dimension")
     if not np.isfinite(absx).all():
         raise ValueError(f"vector x must be finite, got {np.asarray(x).tolist()}")
-    terms = [(m, xi) for m, xi in zip(system, absx.tolist()) if xi > 0.0]
+    absx = absx.tolist()
+    e = math.frexp(max(absx, default=0.0))[1]
+    terms = [(m, xi) for m, xi in zip(system, [math.ldexp(v, -e) for v in absx]) if xi > 0.0]
     if not terms:
         return 0.0
     s = min(m.unit_inverse / xi for m, xi in terms)
@@ -313,11 +317,9 @@ def luxemburg_norm(system: MusielakSystem, x) -> float:
             v, d = value_and_slope(xi * s)
             total += v
             slope += xi * d
-        if total <= 1.0:
-            return 1.0 / s
-        step = s - (total - 1.0) / slope
-        if not step < s:
-            return 1.0 / s
+        step = s - (total - 1.0) / slope if total > 1.0 else s
+        if not step < s:  # s is the root
+            return math.ldexp(1.0 / s, e)
         s = step
 
 

@@ -14,12 +14,12 @@ permutations that share it, with a sign axis for the L1 norm of ``embed``.
 Sampled, each is ``monte_carlo_average`` over one draw of permutations (and
 signs) that the whole batch shares.  Both paths check the batch at the same
 boundary, and give a row alone and in a batch the same bits.  The prefix
-tree is the module's one enumeration of S_n: ``all_permutations``, the
-table that the exact max averages gather from, is its leaves in tree
-order.  The module also provides the two-permutation max average and the
-decreasing-rearrangement bound it is equivalent to, the matrix norm ||x||_a
-(greedy top-N selection), and the piecewise-affine system whose Luxemburg
-norm sandwiches ||x||_a within exact factors 1/2 and 2.
+tree is the module's one enumeration of S_n; the exact max averages walk
+it with ``np.maximum`` in place of the add.  The module also provides the
+two-permutation max average and the decreasing-rearrangement bound it is
+equivalent to, the matrix norm ||x||_a (greedy top-N selection), and the
+piecewise-affine system whose Luxemburg norm sandwiches ||x||_a within
+exact factors 1/2 and 2.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "lemma_matrixnorm_check",
     "build_b_vector",
     "ave_max_vector",
-    "all_permutations",
     "walk_prefix_tree",
     "monte_carlo_average",
     "N_EXACT",
@@ -70,8 +69,8 @@ class WeightMatrix:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2:
-            raise ValueError("entries must be a 2-d array")
+        if entries.ndim != 2 or entries.size == 0:
+            raise ValueError("entries must be a nonempty 2-d array")
         n, N = entries.shape
         if n > N:
             raise ValueError("need n <= N")
@@ -157,7 +156,7 @@ class AverageResult:
 
     @classmethod
     def mean_of(cls, values: np.ndarray, exact: bool) -> AverageResult:
-        """The mean of ``values``: over a whole table if ``exact``, else over Monte Carlo draws."""
+        """The mean of ``values``: over every permutation (or pair) if ``exact``, else over Monte Carlo draws."""
         if exact:
             return cls(float(values.mean()), "exact", values.size)
         stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
@@ -196,28 +195,11 @@ def _prefix_tree(n: int) -> tuple[np.ndarray, ...]:
     return tuple(levels)
 
 
-@functools.cache
-def all_permutations(n: int) -> np.ndarray:
-    """(n!, n) read-only table of all permutations of range(n): the leaves of ``_prefix_tree(n)``, in tree order.
-
-    The level-k ancestor of leaf t is node t mod |level k|, so column k is
-    level k repeated.  Stored as ``uint8`` (n! rows outgrow memory long
-    before n reaches 256).
-    """
-    table = np.empty((math.factorial(n), n), dtype=np.uint8)  # a ValueError for n < 0
-    for k, level in enumerate(_prefix_tree(n)):
-        table[:, k] = np.resize(level, len(table))
-    table.flags.writeable = False
-    return table
-
-
-def _permutation_rows(n: int, sampler, samples: int, limit: int) -> np.ndarray:
-    """The permutations an average runs over: all of them without a sampler (n <= ``limit``), or a sample."""
-    if sampler is not None:
-        return sampler.permutations(n, samples)
+def _exact_levels(n: int, limit: int) -> tuple[np.ndarray, ...]:
+    """The levels of ``_prefix_tree(n)`` for an exact average, or a ValueError past its ``limit``."""
     if n > limit:
         raise ValueError(f"exact mode limited to n <= {limit}")
-    return all_permutations(n)
+    return _prefix_tree(n)
 
 
 @functools.cache
@@ -277,9 +259,7 @@ def walk_prefix_tree(
     """
     xs = _check_batch(a, xs)
     n = a.n
-    if n > limit:
-        raise ValueError(f"exact mode limited to n <= {limit}")
-    levels = _prefix_tree(n)
+    levels = _exact_levels(n, limit)
     leaves = math.factorial(n)
     nodes = len(signs) ** (depth - 1) * levels[depth - 1].size if depth else 1  # of the deepest level walked
     step = max(1, _BATCH_ELEMENTS // nodes)
@@ -367,15 +347,15 @@ def ave_l2(
 
     Without a sampler, exact: ``walk_prefix_tree`` over all n levels, with
     the single sign +1, sums x_i^2 a_{i,pi(i)}^2 for the whole batch, each
-    prefix once for all the permutations that share it.  The leaves are in
-    the table's order, so row v has the same bits as a batch of ``xs[v]``
-    alone, and as the flat sum over the table's rows.
+    prefix once for all the permutations that share it.  Each leaf is summed
+    in i order, so row v has the same bits as a batch of ``xs[v]`` alone,
+    and as the flat sum over the permutations in the tree's leaf order.
     With a sampler, ``monte_carlo_average`` over ``samples`` permutations.
     """
     if sampler is not None:
         return monte_carlo_average(a, xs, (1.0,), 2, np.sqrt, sampler, samples)
 
-    def fold(sums, spare):  # the leaves, in the table's order
+    def fold(sums, spare):  # the leaves, in tree order
         return np.sqrt(sums, out=sums).reshape(len(sums), -1).mean(axis=1)
 
     value = walk_prefix_tree(a, xs, N_EXACT, (1.0,), 2, a.n, fold)
@@ -403,19 +383,26 @@ def ave_max_two(
     sampler: PermutationSampler | None = None,
     samples: int = DEFAULT_SAMPLES,
 ) -> AverageResult:
-    """Ave over pairs (pi, sigma) of max_i |a(i, pi(i), sigma(i))|."""
+    """Ave over pairs (pi, sigma) of max_i |a(i, pi(i), sigma(i))|.
+
+    Exact: a walk down ``_prefix_tree(n)`` on two axes at once.  Level k is
+    the (node, node) matrix of |a(k, pi(k), sigma(k))|, folded by
+    ``np.maximum`` into its parent pair of prefixes; the leaves come out in
+    (pi, sigma) tree order.  Sampled: pi is drawn before sigma.
+    """
     a3 = _check_cube(a3)
     n = a3.shape[0]
-    pis = _permutation_rows(n, sampler, samples, N_EXACT_PAIRS)
-    if sampler is None:  # every pair of rows of the table, one coordinate i at a time
-        gathers = (np.abs(a3[i]).take(pis[:, i], 0).take(pis[:, i], 1) for i in range(n))
-        acc = next(gathers)  # (P, P): |a(i, pi(i), sigma(i))| over pairs (pi, sigma)
-        for g in gathers:
-            np.maximum(acc, g, out=acc)
-        return AverageResult.mean_of(acc.ravel(), exact=True)
-    sigmas = sampler.permutations(n, samples)
-    vals = np.abs(a3[np.arange(n)[None, :], pis, sigmas]).max(axis=1)
-    return AverageResult.mean_of(vals, exact=False)
+    if sampler is not None:
+        pis, sigmas = sampler.permutations(n, samples), sampler.permutations(n, samples)
+        vals = np.abs(a3[np.arange(n)[None, :], pis, sigmas]).max(axis=1)
+        return AverageResult.mean_of(vals, exact=False)
+    acc = np.zeros((1, 1))  # the empty pair of prefixes
+    for k, level in enumerate(_exact_levels(n, N_EXACT_PAIRS)):
+        m = np.abs(a3[k]).take(level, 0).take(level, 1)  # child slot j of prefix p at j * P + p, on both axes
+        pairs = m.reshape(n - k, len(acc), n - k, len(acc))
+        np.maximum(pairs, acc[None, :, None, :], out=pairs)
+        acc = m
+    return AverageResult.mean_of(acc.ravel(), exact=True)
 
 
 def dra_sum_bound(a3) -> float:
@@ -493,10 +480,20 @@ def ave_max_vector(
     sampler: PermutationSampler | None = None,
     samples: int = DEFAULT_SAMPLES,
 ) -> AverageResult:
-    """Ave_sigma max_k |y_k b_{sigma(k)}| over uniform permutations."""
+    """Ave_sigma max_k |y_k b_{sigma(k)}| over uniform permutations.
+
+    Exact, it is ``ave_max_two``'s walk on one axis, with |y_k b_j| at level k.
+    """
     b, y = _check_vector(b, "b"), _check_vector(y, "y")
     if b.shape != y.shape:
         raise ValueError("need two vectors of equal length")
-    perms = _permutation_rows(b.size, sampler, samples, N_EXACT)
-    vals = np.abs(y * b[perms]).max(axis=1)
-    return AverageResult.mean_of(vals, exact=sampler is None)
+    if sampler is not None:
+        vals = np.abs(y * b[sampler.permutations(b.size, samples)]).max(axis=1)
+        return AverageResult.mean_of(vals, exact=False)
+    acc = np.zeros(1)  # the empty prefix
+    for k, level in enumerate(_exact_levels(b.size, N_EXACT)):
+        m = np.abs(y[k] * b.take(level))
+        nodes = m.reshape(-1, len(acc))  # child slot j of prefix p at j * P + p
+        np.maximum(nodes, acc, out=nodes)
+        acc = m
+    return AverageResult.mean_of(acc, exact=True)

@@ -305,6 +305,27 @@ class TestLuxemburgNorm:
         s = MusielakSystem((c, c))
         assert luxemburg_norm(s, [3.0, -1.0]) == pytest.approx(2.0, rel=1e-15)
 
+    def test_ends_of_the_float_range(self):
+        # unscaled, the Newton slope overflows at 1e308 and the start 1/|x| at 1e-310
+        power = MusielakSystem((PowerFunction(1.5),) * 2)
+        assert luxemburg_norm(power, [1e308, 1e308]) == pytest.approx(2 ** (2 / 3) * 1e308, rel=1e-15)
+        assert luxemburg_norm(MusielakSystem((PowerFunction(1.5),)), [1e-310]) == pytest.approx(1e-310, rel=1e-12)
+        prefix = prefix_sum_system(WeightMatrix(np.ones((2, 2))))
+        assert luxemburg_norm(prefix, [1e-310, 0.0]) == pytest.approx(1e-310 * luxemburg_norm(prefix, [1.0, 0.0]), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_exact_homogeneity_by_powers_of_two(self, k):
+        draws = np.random.default_rng(abs(k))
+        pwa = prefix_sum_system(WeightMatrix(np.sort(draws.uniform(0.05, 1, (3, 4)), axis=1)[:, ::-1]))
+        for s in (
+            MusielakSystem((PowerFunction(1.5), PowerFunction(2.5), PowerFunction(1.2))),
+            pwa,
+            MusielakSystem((PowerFunction(1.5), pwa[1], PowerFunction(3))),
+        ):
+            for _ in range(20):
+                x = draws.choice([-1.0, 0.0, 1.0], 3) * draws.uniform(0.01, 10, 3)
+                assert luxemburg_norm(s, math.ldexp(1.0, k) * x) == math.ldexp(luxemburg_norm(s, x), k)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vector_rejected(self, bad):
         lin = PiecewiseAffineConvex([0.0, 1.0], [0.0, 1.0], 1.0)

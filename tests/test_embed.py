@@ -13,7 +13,7 @@ from musielak.embed import (
     khintchine_sandwich_check,
     psi_image_norm,
 )
-from musielak.perms import PermutationSampler, WeightMatrix, all_permutations, ave_l2
+from musielak.perms import PermutationSampler, WeightMatrix, ave_l2
 
 rng = np.random.default_rng(31337)
 
@@ -42,7 +42,8 @@ def sign_patterns(n: int) -> np.ndarray:
 def matmul_psi_norm(a: WeightMatrix, x):
     """Oracle: the full (2^n, n!) table of signed sums by one matrix product."""
     n = a.n
-    terms = np.asarray(x) * a.entries[np.arange(n), all_permutations(n)]  # (n!, n)
+    perms = np.array(list(itertools.permutations(range(n))))
+    terms = np.asarray(x) * a.entries[np.arange(n), perms]  # (n!, n)
     return float(np.abs(sign_patterns(n) @ terms.T).mean())
 
 

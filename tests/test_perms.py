@@ -17,7 +17,6 @@ from musielak.perms import (
     WeightMatrix,
     _node_entries,
     _prefix_tree,
-    all_permutations,
     ave_l2,
     ave_max_two,
     ave_max_vector,
@@ -93,19 +92,32 @@ class TestSampler:
         np.testing.assert_array_equal(a, PermutationSampler(7).spawn(1).permutations(5, 10))
 
 
+def tree_order_table(n) -> np.ndarray:
+    """(n!, n) table of all permutations, row t the leaf t of ``_prefix_tree(n)``.
+
+    The level-k ancestor of leaf t is node t mod (size of level k), so
+    column k is level k repeated.  The exact walks' leaves come out in this
+    order, so the bit-exact oracles below read it.
+    """
+    return np.stack([np.resize(level, math.factorial(n)) for level in _prefix_tree(n)], axis=1)
+
+
 class TestAllPermutations:
+    """S_n's one enumeration: the prefix tree, and the tree-order table of its leaves that the oracles read."""
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_itertools(self, n):
-        table = all_permutations(n)
+        table = tree_order_table(n)
         assert table.shape == (math.factorial(n), n)
         assert {tuple(row) for row in table.tolist()} == set(itertools.permutations(range(n)))
 
     def test_cached_and_read_only(self):
-        table = all_permutations(6)
-        assert all_permutations(6) is table
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 1
+        levels = _prefix_tree(6)
+        assert _prefix_tree(6) is levels
+        for level in levels:
+            assert not level.flags.writeable
+            with pytest.raises(ValueError):
+                level[0] = 1
 
 
 def brute_ave_l2(a: WeightMatrix, x) -> float:
@@ -224,6 +236,29 @@ def test_sampler_selects_exact_or_monte_carlo(name):
             average(a, x, a3, sampler=PermutationSampler(7), samples=samples)
 
 
+def test_exact_averages_share_one_limit_message():
+    for average, limit in AVERAGES.values():
+        with pytest.raises(ValueError) as err:
+            average(*average_inputs(limit + 1))
+        assert str(err.value) == f"exact mode limited to n <= {limit}"
+
+
+def test_seeded_max_averages_are_unchanged():
+    # pi is drawn before sigma: each draw is replayed from the same seed, and the results are pinned
+    _, x, a3 = average_inputs(4)
+    b = build_b_vector(4)
+    two = ave_max_two(a3, PermutationSampler(7), 500)
+    vector = ave_max_vector(b, x, PermutationSampler(7), 500)
+    replay = PermutationSampler(7)
+    pis, sigmas = replay.permutations(4, 500), replay.permutations(4, 500)
+    pairs = [max(abs(a3[i, p[i], q[i]]) for i in range(4)) for p, q in zip(pis, sigmas)]
+    assert two.value == np.mean(pairs)
+    perms = PermutationSampler(7).permutations(4, 500)
+    assert vector.value == np.mean([max(abs(x[k] * b[p[k]]) for k in range(4)) for p in perms])
+    assert (two.value, two.stderr) == (1.480837309337626, 0.02310419069716121)
+    assert (vector.value, vector.stderr) == (2.6630303406866602, 0.031758242851879934)
+
+
 @pytest.mark.parametrize("name", sorted(BATCHED))
 def test_exact_kernels_check_their_input(name):
     average, limit = BATCHED[name]
@@ -264,10 +299,37 @@ def test_monte_carlo_batch_contract(name):
     assert np.isfinite(far.value).all() and (far.stderr > 0).all()
 
 
+def brute_ave_max_two(a3) -> float:
+    """The pair average by a loop over itertools' pairs of permutations."""
+    n = len(a3)
+    perms = list(itertools.permutations(range(n)))
+    return math.fsum(max(abs(a3[i, p[i], q[i]]) for i in range(n)) for p in perms for q in perms) / len(perms) ** 2
+
+
+def brute_ave_max_vector(b, y) -> float:
+    """The vector average by a loop over itertools' permutations."""
+    perms = list(itertools.permutations(range(len(b))))
+    return math.fsum(max(abs(y[k] * b[p[k]]) for k in range(len(b))) for p in perms) / len(perms)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_max_averages_match_brute_force(n):
+    draws = np.random.default_rng(50 + n)
+    for draw in range(3):
+        a3, b, y = draws.normal(size=(n, n, n)), draws.normal(size=n), draws.normal(size=n)
+        if draw == 1:  # small integers: ties, zeros and negative entries
+            a3, b, y = np.round(2 * a3), np.round(2 * b), np.round(2 * y)
+        if n <= 4:
+            assert ave_max_two(a3).value == pytest.approx(brute_ave_max_two(a3), rel=1e-14)
+        assert ave_max_vector(b, y).value == pytest.approx(brute_ave_max_vector(b, y), rel=1e-14)
+    b, y = build_b_vector(n + 3), draws.normal(size=n + 3)  # up to n = 8, the vector's limit
+    assert ave_max_vector(b, y).value == pytest.approx(brute_ave_max_vector(b, y), rel=1e-14)
+
+
 def fancy_index_ave_max_two(a3) -> float:
     """The exact pair average as one (n!, n!, n) fancy index: the oracle for the per-coordinate gathers."""
     n = a3.shape[0]
-    idx, pis = np.arange(n), all_permutations(n)
+    idx, pis = np.arange(n), tree_order_table(n)
     vals = np.abs(a3[idx[None, None, :], pis[:, None, :], pis[None, :, :]])
     return float(vals.max(axis=2).ravel().mean())
 
@@ -305,13 +367,8 @@ class TestAveMaxTwo:
         assert ave_max_two(np.full((3, 3, 3), 0.4)).value == pytest.approx(0.4)
 
     def test_against_pair_enumeration(self):
-        n = 3
-        a3 = rng.normal(size=(n, n, n))
-        vals = []
-        for p in itertools.permutations(range(n)):
-            for s in itertools.permutations(range(n)):
-                vals.append(max(abs(a3[i, p[i], s[i]]) for i in range(n)))
-        assert ave_max_two(a3).value == pytest.approx(np.mean(vals), rel=1e-14)
+        a3 = rng.normal(size=(3, 3, 3))
+        assert ave_max_two(a3).value == pytest.approx(brute_ave_max_two(a3), rel=1e-14)
 
     def test_exact_limit(self):
         with pytest.raises(ValueError):
@@ -443,10 +500,7 @@ class TestAveMaxVector:
         n = 5
         b = build_b_vector(n)
         y = rng.normal(size=n)
-        expected = np.mean(
-            [max(abs(y[k] * b[p[k]]) for k in range(n)) for p in itertools.permutations(range(n))]
-        )
-        assert ave_max_vector(b, y).value == pytest.approx(expected, rel=1e-14)
+        assert ave_max_vector(b, y).value == pytest.approx(brute_ave_max_vector(b, y), rel=1e-14)
 
     def test_l2_equivalence_band(self):
         # Ave_sigma max |y_k b_sigma(k)| stays within fixed factors of ||y||_2
@@ -465,6 +519,9 @@ class TestSerialization:
             WeightMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         with pytest.raises(ValueError, match="row 0"):
             WeightMatrix(np.array([[1.0, -1.0]]))
+        for shape in [(0, 0), (0, 3), (3, 0), (2,)]:
+            with pytest.raises(ValueError, match="entries must be a nonempty 2-d array"):
+                WeightMatrix(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_rejected(self, bad):
@@ -502,8 +559,8 @@ class TestSerialization:
 
 
 def _flat_ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
-    """Reference: the sums over i on the flat (V, n!) array of the table's rows, then the mean."""
-    table = all_permutations(a.n)
+    """Reference: the sums over i on the flat (V, n!) array of the tree-order table's rows, then the mean."""
+    table = tree_order_table(a.n)
     e2 = a.entries**2
     x2 = np.asarray(xs, dtype=float) ** 2
     acc = x2[:, :1] * e2[0].take(table[:, 0])
@@ -536,12 +593,13 @@ def test_prefix_tree_leaves_rebuild_the_table(n):
     leaves = np.arange(math.factorial(n))
     rebuilt = np.stack([level[leaves % len(level)] for level in levels], axis=1)
     assert sorted(map(tuple, rebuilt.tolist())) == list(itertools.permutations(range(n)))  # each once
-    np.testing.assert_array_equal(rebuilt, all_permutations(n))
 
 
-def test_exact_walk_builds_no_table():
-    for cache in (all_permutations, _prefix_tree, _node_entries):
+def test_exact_averages_walk_one_tree():
+    # the four exact averages at one n build S_n once, as its prefix tree, and nothing else enumerates it
+    for cache in (_prefix_tree, _node_entries):
         cache.cache_clear()
-    ave_l2(random_matrix(8), rng.normal(size=(3, 8)))
-    psi_image_norm(random_matrix(6), rng.normal(size=(3, 6)))
-    assert all_permutations.cache_info().currsize == 0
+    a, x, a3 = average_inputs(5)
+    for average, _ in AVERAGES.values():
+        average(a, x, a3)
+    assert (_prefix_tree.cache_info().misses, _prefix_tree.cache_info().currsize) == (1, 1)
