@@ -18,11 +18,11 @@ H = (M^{*-1})^2 the profile
 is nonnegative and nonincreasing, and the matrix entries are its interval
 averages a_{i,j} = n * int_{(j-1)/n}^{j/n} f_i.  For power functions these
 integrals are taken in closed form; for fitted (PCHIP) profiles all
-averages of all rows come from one fixed tanh-sinh rule on arrays and one
-matrix product (see ``FProfile``).  (Note the minus sign on
-the integral term: it is forced by the reconstruction identity
-H(t) = (int_0^t f)^2 + t int_t^1 f^2, since H'' = 2 f' (F - t f) and
-sqrt(H - t H') = F - t f with F(t) = int_0^t f.)
+averages of all rows come from one pass of a fixed tanh-sinh rule over a
+(rows, pieces, nodes) grid and two sums per piece (see ``FProfile``).
+(Note the minus sign on the integral term: it is forced by the
+reconstruction identity H(t) = (int_0^t f)^2 + t int_t^1 f^2, since
+H'' = 2 f' (F - t f) and sqrt(H - t H') = F - t f with F(t) = int_0^t f.)
 """
 
 from __future__ import annotations
@@ -136,30 +136,30 @@ def functions_from_matrix(a: WeightMatrix) -> MusielakSystem:
 # 1 / (1 + exp(2u)): through tanh, nodes within 1e-16 of an end would collapse
 # onto it.  With step 1/8, rows fitted to random decreasing matrices were
 # off by up to 6e-10 where H - s H' nearly vanishes at a piece end; with
-# step 1/16, by at most 5e-14.
+# step 1/16, by at most 5e-14.  The last nodes are exactly 1, so the grid of
+# a piece ends on its right break.  ``_TS_MOMENTS`` weighs g and x g at once.
 _TAU = np.arange(-80, 81) / 16.0
 _U = 0.5 * np.pi * np.sinh(_TAU)
 _TS_NODES = 1.0 / (1.0 + np.exp(-2.0 * _U))
 _TS_WEIGHTS = np.pi / 16.0 * np.cosh(_TAU) * _TS_NODES / (1.0 + np.exp(2.0 * _U))
-
-
-def _rule(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the tanh-sinh rule on every piece between consecutive breaks."""
-    width = np.diff(breaks)[:, None]
-    return (breaks[:-1, None] + width * _TS_NODES).ravel(), (width * _TS_WEIGHTS).ravel()
+_TS_MOMENTS = np.stack([_TS_WEIGHTS, _TS_WEIGHTS * _TS_NODES], axis=1)
 
 
 def _breaks(profiles, points) -> np.ndarray:
-    """Cuts from the smallest positive point or knot at or above min(points) up to 1.
+    """Sorted distinct cuts from min(points) up to 1: the points, knots and powers of 2 in between.
 
-    The cuts are the points, the knots and the powers of 2 in between, sorted
-    and distinct, so that no piece is longer than its distance from 0, where
-    g may blow up.
+    No piece but one from 0 is longer than its distance from 0, where g may blow up.
     """
-    points = np.asarray(points, dtype=float)
-    cuts = np.unique(np.concatenate([p.knots for p in profiles] + [[1.0], points.ravel()]))
-    cuts = cuts[(cuts >= points.min()) & (cuts > 0)]
-    return np.union1d(cuts, 2.0 ** -np.arange(math.floor(-math.log2(cuts[0])) + 1))
+    points = np.asarray(points, dtype=float).ravel()
+    lo = points.min()
+    cuts = np.concatenate([p.knots for p in profiles] + [[1.0], points])
+    cuts = cuts[(cuts >= lo) & (cuts > 0)]
+    powers = 2.0 ** -np.arange(math.floor(-math.log2(cuts.min())) + 1)
+    return np.unique(np.concatenate([cuts, powers, [0.0] if lo == 0 else []]))
+
+
+def _joined(arrays):
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class FProfile:
@@ -170,11 +170,11 @@ class FProfile:
     is broadcast), for several they return one row per H.  ``knots`` are the
     points of (0, 1) where the pieces must split, such as the knots of a
     piecewise cubic and the zeros of its H''.  ``curvature`` returns H''(s)
-    and H(s) - s H'(s) together, for an H that can compute the second where
-    ``h(s) - s * dh(s)`` would cancel.  With g = H''/sqrt(H - s H'),
-    f(t) = f(1) - (1/2) int_t^1 g, and every integral of g is one fixed
-    tanh-sinh rule mapped onto the pieces between the knots and the query
-    points, except on the piece next to 0 (see ``_first_piece``).
+    and H(s) - s H'(s) on a (pieces, nodes) grid s, for an H that can compute
+    the second where ``h(s) - s * dh(s)`` would cancel.  With
+    g = H''/sqrt(H - s H'), f(t) = f(1) - (1/2) int_t^1 g, and all integrals
+    of g come from one pass of a fixed tanh-sinh rule over the pieces between
+    the knots and the query points (see ``_curvature_sums``).
     """
 
     def __init__(self, h, dh, d2h, knots=(), curvature=None):
@@ -189,10 +189,10 @@ class FProfile:
         self.rows = h1.size
         self.boundary = np.sqrt(h1) - np.sqrt(np.maximum(rad, 0.0))
 
-    def _terms(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """H''(s) and H(s) - s H'(s) as (rows, s.size) arrays."""
-        shape = (self.rows, s.size)
-        return tuple(np.broadcast_to(np.asarray(x, dtype=float), shape) for x in self.curvature(s))
+    def _terms(self, s: np.ndarray):
+        """H''(s) and H(s) - s H'(s) as (rows, *s.shape) arrays, views where they have that shape."""
+        shape = (self.rows, *s.shape)
+        return [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in self.curvature(s)]
 
     def _per_row(self, out: np.ndarray):
         return (out[0] if self.rows == 1 else out)[()]
@@ -218,77 +218,67 @@ class FProfile:
         return self._per_row((hi - lo) * _interval_averages([self], [lo, hi])[:, 0])
 
 
-def _curvature(profiles, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H''(s) and sqrt(H(s) - s H'(s)) of every row of every profile, as (rows, s.size) arrays.
-
-    Curvature at rounding level (e.g. an interpolant of collinear data)
-    counts as zero rather than tripping the concavity guard, whose error
-    names the first failing row.
-    """
-    d2, rad = (np.concatenate(x) for x in zip(*(p._terms(s) for p in profiles)))
-    d2[~(np.abs(d2) > 1e-8)] = 0.0
-    bad = (d2 != 0.0) & (rad <= 0.0)
-    if bad.any():
-        i, k = np.argwhere(bad)[0]
-        raise ConstructionError(
-            f"row {i}: H(s) - s H'(s) <= 0 at s = {s[k]}: concavity hypothesis fails"
-        )
-    return d2, np.sqrt(np.maximum(rad, 0.0, out=rad), out=rad)
-
-
-def _first_piece(profiles, c: float) -> np.ndarray:
-    """-(1/2) int_0^c s g(s) ds per row, which is sqrt(H(c) - c H'(c)).
-
-    g may blow up like a power of s at 0, where no rule in floating point
-    reaches, so this piece is never integrated.  The rule's nodes on
-    [0, c] still meet the concavity guard, and a row whose curvature is
-    at rounding level at all of them counts as flat.
-    """
-    d2, root = _curvature(profiles, np.append(c * _TS_NODES, c))
-    return np.where(d2.any(axis=1), root[:, -1], 0.0)
-
-
 def _curvature_sums(profiles, breaks: np.ndarray):
-    """Tanh-sinh nodes s between the breaks, w * g_i(s) per row, and f_i at the breaks.
+    """int g and int (s - lo) g on each piece [lo, hi] between the breaks, and f at the breaks, per row.
 
-    ``breaks`` increase from a positive point to 1.  Raises
-    ``ConstructionError``, naming the first such row, where some f_i falls
-    below -1e-7 (an invalid H).
+    ``breaks`` increase to 1 from a positive point or from 0.  H'' and
+    H - s H' come on one (rows, pieces, nodes) grid; H'' at rounding level
+    (e.g. an interpolant of collinear data) counts as zero rather than
+    tripping the concavity guard, which holds at every node and names the
+    first failing row.  On a piece [0, c], g may blow up like a power of s
+    at 0, where no rule in floating point reaches, so only its
+    int s g = -2 sqrt(H(c) - c H'(c)) is taken, at the last node, which is
+    c (0 where H'' counts as zero there or at every node of the piece).
+    Raises ``ConstructionError``, naming the first such row, where some f_i
+    falls below -1e-7 (an invalid H).
     """
-    s, w = _rule(breaks)
-    d2, root = _curvature(profiles, s)
-    gw = np.divide(d2, root, out=d2, where=d2 != 0.0)  # g, left 0 where H'' is
-    gw *= w
-    pieces = gw.reshape(len(gw), len(breaks) - 1, _TS_NODES.size).sum(axis=2)
-    tails = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1]  # int_{break_k}^1 g
-    boundary = np.concatenate([p.boundary for p in profiles])[:, None]
-    f = boundary - 0.5 * np.concatenate([tails, np.zeros_like(boundary)], axis=1)
-    low = f < -1e-7
+    width = np.diff(breaks)
+    s = breaks[:-1, None] + width[:, None] * _TS_NODES
+    d2, rad = (_joined(x) for x in zip(*(p._terms(s) for p in profiles)))
+    keep = np.abs(d2) > 1e-8
+    neg = rad <= 0.0
+    if neg.any():
+        bad = keep & neg
+        if bad.any():
+            i, *k = np.argwhere(bad)[0]
+            raise ConstructionError(
+                f"row {i}: H(s) - s H'(s) <= 0 at s = {s[tuple(k)]}: concavity hypothesis fails"
+            )
+        rad = np.where(neg, np.inf, rad)  # H'' counts as zero there, and g = H'' / inf does too
+    start = int(breaks[0] == 0.0)
+    sums = np.zeros((len(d2), len(width), 2))
+    sums[:, start:] = (d2[:, start:] / np.sqrt(rad[:, start:]) * keep[:, start:]) @ _TS_MOMENTS
+    whole, moment = sums[..., 0] * width, sums[..., 1] * width**2
+    if start:
+        moment[:, 0] = np.where(keep[:, 0].any(axis=1) & ~neg[:, 0, -1], -2.0 * np.sqrt(rad[:, 0, -1]), 0.0)
+    tails = np.cumsum(np.hstack([whole, np.zeros((len(d2), 1))])[:, ::-1], axis=1)[:, ::-1]  # int_{b_k}^1 g
+    f = _joined([p.boundary for p in profiles])[:, None] - 0.5 * tails
+    low = f[:, start:] < -1e-7
     if low.any():
         i, k = np.argwhere(low)[0]
-        raise ConstructionError(f"row {i}: profile negative at t = {breaks[k]}: invalid H")
-    return s, gw, np.maximum(f, 0.0)
+        raise ConstructionError(f"row {i}: profile negative at t = {breaks[k + start]}: invalid H")
+    return whole, moment, np.maximum(f, 0.0)
 
 
 def _interval_averages(profiles, edges) -> np.ndarray:
-    """The average of every row f_i over each [e_j, e_{j+1}], for increasing edges in [0, 1].
+    """The average of every row f_i over each [a, b] between increasing edges in [0, 1].
 
-    Swapping the order of integration in f(t) = f(1) - (1/2) int_t^1 g gives
-        int_a^b f = (b - a) f(1) - (1/2) int_a^1 g(s) (min(s, b) - a) ds,
-    so all averages are f(1) minus one product of the weighted curvatures with
-    a kernel.  The constant part of every average is exactly f(1), so where a
-    profile is flat the averages tie exactly, whatever the rounding of the
-    interval widths.
+    Integrating f(t) = f(b) - (1/2) int_t^b g by parts gives
+        int_a^b f = (b - a) f(b) - (1/2) int_a^b g(s) (s - a) ds,
+    and on each piece [lo, hi] of [a, b] the last integral is
+    int (s - lo) g + (lo - a) int g, two sums per piece; pieces past the
+    last edge only enter f(b).  The constant part of every average is
+    exactly f(b), so where a profile is flat the averages tie exactly,
+    whatever the rounding of the interval widths.
     """
     edges = np.asarray(edges, dtype=float)
     breaks = _breaks(profiles, edges)
-    s, gw, _ = _curvature_sums(profiles, breaks)
-    a, width = edges[:-1], np.diff(edges)
-    kernel = np.clip((s[:, None] - a) / width, 0.0, 1.0)
-    out = np.concatenate([p.boundary for p in profiles])[:, None] - 0.5 * (gw @ kernel)
-    if edges[0] == 0.0:
-        out[:, 0] += _first_piece(profiles, breaks[0]) / width[0]
-    return out
+    whole, moment, f = _curvature_sums(profiles, breaks)
+    ends = np.searchsorted(breaks, edges)  # every edge is a break
+    pieces = slice(0, ends[-1])
+    offset = breaks[pieces] - np.repeat(edges[:-1], np.diff(ends))
+    inner = np.add.reduceat(moment[:, pieces] + offset * whole[:, pieces], ends[:-1], axis=1)
+    return f[:, ends[1:]] - 0.5 * inner / np.diff(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +309,17 @@ def power_profile(p: float) -> FProfile:
     return FProfile(h, dh, d2h)
 
 
-def _power_profile_coefficients(p: float) -> tuple[float, float, float]:
-    """(A, B, beta) with f(t) = A + B (t^(beta-1) - 1) the profile of H(t) = t^(2 beta).
+def _power_profile_coefficients(p):
+    """(A, B, beta) with f(t) = A + B (t^(beta-1) - 1) the profile of H(t) = t^(2 beta), per exponent p.
 
-    Raises ``ConstructionError`` when H is not concave (p > 2).
+    Raises ``ConstructionError``, naming the first such row, when H is not concave (p > 2).
     """
-    beta = (p - 1.0) / p  # alpha / 2 with alpha = 2 / q
+    beta = (np.asarray(p, dtype=float) - 1.0) / p  # alpha / 2 with alpha = 2 / q
     rad = 1.0 - 2.0 * beta  # H(1) - H'(1)
-    if rad < -1e-12:
-        raise ConstructionError("H(1) - H'(1) is negative: H is not concave")
-    r = math.sqrt(max(rad, 0.0))
+    convex = rad < -1e-12
+    if convex.any():
+        raise ConstructionError(f"row {np.argmax(convex)}: H(1) - H'(1) is negative: H is not concave")
+    r = np.sqrt(np.maximum(rad, 0.0))
     return 1.0 - r, beta * r / (1.0 - beta), beta
 
 
@@ -339,22 +330,14 @@ def power_profile_value(p: float, t) -> np.ndarray:
     return A + B * (t ** (beta - 1.0) - 1.0)
 
 
-def _power_row(p: float, n: int) -> np.ndarray:
-    """n * int_{(j-1)/n}^{j/n} of ``power_profile_value(p, .)``, j = 1..n, in closed form.
-
-    The constant part of every entry is exactly A - B, so where the profile
-    is flat (p = 2) the entries tie exactly instead of up to rounding.
-    """
-    A, B, beta = _power_profile_coefficients(p)
-    return (A - B) + (n * B / beta) * np.diff((np.arange(n + 1) / n) ** beta)
-
-
 # ---------------------------------------------------------------------------
 # inverse direction (system -> weight matrix)
 
 
 def matrix_from_profiles(profiles, n: int) -> WeightMatrix:
     """Weight matrix with rows a_{i,j} = n * int_{(j-1)/n}^{j/n} f_i(s) ds."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return WeightMatrix(_interval_averages(profiles, np.arange(n + 1) / n))
 
 
@@ -366,26 +349,30 @@ def matrix_from_functions(system: MusielakSystem) -> WeightMatrix:
     the profiles f_i.  For a power function H_i(t) = t^(2/q) whatever the
     scale, and its profile integrates in closed form.  Rows come out positive
     and nonincreasing because the profiles are nonnegative and nonincreasing.
+    All rows come in one broadcast; the constant part of every entry is
+    exactly A - B, so where a profile is flat (p = 2) the entries tie exactly.
     """
     if not all(isinstance(m, PowerFunction) for m in system):
         raise TypeError(
             "matrix_from_functions needs power functions; "
             "fit piecewise-affine systems with fit_concave_profile first"
         )
-    return WeightMatrix(np.array([_power_row(m.p, system.n) for m in system]))
+    n = system.n
+    A, B, beta = (x[:, None] for x in _power_profile_coefficients([m.p for m in system]))
+    return WeightMatrix((A - B) + (n * B / beta) * np.diff((np.arange(n + 1) / n) ** beta, axis=1))
 
 
 def h_reconstruct_check(profile: FProfile) -> float:
     """Max error of H(t) = (int_0^t f)^2 + t int_t^1 f^2 over the points t = 1/64, 2/64, ..., 1.
 
-    One ``_interval_averages`` call gives the heads, one rule over the grid's pieces the tails.
+    One ``_interval_averages`` call gives the heads, the rule on the grid's pieces the tails.
     """
     t = np.linspace(1.0 / 64, 1.0, 64)
     edges = np.append(0.0, t)
     heads = np.cumsum(np.diff(edges) * _interval_averages([profile], edges)[0])
     breaks = _breaks([profile], t)
-    s, w = _rule(breaks)
-    pieces = (w * profile.value(s) ** 2).reshape(-1, _TS_NODES.size).sum(axis=1)
+    width = np.diff(breaks)
+    pieces = width * (profile.value(breaks[:-1, None] + width[:, None] * _TS_NODES) ** 2 @ _TS_WEIGHTS)
     tails = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)[np.searchsorted(breaks, t)]
     return float(np.max(np.abs(profile.h(t) - (heads**2 + t * tails))))
 
@@ -438,50 +425,63 @@ class _Pchip:
         if x.size == 2:
             d = np.hstack([mk, mk])
         else:
-            flat = (np.sign(mk[:, 1:]) != np.sign(mk[:, :-1])) | (mk[:, 1:] == 0) | (mk[:, :-1] == 0)
+            sign = np.sign(mk)
+            flat = sign[:, 1:] * sign[:, :-1] <= 0  # the secants change sign or one vanishes
             w1, w2 = 2.0 * hk[1:] + hk[:-1], hk[1:] + 2.0 * hk[:-1]
             with np.errstate(divide="ignore", invalid="ignore"):
                 inner = np.where(flat, 0.0, 1.0 / ((w1 / mk[:, :-1] + w2 / mk[:, 1:]) / (w1 + w2)))
-            first = _end_slope(hk[0], hk[1], mk[:, 0], mk[:, 1])
-            last = _end_slope(hk[-1], hk[-2], mk[:, -1], mk[:, -2])
-            d = np.hstack([first[:, None], inner, last[:, None]])
+            ends = _end_slope(hk[[0, -1]], hk[[1, -2]], mk[:, [0, -1]], mk[:, [1, -2]])
+            d = np.hstack([ends[:, :1], inner, ends[:, 1:]])
         self.slopes = d
         t = (d[:, :-1] + d[:, 1:] - 2.0 * mk) / hk
         c0, c1, c2, c3 = t / hk, (mk - d[:, :-1]) / hk - t, d[:, :-1], y[:, :-1]
         x0 = x[:-1]
         self.tables = (
-            np.stack([c0, c1, c2, c3]),
-            np.stack([3.0 * c0, 2.0 * c1, c2]),
-            np.stack([6.0 * c0, 2.0 * c1]),
+            np.array([c0, c1, c2, c3]),
+            np.array([3.0 * c0, 2.0 * c1, c2]),
+            np.array([6.0 * c0, 2.0 * c1]),
         )
-        self.radicand = np.stack([-2.0 * c0, -c1 - 3.0 * x0 * c0, -2.0 * x0 * c1, c3 - x0 * c2])
-
-    def _pieces(self, s):
-        """The index of the piece holding each s, and s minus its left end."""
-        s = np.asarray(s, dtype=float)
-        k = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, self.x.size - 2)
-        return k, s - self.x[k]
+        self.radicand = np.array([-2.0 * c0, -c1 - 3.0 * x0 * c0, -2.0 * x0 * c1, c3 - x0 * c2])
+        # per segment, the coefficients of u^3, u^2, u, 1 in H'' of every row, then in H - s H'
+        both = np.array([[0.0 * c0, 0.0 * c0, *self.tables[2]], list(self.radicand)])
+        self._curvatures = both.transpose(3, 0, 2, 1).reshape(len(x0), 2 * len(y), 4)
 
     def __call__(self, s, nu: int = 0) -> np.ndarray:
         """The nu-th derivative (nu <= 2) of every row at s, with a leading row axis."""
-        return _power_sum(self.tables[nu], *self._pieces(s))
+        s = np.asarray(s, dtype=float)
+        k = np.searchsorted(self.x[1:-1], s, side="right")  # the piece holding each s
+        return _power_sum(self.tables[nu], k, s - self.x[k])
 
-    def curvature(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """H''(s) and H(s) - s H'(s) of every row, after one search for the pieces."""
-        k, u = self._pieces(s)
-        return _power_sum(self.tables[2], k, u), _power_sum(self.radicand, k, u)
+    def curvature(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H''(s) and H(s) - s H'(s) of every row on a (pieces, nodes) grid, as (rows, pieces, nodes) arrays.
+
+        Each piece must lie in one segment of the fit, which is found once,
+        from the piece's middle node; both cubics of every row then come from
+        one product of that segment's coefficients with the powers of u.
+        """
+        k = np.searchsorted(self.x[1:-1], s[:, s.shape[1] // 2], side="right")
+        u = s - self.x[k, None]
+        powers = np.stack([u * u * u, u * u, u, np.ones_like(u)], axis=1)
+        both = (self._curvatures[k] @ powers).transpose(1, 0, 2)
+        return both[: len(both) // 2], both[len(both) // 2 :]
 
 
 def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, np.ndarray]:
     """Smooth monotone fit of each row's H through (l/n, v_l^2), normalized to H(1) = 1.
 
-    ``knot_values`` is one row v_0..v_n or a (rows, n+1) array of them.
+    ``knot_values`` is one finite row v_0..v_n, n >= 1 and v_n > 0, or a
+    (rows, n+1) array of them (``ValueError`` names the first that is not).
     Returns one profile with a row per row of knot values, and the (rows,)
     scales sqrt(H(1)) that convert its outputs back to the original size.
     The fits are monotone piecewise cubics (PCHIP), which reproduce the
     linear case exactly and preserve monotonicity for concave data.
     """
     v = np.atleast_2d(np.asarray(knot_values, dtype=float))
+    if v.ndim != 2 or v.shape[1] < 2:
+        raise ValueError(f"knot_values row 0 has shape {v.shape[1:]}: a row needs at least 2 values")
+    bad = ~(np.isfinite(v).all(axis=1) & (v[:, -1] > 0))
+    if bad.any():
+        raise ValueError(f"knot_values row {np.argmax(bad)} must be finite, with a positive last value")
     n = v.shape[1] - 1
     grid = np.arange(n + 1) / n
     hvals = v**2
@@ -494,7 +494,7 @@ def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         u = -c1 / (3.0 * c0)
     inflections = (grid[:-1] + u)[(u > 0) & (u < np.diff(grid))]
-    knots = np.union1d(grid[1:-1], inflections)
+    knots = np.concatenate([grid[1:-1], inflections])
     prof = FProfile(fit, lambda s: fit(s, 1), lambda s: fit(s, 2), knots=knots, curvature=fit.curvature)
     return prof, np.sqrt(hvals[:, -1])
 
@@ -513,7 +513,7 @@ def roundtrip_check(a: WeightMatrix) -> EquivalenceReport:
     n = a.n
     v = conjugate_inverse_knots(a)
     profile, scales = fit_concave_profile(v)
-    rebuilt = WeightMatrix(matrix_from_profiles([profile], n).entries * scales[:, None])
+    rebuilt = WeightMatrix(_interval_averages([profile], np.arange(n + 1) / n) * scales[:, None])
     v2 = conjugate_inverse_knots(rebuilt)
     ratios = (v2[:, 1:] / v[:, 1:]).ravel()
     return EquivalenceReport(float(ratios.min()), float(ratios.max()), ratios)

@@ -12,6 +12,7 @@ from musielak.construct import (
     ConstructionError,
     FProfile,
     _Pchip,
+    _power_sum,
     conjugate_inverse_knots,
     fit_concave_profile,
     functions_from_matrix,
@@ -184,6 +185,21 @@ class TestPchip:
         fit = self.check(np.stack([2.0 + 3.0 * x, x, 0.5 - x]))
         assert np.max(np.abs(fit(rng.uniform(0.0, 1.0, 40), 2))) < 1e-12
 
+    def test_curvature_on_a_grid_matches_pointwise(self):
+        # the grid path finds each piece's segment once; the pointwise path searches every node
+        fitted = conjugate_inverse_knots(power_matrix(np.linspace(1.1, 1.9, 7))) ** 2
+        for y in [fitted, np.random.default_rng(6).normal(size=(5, 7))]:
+            x = np.arange(y.shape[1]) / (y.shape[1] - 1)
+            fit = _Pchip(x, y)
+            breaks = np.union1d(x, [0.03, 0.3, 0.61])
+            s = breaks[:-1, None] + np.diff(breaks)[:, None] * np.linspace(0.0, 1.0, 41)
+            d2, rad = fit.curvature(s)
+            assert d2.shape == rad.shape == (len(y), *s.shape)
+            inner = s[:, 1:-1]  # the ends of a piece may be evaluated from the next segment
+            k = np.searchsorted(x[1:-1], inner, side="right")
+            np.testing.assert_allclose(d2[:, :, 1:-1], fit(inner, 2), rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(rad[:, :, 1:-1], _power_sum(fit.radicand, k, inner - x[k]), rtol=1e-13)
+
     def test_two_points_linear(self):
         fit = self.check(np.array([[0.0, 1.0], [1.0, 3.0]]))
         np.testing.assert_array_equal(fit.slopes, [[1.0, 1.0], [2.0, 2.0]])
@@ -248,6 +264,33 @@ class TestFProfile:
             for hi in [1e-12, 1e-6, 1e-3, 0.3]:
                 assert prof.integral(0.0, hi) == pytest.approx(analytic_profile_integral(p, 0.0, hi), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.01, 1.5, 1.99])
+    def test_integral_inside_one_piece(self, p):
+        # the pieces below lo and past hi drop out of the sums; [0.25, 0.5] is one piece
+        prof = power_profile(p)
+        for lo, hi in [(0.3, 0.4), (0.26, 0.49), (0.6, 0.7), (0.01, 0.011), (0.0, 0.2), (0.0, 0.7)]:
+            assert prof.integral(lo, hi) == pytest.approx(analytic_profile_integral(p, lo, hi), rel=1e-12)
+
+    def test_fitted_integral_below_the_first_knot(self):
+        prof, _ = fit_concave_profile(conjugate_inverse_knots(power_matrix([1.2, 1.5, 1.8, 1.4])))
+        for hi in [1e-9, 0.01, 0.1, 0.2]:  # the first knot is 1/4
+            split = prof.integral(0.0, hi) + prof.integral(hi, 0.25)
+            np.testing.assert_allclose(split, prof.integral(0.0, 0.25), rtol=1e-13)
+
+    def test_guard_inside_the_piece_next_to_zero(self):
+        # H - s H' <= 0 only on (0, 0.1) of row 1, inside the first piece [0, 1/4] of the averages
+        def curvature(s):
+            d2, rad = -0.25 * s**-1.5, 0.5 * np.sqrt(s)
+            return np.stack([d2, d2]), np.stack([rad, np.where(s < 0.1, -rad, rad)])
+
+        h, dh = (lambda s: np.stack([np.sqrt(s)] * 2)), (lambda s: np.stack([0.5 / np.sqrt(s)] * 2))
+        prof = FProfile(h, dh, None, curvature=curvature)
+        assert np.all(prof.value(0.2) > 0)  # the pieces from 0.2 on pass
+        with pytest.raises(ConstructionError, match=r"^row 1: H\(s\) - s H'\(s\) <= 0 at s = "):
+            matrix_from_profiles([prof], 4)
+        with pytest.raises(ConstructionError, match=r"^row 1: "):
+            prof.integral(0.0, 0.05)
+
     def test_convex_h_rejected_at_construction(self):
         with pytest.raises(ConstructionError):
             FProfile(lambda t: t**2, lambda t: 2 * t, lambda t: 2.0)
@@ -286,6 +329,19 @@ class TestMatrixFromFunctions:
             np.testing.assert_allclose(a.entries[0], quadrature, rtol=1e-12)
             rows = matrix_from_profiles([prof], n).entries[0]
             np.testing.assert_allclose(a.entries[0], rows, rtol=1e-12)
+
+    def test_rows_match_the_per_row_closed_form(self):
+        # one broadcast over all rows does each row's scalar arithmetic, so the bits are the same
+        draw = np.random.default_rng(17)
+        for n in range(1, 17):
+            ps = draw.uniform(1.01, 1.99, n)
+            a = matrix_from_functions(MusielakSystem(tuple(power_orlicz(p) for p in ps)))
+            for p, row in zip(ps, a.entries):
+                beta = (p - 1.0) / p
+                r = math.sqrt(1.0 - 2.0 * beta)
+                A, B = 1.0 - r, beta * r / (1.0 - beta)
+                expected = (A - B) + (n * B / beta) * np.diff((np.arange(n + 1) / n) ** beta)
+                np.testing.assert_array_equal(row, expected)
 
     def test_p_above_two_rejected(self):
         with pytest.raises(ConstructionError, match="not concave"):
@@ -415,6 +471,30 @@ class TestBatchedFit:
         prof, _ = fit_concave_profile(np.stack([good, bad, bad]))
         with pytest.raises(ConstructionError, match=r"^row 1: H\(s\) - s H'\(s\) <= 0 at s = "):
             matrix_from_profiles([prof], 3)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "knots", [[0.0, math.nan, 1.0], [0.0, math.inf, 1.0], [0.0, 0.0, 0.0], [0.0, 0.5, -1.0]]
+    )
+    def test_bad_knot_values_rejected(self, knots):
+        with pytest.raises(ValueError, match=r"^knot_values row 0 "):
+            fit_concave_profile(knots)
+
+    def test_bad_row_named(self):
+        good = np.sqrt(np.arange(4) / 3)
+        with pytest.raises(ValueError, match=r"^knot_values row 2 "):
+            fit_concave_profile(np.stack([good, good, np.append(good[:-1], math.nan)]))
+
+    @pytest.mark.parametrize("knots", [[0.0], [], [[0.0], [1.0]]])
+    def test_rows_of_fewer_than_two_values_rejected(self, knots):
+        with pytest.raises(ValueError, match=r"^knot_values row 0 .*at least 2 values"):
+            fit_concave_profile(knots)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_matrix_needs_a_positive_n(self, n):
+        with pytest.raises(ValueError, match=r"^n must be at least 1"):
+            matrix_from_profiles([power_profile(1.5)], n)
 
 
 class TestConfig:
