@@ -30,13 +30,15 @@ pwa = PiecewiseAffineConvex([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], 3.0)
 print("PWA conjugate knots:", pwa.conjugate().knots)
 
 # With identical quadratic members the Luxemburg norm is Euclidean.
+# luxemburg_norm solves a (V, n) batch of vectors at once.
 system = MusielakSystem((PowerFunction(2),) * 3)
-print("||(3, 4, 0)|| =", luxemburg_norm(system, [3.0, 4.0, 0.0]))
+print("||(3, 4, 0)|| =", luxemburg_norm(system, [[3.0, 4.0, 0.0]])[0])
 
 # Mixing members per coordinate changes the geometry.
 mixed = MusielakSystem((PowerFunction(1.5), PowerFunction(2), PowerFunction(3)))
-for x in [np.ones(3), np.array([1.0, 0.0, 0.0]), np.array([0.2, 2.0, 0.5])]:
-    print(f"mixed system, x = {x}: ||x|| = {luxemburg_norm(mixed, x):.6f}")
+xs = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.2, 2.0, 0.5]])
+for x, rho in zip(xs, luxemburg_norm(mixed, xs)):
+    print(f"mixed system, x = {x}: ||x|| = {rho:.6f}")
 
 # 2-concavity check (the hypothesis the constructions need).
 for p in [1.5, 2.0, 3.0]:

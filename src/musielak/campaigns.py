@@ -177,11 +177,8 @@ def _merge(**parts) -> dict:
 def _band_rows(tag: str, n: int, a: WeightMatrix, system, s, vectors: int) -> list:
     """Exact l2 average vs. Luxemburg norm for ``vectors`` Gaussian vectors."""
     xs = s.normals((vectors, n))  # the same draws as ``vectors`` calls of s.normals(n)
-    rows = []
-    for v, (x, lhs) in enumerate(zip(xs, perms.ave_l2(a, xs).value.tolist())):
-        rhs = luxemburg_norm(system, x)
-        rows.append(_row(f"{tag}-x{v}", n, lhs, rhs, lhs / rhs))
-    return rows
+    pairs = zip(perms.ave_l2(a, xs).value.tolist(), luxemburg_norm(system, xs).tolist())
+    return [_row(f"{tag}-x{v}", n, lhs, rhs, lhs / rhs) for v, (lhs, rhs) in enumerate(pairs)]
 
 
 def thm1_campaign(dims, seed: int, instances: int, vectors: int, family: str) -> dict:

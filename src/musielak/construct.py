@@ -31,12 +31,7 @@ import math
 
 import numpy as np
 
-from .convex import (
-    EquivalenceReport,
-    MusielakSystem,
-    PowerFunction,
-    conjugate_rows,
-)
+from .convex import EquivalenceReport, MusielakSystem, PowerFunction
 from .perms import WeightMatrix
 
 __all__ = [
@@ -108,22 +103,22 @@ def functions_from_matrix(a: WeightMatrix) -> MusielakSystem:
 
     Each M_i^{*-1} is the piecewise-affine interpolant of its knot values
     (affine on each [(l-1)/n, l/n], extended linearly), so M_i^* is PWA with
-    knots at the values; M_i is its exact conjugate.  Raises
+    knots at the values and last slope (1/n) / (v_{i,n} - v_{i,n-1}); the
+    system holds these knots, and M_i is their exact conjugate.  Raises
     ``ConstructionError`` if the knot values of some row are not increasing
     and concave (no convex conjugate would interpolate them).
     """
     v = conjugate_inverse_knots(a)
     n = a.n
-    inc = np.diff(v, axis=1)
-    flat = np.any(inc <= 0, axis=1)
-    bad = flat | np.any(np.diff(inc, axis=1) > 1e-12 * v[:, -1:], axis=1)
+    inc = v[:, 1:] - v[:, :-1]
+    flat = (inc <= 0).any(axis=1)
+    bad = flat | (inc[:, 1:] - inc[:, :-1] > 1e-12 * v[:, -1:]).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         what = "not strictly increasing" if flat[i] else "not concave"
         raise ConstructionError(f"row {i}: knot values are {what}")
-    grid = np.broadcast_to(np.arange(n + 1) / n, v.shape)
-    slopes = np.hstack([np.diff(grid, axis=1) / inc, (1.0 / n) / inc[:, -1:]])
-    return MusielakSystem(conjugate_rows(v, grid, slopes))
+    grid = np.repeat(np.arange(n + 1)[None] / n, n, axis=0)
+    return MusielakSystem.from_conjugate_knots(v, grid, (1.0 / n) / inc[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +347,24 @@ def matrix_from_functions(system: MusielakSystem) -> WeightMatrix:
     All rows come in one broadcast; the constant part of every entry is
     exactly A - B, so where a profile is flat (p = 2) the entries tie exactly.
     """
-    if not all(isinstance(m, PowerFunction) for m in system):
+    if system.pwa.size:
         raise TypeError(
             "matrix_from_functions needs power functions; "
             "fit piecewise-affine systems with fit_concave_profile first"
         )
     n = system.n
-    A, B, beta = (x[:, None] for x in _power_profile_coefficients([m.p for m in system]))
+    A, B, beta = (x[:, None] for x in _power_profile_coefficients(system.p))
     return WeightMatrix((A - B) + (n * B / beta) * np.diff((np.arange(n + 1) / n) ** beta, axis=1))
 
 
 def h_reconstruct_check(profile: FProfile) -> float:
     """Max error of H(t) = (int_0^t f)^2 + t int_t^1 f^2 over the points t = 1/64, 2/64, ..., 1.
 
-    One ``_interval_averages`` call gives the heads, the rule on the grid's pieces the tails.
+    One ``_interval_averages`` call gives the heads, the rule on the grid's
+    pieces the tails.  ``profile`` must have one row (``ValueError`` otherwise).
     """
+    if profile.rows != 1:
+        raise ValueError(f"profile has {profile.rows} rows: h_reconstruct_check takes a profile of one row")
     t = np.linspace(1.0 / 64, 1.0, 64)
     edges = np.append(0.0, t)
     heads = np.cumsum(np.diff(edges) * _interval_averages([profile], edges)[0])
@@ -469,8 +467,9 @@ class _Pchip:
 def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, np.ndarray]:
     """Smooth monotone fit of each row's H through (l/n, v_l^2), normalized to H(1) = 1.
 
-    ``knot_values`` is one finite row v_0..v_n, n >= 1 and v_n > 0, or a
-    (rows, n+1) array of them (``ValueError`` names the first that is not).
+    ``knot_values`` is one finite row v_0..v_n, n >= 1, with v_0 = 0, no
+    negative value and v_n > 0, or a (rows, n+1) array of them
+    (``ValueError`` names the first that is not).
     Returns one profile with a row per row of knot values, and the (rows,)
     scales sqrt(H(1)) that convert its outputs back to the original size.
     The fits are monotone piecewise cubics (PCHIP), which reproduce the
@@ -479,9 +478,12 @@ def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, np.ndarray]:
     v = np.atleast_2d(np.asarray(knot_values, dtype=float))
     if v.ndim != 2 or v.shape[1] < 2:
         raise ValueError(f"knot_values row 0 has shape {v.shape[1:]}: a row needs at least 2 values")
-    bad = ~(np.isfinite(v).all(axis=1) & (v[:, -1] > 0))
+    bad = ~(np.isfinite(v).all(axis=1) & (v[:, 0] == 0) & (v >= 0).all(axis=1) & (v[:, -1] > 0))
     if bad.any():
-        raise ValueError(f"knot_values row {np.argmax(bad)} must be finite, with a positive last value")
+        raise ValueError(
+            f"knot_values row {np.argmax(bad)} must be finite and nonnegative, "
+            "with a first value of 0 and a positive last value"
+        )
     n = v.shape[1] - 1
     grid = np.arange(n + 1) / n
     hvals = v**2

@@ -1,6 +1,6 @@
 """Convex (Young/Orlicz) functions and Musielak-Orlicz norms.
 
-Two concrete representations are supported:
+Two single functions are the inputs a system is built from:
 
 * ``PowerFunction`` -- closed-form ``M(t) = scale * t**p`` with ``p > 1``;
 * ``PiecewiseAffineConvex`` -- a convex piecewise-affine function with
@@ -8,30 +8,34 @@ Two concrete representations are supported:
   finite domain bound past which the function is +inf.
 
 Both support evaluation, (generalized) inversion and exact Legendre
-conjugation.  ``MusielakSystem`` bundles one function per coordinate and
-``luxemburg_norm`` evaluates the associated norm
+conjugation.  ``MusielakSystem`` holds M_1, ..., M_n as arrays: a
+piecewise-affine M_i as the knots t_ik and values v_ik of its conjugate
+M_i*, so that M_i(s) = max_k (s t_ik - v_ik) up to the domain bound b_i
+(the last slope of M_i*), and a power M_i as its (p, scale).  The
+matrix-built systems (``construct.functions_from_matrix`` and
+``perms.prefix_sum_system``) come as such knot data directly; a system of
+function objects converts them when it is built.  ``luxemburg_norm``
+evaluates the norm
 
     ||x|| = inf{ rho > 0 : sum_i M_i(|x_i| / rho) <= 1 }
 
-by Newton's method from the right on the convex, nondecreasing modular
-F(s) = sum_i M_i(|x_i| s) in s = 1/rho.  Every tangent of F lies below F,
-so the iterates decrease monotonically to the root without overshooting,
-and the loop ends once F(s) <= 1 or s stops decreasing in floating point.
+of every row of a (V, n) batch by Newton's method from the right on the
+convex, nondecreasing modular F(s) = sum_i M_i(|x_i| s) in s = 1/rho.
+Every tangent of F lies below F, so the iterates decrease monotonically to
+the root without overshooting; a row's s stays put once F(s) <= 1 or its
+step stops decreasing s, and the loop ends when no row moves.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PiecewiseAffineConvex",
     "PowerFunction",
-    "conjugate_rows",
     "MusielakSystem",
     "EquivalenceReport",
     "TwoConcavityReport",
@@ -68,7 +72,7 @@ class PiecewiseAffineConvex:
         object.__setattr__(self, "values", values)
         if knots.ndim != 1 or knots.shape != values.shape:
             raise ValueError("knots and values must be 1-d arrays of equal length")
-        # the checks run on plain-float copies, which the scalar paths (inverse, value_and_slope) keep
+        # the checks run on plain floats: one pass of Python arithmetic beats numpy on a few knots
         ks, vs = knots.tolist(), values.tolist()
         if not ks:
             raise ValueError("knots must not be empty: the first knot is (0, 0)")
@@ -86,16 +90,6 @@ class PiecewiseAffineConvex:
         if self.domain_bound is not None and self.domain_bound < ks[-1]:
             raise ValueError("domain_bound must not cut into the knot range")
         object.__setattr__(self, "_slopes", np.array(slopes))
-        object.__setattr__(self, "_knot_list", ks)
-        object.__setattr__(self, "_value_list", vs)
-        object.__setattr__(self, "_slope_list", slopes)
-        cap = math.inf if self.domain_bound is None else self.domain_bound * (1 + 1e-15)
-        object.__setattr__(self, "_finite_up_to", cap)
-
-    @functools.cached_property
-    def unit_inverse(self) -> float:
-        """M^{-1}(1), computed on first use: a flat tail with no domain bound raises only then."""
-        return self.inverse(1.0)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -108,26 +102,15 @@ class PiecewiseAffineConvex:
             out = np.where(t > self.domain_bound * (1 + 1e-15), np.inf, out)
         return float(out) if out.ndim == 0 else out
 
-    def value_and_slope(self, t: float) -> tuple[float, float]:
-        """M(t) and its left derivative at a scalar t >= 0, as plain floats.
-
-        Both are +inf past ``domain_bound``.
-        """
-        if t > self._finite_up_to:
-            return math.inf, math.inf
-        seg = max(bisect.bisect_left(self._knot_list, t), 1) - 1
-        slope = self._slope_list[seg]
-        return self._value_list[seg] + slope * (t - self._knot_list[seg]), slope
-
     def inverse(self, y: float) -> float:
         """Generalized inverse sup{t : M(t) <= y} (exact interpolation)."""
         if y < 0:
             raise ValueError("argument must be nonnegative")
-        knots, values = self._knot_list, self._value_list
+        knots, values = self.knots, self.values
         top = values[-1]
         if y <= top:
             # step back over ties so the enclosing segment is found
-            k = min(bisect.bisect_right(values, y), len(values) - 1)
+            k = min(int(np.searchsorted(values, y, side="right")), len(values) - 1)
             t0, t1 = knots[k - 1], knots[k]
             v0, v1 = values[k - 1], values[k]
             if v1 == v0:  # flat segment: rightmost preimage
@@ -143,37 +126,25 @@ class PiecewiseAffineConvex:
         raise DegenerateTailError(f"value {y} beyond range of a flat tail")
 
     def conjugate(self) -> "PiecewiseAffineConvex":
-        """Exact Legendre conjugate; a finite domain is one more knot, at the bound, with slope +inf."""
+        """Exact Legendre conjugate, by slope duality.
+
+        With knots t_k, values v_k and slope s_k after t_k, the conjugate
+        has knots 0, s_0, ..., s_{K-1} with values 0 and s_k t_{k+1} - v_{k+1},
+        extension slope t_K and domain bound s_K.  A finite domain is one
+        more knot, at the bound, with slope +inf: no bound on the conjugate.
+        """
         t, v, s = self.knots, self.values, self._slopes
         if self.domain_bound is not None:
             b = self.domain_bound
             t, v, s = np.append(t, b), np.append(v, v[-1] + s[-1] * (b - t[-1])), np.append(s, np.inf)
-        return conjugate_rows(t[None], v[None], s[None])[0]
-
-
-def conjugate_rows(knots, values, slopes) -> list[PiecewiseAffineConvex]:
-    """Exact Legendre conjugates of the convex PWA rows of (rows, K+1) arrays, by slope duality.
-
-    Row r passes through (t_k, v_k) = (knots[r, k], values[r, k]) with slope
-    s_k = slopes[r, k] after t_k; the last slope, past the last knot, may be
-    +inf.  The conjugate has knots 0, s_0, ..., s_{K-1} with values 0 and
-    s_k t_{k+1} - v_{k+1}, extension slope t_K and domain bound s_K (none if +inf).
-    """
-    knots, values, slopes = (np.asarray(x, dtype=float) for x in (knots, values, slopes))
-    zero = np.zeros((len(knots), 1))
-    kt = np.concatenate([zero, slopes[:, :-1]], axis=1)
-    kv = np.concatenate([zero, slopes[:, :-1] * knots[:, 1:] - values[:, 1:]], axis=1)
-    # exact math makes both nondecreasing from 0 (so values >= 0): clamp rounding, and merge
-    # slopes equal up to rounding (equal matrix entries give slopes differing in the last bits)
-    kt = np.maximum.accumulate(kt, axis=1)
-    kv = np.maximum.accumulate(kv, axis=1)
-    keep = np.concatenate([np.ones_like(zero, bool), np.diff(kt, axis=1) > 1e-12 * kt[:, -1:]], axis=1)
-    # guard rounding: s_K can land a ulp below the last kept knot, which convexity forbids
-    bound = np.maximum(slopes[:, -1], np.max(kt, axis=1, where=keep, initial=0.0))
-    return [
-        PiecewiseAffineConvex(t[k], v[k], e, None if math.isinf(b) else b)
-        for t, v, k, e, b in zip(kt, kv, keep, knots[:, -1].tolist(), bound.tolist())
-    ]
+        # exact math makes both nondecreasing from 0 (so values >= 0): clamp rounding, and merge
+        # slopes equal up to rounding (equal matrix entries give slopes differing in the last bits)
+        kt = np.maximum.accumulate(np.append(0.0, s[:-1]))
+        kv = np.maximum.accumulate(np.append(0.0, s[:-1] * t[1:] - v[1:]))
+        keep = np.append(True, np.diff(kt) > 1e-12 * kt[-1])
+        # guard rounding: s_K can land a ulp below the last kept knot, which convexity forbids
+        bound = max(float(s[-1]), float(kt[keep][-1]))
+        return PiecewiseAffineConvex(kt[keep], kv[keep], float(t[-1]), None if math.isinf(bound) else bound)
 
 
 @dataclass(frozen=True)
@@ -196,19 +167,10 @@ class PowerFunction:
         out = self.scale * t**self.p
         return float(out) if out.ndim == 0 else out
 
-    def value_and_slope(self, t: float) -> tuple[float, float]:
-        """M(t) and its derivative at a scalar t >= 0, as plain floats."""
-        return self.scale * t**self.p, self.p * self.scale * t ** (self.p - 1.0)
-
     def inverse(self, y: float) -> float:
         if y < 0:
             raise ValueError("argument must be nonnegative")
         return float((y / self.scale) ** (1.0 / self.p))
-
-    @functools.cached_property
-    def unit_inverse(self) -> float:
-        """M^{-1}(1), computed on first use."""
-        return self.inverse(1.0)
 
     def conjugate(self) -> "PowerFunction":
         """Closed-form conjugate: (c t^p)* = x^q / (q (c p)^(q-1))."""
@@ -220,26 +182,128 @@ class PowerFunction:
 OrliczFunction = PowerFunction | PiecewiseAffineConvex
 
 
-@dataclass(frozen=True)
 class MusielakSystem:
-    """Ordered list of Orlicz functions M_1, ..., M_n, one per coordinate."""
+    """Orlicz functions M_1, ..., M_n, one per coordinate, held as arrays.
 
-    functions: tuple
+    ``MusielakSystem(functions)`` converts a sequence of ``PowerFunction``
+    and ``PiecewiseAffineConvex`` objects; ``from_conjugate_knots`` takes
+    piecewise-affine knot data directly.  The columns ``pwa`` are
+    piecewise affine: row r of ``knots`` and ``values`` holds the knots
+    t_k, increasing from 0, and values v_k >= 0 of the conjugate of
+    M_{pwa[r]}, so that M(s) = max_k (s t_k - v_k) for s <= ``bounds[r]``
+    and +inf beyond (``bounds`` is +inf where M has no domain bound).  A row
+    with fewer knots repeats its last knot.  The columns ``power`` are
+    M(s) = scale s^p, with ``p`` and ``scale`` in column order.
+    ``unit_inverse`` holds M_i^{-1}(1) per coordinate: the smaller of b and
+    min over t_k > 0 of (1 + v_k) / t_k, or (1 / scale)^(1/p); it is +inf
+    for an M_i that is 0 everywhere (``luxemburg_norm`` raises on it).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "functions", tuple(self.functions))
-        if len(self.functions) < 1:
+    def __init__(self, functions):
+        functions = tuple(functions)
+        if not functions:
             raise ValueError("need at least one function")
+        pwa = [i for i, m in enumerate(functions) if isinstance(m, PiecewiseAffineConvex)]
+        power = [i for i, m in enumerate(functions) if isinstance(m, PowerFunction)]
+        if len(pwa) + len(power) != len(functions):
+            raise TypeError("a system is built from PowerFunction and PiecewiseAffineConvex objects")
+        # M is the max of its segment lines, the extension included: the line of slope s_k through
+        # (t_k, v_k) is s -> s s_k - (s_k t_k - v_k), so the conjugate's knots are the s_k
+        width = max((functions[i].knots.size for i in pwa), default=1)
+        knots, values = np.empty((len(pwa), width)), np.empty((len(pwa), width))
+        for r, i in enumerate(pwa):
+            m = functions[i]
+            knots[r] = np.pad(m._slopes, (0, width - m.knots.size), "edge")
+            values[r] = np.pad(np.maximum(m._slopes * m.knots - m.values, 0.0), (0, width - m.knots.size), "edge")
+        bounds = [math.inf if functions[i].domain_bound is None else functions[i].domain_bound for i in pwa]
+        p, scale = [functions[i].p for i in power], [functions[i].scale for i in power]
+        self._build(len(functions), pwa, knots, values, bounds, power, p, scale)
 
-    @property
-    def n(self) -> int:
-        return len(self.functions)
+    @classmethod
+    def from_conjugate_knots(cls, knots, values, bounds) -> "MusielakSystem":
+        """The piecewise-affine system whose conjugates M_i* pass through (knots[i, k], values[i, k]).
 
-    def __iter__(self):
-        return iter(self.functions)
+        ``bounds[i]`` is the last slope of M_i*, past its last knot: the
+        domain bound of M_i.  The knots of a row increase from 0, and
+        ``values`` start at 0.  The data are taken as they are: the
+        builders check them and name the bad row.
+        """
+        self = cls.__new__(cls)
+        self._build(len(knots), np.arange(len(knots)), knots, values, bounds, [], [], [])
+        return self
 
-    def __getitem__(self, i):
-        return self.functions[i]
+    def _build(self, n, pwa, knots, values, bounds, power, p, scale):
+        self.n = n
+        self.pwa, self.power = np.asarray(pwa, dtype=int), np.asarray(power, dtype=int)
+        self.knots, self.values = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
+        self.bounds = np.asarray(bounds, dtype=float)
+        self.p, self.scale = np.asarray(p, dtype=float), np.asarray(scale, dtype=float)
+        self.unit_inverse = np.empty(n)
+        self._zero = False  # whether some M_i is 0 everywhere, so that luxemburg_norm must look for it
+        if self.pwa.size:
+            # M(s) <= 1 up to the first crossing s t_k - v_k = 1, and up to the domain bound
+            crossing = np.full(self.knots.shape, np.inf)
+            np.divide(1.0 + self.values, self.knots, out=crossing, where=self.knots > 0)
+            unit = np.minimum(self.bounds, crossing.min(axis=1))
+            self.unit_inverse[self.pwa] = unit
+            self._zero = bool(np.isinf(unit).any())
+        if self.power.size:
+            self.unit_inverse[self.power] = (1.0 / self.scale) ** (1.0 / self.p)
+
+    def evaluate(self, u):
+        """M_i(u_i) and the left derivative M_i'(u_i) for an (n, V) array u >= 0, as two (n, V) arrays.
+
+        Both are +inf past a domain bound, with a margin of 1e-15 relative
+        for rounding.
+        """
+        u = np.asarray(u, dtype=float)
+        value, slope = self._terms(u)(np.ones(u.shape[1]))
+        past = np.zeros(u.shape, dtype=bool)
+        past[self.pwa] = u[self.pwa] > (self.bounds * (1 + 1e-15))[:, None]
+        value[past] = slope[past] = np.inf
+        return value, slope
+
+    def _terms(self, y):
+        """s -> (M_i(y_i s), M_i'(y_i s)) for the (n, V) batch y >= 0 and a (V,) array s, as two (n, V) arrays.
+
+        A piecewise-affine M_i takes the maximising line of its conjugate's
+        knots, the lowest k on a tie (the left derivative); the slopes
+        y_i t_ik of the lines in s are formed once per batch.  There is no
+        domain cap: Newton's iterates never pass a bound.
+        """
+        parts = []
+        if self.pwa.size:
+            knots, values = self.knots, self.values[:, None, :]
+            yt = y[self.pwa][:, :, None] * knots[:, None, :]
+            lines_at = np.arange(0, yt.size, knots.shape[1]).reshape(yt.shape[:2])  # the first line of each term
+            knots_at = np.arange(0, knots.size, knots.shape[1])[:, None]  # the first knot of each row
+
+            def pwa(s):
+                lines = yt * s[:, None]
+                lines -= values
+                k = lines.argmax(axis=2)
+                return lines.take(k + lines_at), knots.take(k + knots_at)
+
+            parts.append((self.pwa, pwa))
+        if self.power.size:
+            yp, p, scale = y[self.power], self.p[:, None], self.scale[:, None]
+            p1, pscale = p - 1.0, p * scale
+
+            def power(s):
+                u = yp * s
+                return scale * u**p, pscale * u**p1
+
+            parts.append((self.power, power))
+        if len(parts) == 1:
+            return parts[0][1]
+
+        def mixed(s):
+            value, slope = np.empty(y.shape), np.empty(y.shape)
+            for columns, terms in parts:
+                value[columns], slope[columns] = terms(s)
+            return value, slope
+
+        return mixed
 
 
 @dataclass
@@ -283,44 +347,53 @@ def is_two_concave(m: OrliczFunction) -> TwoConcavityReport:
     return TwoConcavityReport(passed, strictly, worst)
 
 
-def luxemburg_norm(system: MusielakSystem, x) -> float:
-    """Luxemburg norm inf{rho > 0 : sum_i M_i(|x_i|/rho) <= 1}.
+def luxemburg_norm(system: MusielakSystem, xs) -> np.ndarray:
+    """Luxemburg norms inf{rho > 0 : sum_i M_i(|x_i|/rho) <= 1} of the rows of the (V, n) batch ``xs``.
 
     Newton's method from the right on the modular F(s) = sum_i M_i(|x_i| s)
-    with s = 1/rho.  It starts at s0 = min_i M_i^{-1}(1)/|x_i|, where no
-    term exceeds 1 or leaves its domain (the generalized inverse never
-    passes a domain bound); if F(s0) <= 1, the term that attains the
-    minimum passes 1 or its domain bound right after s0, so s0 is the root.
-    F is convex and nondecreasing, so the root of the tangent at s (left
-    derivative) lies between the true root and s: the iterates fall
-    monotonically, exactly onto the root once they reach its affine piece.
-    Returns 0 for the zero vector by definition.  It solves for |x| / 2^e,
-    2^e the power of two just above max_i |x_i|, and scales back: the
+    with s = 1/rho, for every row at once.  It starts at
+    s0 = min_i M_i^{-1}(1)/|x_i|, where no term exceeds 1 or leaves its
+    domain (the generalized inverse never passes a domain bound); if
+    F(s0) <= 1, the term that attains the minimum passes 1 or its domain
+    bound right after s0, so s0 is the root.  F is convex and
+    nondecreasing, so the root of the tangent at s (left derivative) lies
+    between the true root and s: the iterates fall monotonically, exactly
+    onto the root once they reach its affine piece.  A row's s stays put
+    once its step stops decreasing it, and the loop ends when no row
+    moves, so each row takes the iterates it would take alone.  Each row
+    solves for |x| / 2^e,
+    2^e the power of two just above its max_i |x_i|, and scales back: the
     iterates only scale (exactly), while s0 and the slope stay finite at
-    both ends of the float range.
+    both ends of the float range.  F and its slope are summed in i order,
+    elementwise, so row v has the same bits as a batch of ``xs[v]`` alone.
+    A zero row has norm 0; an M_i that is 0 everywhere raises
+    ``DegenerateTailError`` when it meets a nonzero x_i.
     """
-    absx = np.abs(np.asarray(x, dtype=float))
-    if len(absx) != system.n:
-        raise ValueError("vector length must match system dimension")
-    if not np.isfinite(absx).all():
-        raise ValueError(f"vector x must be finite, got {np.asarray(x).tolist()}")
-    absx = absx.tolist()
-    e = math.frexp(max(absx, default=0.0))[1]
-    terms = [(m, xi) for m, xi in zip(system, [math.ldexp(v, -e) for v in absx]) if xi > 0.0]
-    if not terms:
-        return 0.0
-    s = min(m.unit_inverse / xi for m, xi in terms)
-    terms = [(m.value_and_slope, xi) for m, xi in terms]
-    while True:
-        total = slope = 0.0
-        for value_and_slope, xi in terms:
-            v, d = value_and_slope(xi * s)
-            total += v
-            slope += xi * d
-        step = s - (total - 1.0) / slope if total > 1.0 else s
-        if not step < s:  # s is the root
-            return math.ldexp(1.0 / s, e)
-        s = step
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != system.n:
+        raise ValueError(f"xs must be a (V, {system.n}) batch of vectors, got shape {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError(f"xs: row {int(np.argmin(np.isfinite(xs).all(axis=1)))} has a non-finite entry")
+    absx = np.abs(xs)
+    e = np.frexp(absx.max(axis=1, initial=0.0))[1]
+    y = np.ldexp(absx, -e[:, None]).T  # (n, V), each column's largest entry in [1/2, 1)
+    if system._zero:
+        zero = np.isinf(system.unit_inverse)
+        hit = zero & (y > 0).any(axis=1)
+        if hit.any():
+            i = int(np.argmax(hit))
+            raise DegenerateTailError(f"M_{i} is 0 with no domain bound, and x_{i} is nonzero")
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero row keeps s = +inf, and its terms nan
+        s = (system.unit_inverse[:, None] / y).min(axis=0)
+        terms = system._terms(y)
+        while True:
+            value, slope = terms(s)
+            total = np.add.accumulate(value)[-1]
+            step = s - (total - 1.0) / np.add.accumulate(y * slope)[-1]
+            moving = (total > 1.0) & (step < s)  # elsewhere s is the root
+            if not np.count_nonzero(moving):
+                return np.ldexp(1.0 / s, e)
+            np.copyto(s, step, where=moving)
 
 
 @dataclass

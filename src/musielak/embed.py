@@ -127,7 +127,7 @@ def distortion_estimate(
     if system.n != n:
         raise ValueError("system and matrix dimensions must match")
     directions = np.vstack([np.eye(n), np.ones((1, n)), sampler.normals((samples, n))])
-    denoms = np.array([luxemburg_norm(system, x) for x in directions])
+    denoms = luxemburg_norm(system, directions)
     if (denoms == 0.0).any():
         raise ValueError("zero-norm direction")
     ratios = psi_image_norm(a, directions).value / denoms

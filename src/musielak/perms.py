@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import MusielakSystem, conjugate_rows, luxemburg_norm
+from .convex import MusielakSystem, luxemburg_norm
 
 __all__ = [
     "WeightMatrix",
@@ -432,18 +432,17 @@ def prefix_sum_system(a: WeightMatrix) -> MusielakSystem:
     """System whose conjugates interpolate M_i*(sum_{j<=m} a_{i,j}) = m/N.
 
     Each M_i* is the piecewise-affine function through those points (plus the
-    origin), extended by its final slope; M_i is its exact conjugate.  This
-    is the minimal interpolant satisfying the sandwich hypothesis.
+    origin), extended by its final slope 1 / (N a_{i,N}); the system holds
+    these knots, and M_i is their exact conjugate.  This is the minimal
+    interpolant satisfying the sandwich hypothesis.
     """
     N = a.ncols
     prefix = np.concatenate([np.zeros((a.n, 1)), np.cumsum(a.entries, axis=1)], axis=1)
-    inc = np.diff(prefix, axis=1)
-    bad = np.any(inc <= 0, axis=1)
+    bad = (prefix[:, 1:] <= prefix[:, :-1]).any(axis=1)
     if bad.any():
         raise ValueError(f"row {np.argmax(bad)}: prefix sums are not strictly increasing")
-    grid = np.broadcast_to(np.arange(N + 1) / N, prefix.shape)
-    slopes = np.hstack([np.diff(grid, axis=1) / inc, (1.0 / N) / a.entries[:, -1:]])
-    return MusielakSystem(conjugate_rows(prefix, grid, slopes))
+    grid = np.repeat(np.arange(N + 1)[None] / N, a.n, axis=0)
+    return MusielakSystem.from_conjugate_knots(prefix, grid, (1.0 / N) / a.entries[:, -1])
 
 
 @dataclass
@@ -462,7 +461,7 @@ def lemma_matrixnorm_check(a: WeightMatrix, x) -> SandwichReport:
     """Check (1/2)||x||_a <= ||x||_{sum M_i} <= 2 ||x||_a for the prefix system, within ``SANDWICH_TOL``."""
     na = matrix_norm_a(a, x)
     system = prefix_sum_system(a)
-    nl = luxemburg_norm(system, x)
+    nl = float(luxemburg_norm(system, [x])[0])
     passed = 0.5 * na - SANDWICH_TOL <= nl <= 2.0 * na + SANDWICH_TOL
     return SandwichReport(0.5 * na, nl, 2.0 * na, passed)
 

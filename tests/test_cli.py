@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from musielak import campaigns, cli, construct, embed, perms
@@ -330,9 +331,9 @@ def _scaled(fn, factor):
 
 
 def _growing(fn):
-    """fn with its k-th result multiplied by 2**k, so ratios spread without bound."""
-    calls = itertools.count()
-    return lambda *args, **kwargs: fn(*args, **kwargs) * 2.0 ** next(calls)
+    """fn with its k-th value (over the rows of every batch) multiplied by 2**k, so ratios spread without bound."""
+    values = itertools.count()
+    return lambda *args, **kwargs: np.array([v * 2.0 ** next(values) for v in fn(*args, **kwargs)])
 
 
 def _break_band(monkeypatch):

@@ -208,13 +208,15 @@ class TestPchip:
 
 class TestFunctionsFromMatrix:
     def test_conjugate_interpolates_knots(self):
+        # M_i*(v_{i,l}) = sup_s (s v_{i,l} - M_i(s)) = l/n, the sup taken on a grid of s up to M_i's domain bound
         a = random_matrix(4)
         v = conjugate_inverse_knots(a)
         system = functions_from_matrix(a)
-        for i, m in enumerate(system):
-            mstar = m.conjugate()
+        s = np.linspace(0.0, 1.0, 200_001)[:, None] * system.bounds
+        m = system.evaluate(s.T)[0]
+        for i in range(4):
             for ell in range(1, 5):
-                assert mstar.inverse(ell / 4) == pytest.approx(v[i, ell], rel=1e-10)
+                assert np.max(s[:, i] * v[i, ell] - m[i]) == pytest.approx(ell / 4, abs=1e-5)
 
     def test_shape(self):
         assert functions_from_matrix(random_matrix(3)).n == 3
@@ -375,6 +377,13 @@ class TestReconstructionIdentity:
         for p in [1.2, 1.5, 1.8]:
             assert h_reconstruct_check(power_profile(p)) <= 1e-6
 
+    def test_several_rows_rejected(self):
+        # the tail sums would run over the flattened rows
+        prof, _ = fit_concave_profile(conjugate_inverse_knots(power_matrix([1.2, 1.5, 1.8])))
+        assert prof.rows == 3
+        with pytest.raises(ValueError, match=r"^profile has 3 rows"):
+            h_reconstruct_check(prof)
+
     def test_identity_at_one(self):
         # H(1) = (int_0^1 f)^2
         prof = power_profile(1.6)
@@ -475,7 +484,15 @@ class TestBatchedFit:
 
 class TestInputChecks:
     @pytest.mark.parametrize(
-        "knots", [[0.0, math.nan, 1.0], [0.0, math.inf, 1.0], [0.0, 0.0, 0.0], [0.0, 0.5, -1.0]]
+        "knots",
+        [
+            [0.0, math.nan, 1.0],
+            [0.0, math.inf, 1.0],
+            [0.0, 0.0, 0.0],
+            [0.0, 0.5, -1.0],
+            [0.0, -0.8, 1.0],  # the same squares as [0, 0.8, 1]
+            [0.5, 0.9, 1.0],  # H(0) = 0.25
+        ],
     )
     def test_bad_knot_values_rejected(self, knots):
         with pytest.raises(ValueError, match=r"^knot_values row 0 "):

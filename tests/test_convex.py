@@ -22,6 +22,17 @@ from musielak.perms import WeightMatrix, prefix_sum_system
 rng = np.random.default_rng(20240817)
 
 
+def norm(system, x):
+    """The Luxemburg norm of one vector: a batch of one row."""
+    (rho,) = luxemburg_norm(system, [x])
+    return rho
+
+
+def row_functions(system):
+    """The M_i of a piecewise-affine system, each the conjugate of its row of knot data."""
+    return [PiecewiseAffineConvex(t, v, b).conjugate() for t, v, b in zip(system.knots, system.values, system.bounds)]
+
+
 def random_pwa(max_knots=5):
     """Random convex PWA with increasing slopes."""
     m = rng.integers(1, max_knots + 1)
@@ -42,9 +53,9 @@ def grid_sup_conjugate(m, x, tmax=50.0, points=200001):
     return float(np.max(x * t - m(t)))
 
 
-def modular_sum(system, absx, rho):
+def modular_sum(functions, absx, rho):
     total = 0.0
-    for m, xi in zip(system, absx):
+    for m, xi in zip(functions, absx):
         if xi == 0.0:
             continue
         v = m(xi / rho)
@@ -54,8 +65,8 @@ def modular_sum(system, absx, rho):
     return total
 
 
-def bisection_norm(system, x):
-    """Reference Luxemburg norm: bisection on rho to a relative 1e-10.
+def bisection_norm(functions, x):
+    """Reference Luxemburg norm of the system of ``functions``: bisection on rho to a relative 1e-10.
 
     Returns the feasible end of the final bracket, so it is at most 1e-10
     (relative) above the norm.
@@ -63,24 +74,72 @@ def bisection_norm(system, x):
     absx = np.abs(np.asarray(x, dtype=float))
     if not absx.any():
         return 0.0
-    n = system.n
-    lo = float(absx.max() / max(m.inverse(1.0) for m in system))
-    hi = float(absx.sum() / min(m.inverse(1.0 / n) for m in system))
+    n = len(functions)
+    lo = float(absx.max() / max(m.inverse(1.0) for m in functions))
+    hi = float(absx.sum() / min(m.inverse(1.0 / n) for m in functions))
     if hi <= lo:
         hi = lo * (1 + 1e-6) + 1e-300
-    while modular_sum(system, absx, hi) > 1.0:
+    while modular_sum(functions, absx, hi) > 1.0:
         hi *= 2.0
-    while lo > 0 and modular_sum(system, absx, lo) < 1.0:
+    while lo > 0 and modular_sum(functions, absx, lo) < 1.0:
         lo *= 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if modular_sum(system, absx, mid) <= 1.0:
+        if modular_sum(functions, absx, mid) <= 1.0:
             hi = mid
         else:
             lo = mid
         if hi - lo <= 1e-10 * hi:
             break
     return hi
+
+
+def scalar_terms(system):
+    """Per coordinate, (M_i^{-1}(1), t -> (M_i(t), left derivative)) in plain floats, from the system's arrays.
+
+    A piecewise-affine M_i is the max of the lines of its conjugate's knots,
+    the first maximising line on a tie, and +inf past its domain bound (with
+    the program's rounding margin); a power M_i is scale t^p.
+    """
+    terms = [None] * system.n
+    for i, t, v, b in zip(system.pwa.tolist(), system.knots.tolist(), system.values.tolist(), system.bounds.tolist()):
+
+        def value_and_slope(u, t=t, v=v, b=b):
+            if u > b * (1 + 1e-15):
+                return math.inf, math.inf
+            lines = [u * tk - vk for tk, vk in zip(t, v)]
+            k = lines.index(max(lines))
+            return lines[k], t[k]
+
+        terms[i] = min([b] + [(1.0 + vk) / tk for tk, vk in zip(t, v) if tk > 0]), value_and_slope
+    for i, p, c in zip(system.power.tolist(), system.p.tolist(), system.scale.tolist()):
+        terms[i] = (1.0 / c) ** (1.0 / p), lambda u, p=p, c=c: (c * u**p, p * c * u ** (p - 1.0))
+    return terms
+
+
+def scalar_newton_norm(system, x):
+    """Reference Luxemburg norm: the monotone Newton loop, one vector and one coordinate at a time.
+
+    The iteration of ``luxemburg_norm`` (power-of-two scaling, start at
+    min_i M_i^{-1}(1)/|x_i|, stop once a step does not decrease s) in plain
+    floats, with ``scalar_terms`` in place of the array evaluation.
+    """
+    absx = [abs(float(v)) for v in x]
+    e = math.frexp(max(absx, default=0.0))[1]
+    terms = [(term, xi) for term, xi in zip(scalar_terms(system), [math.ldexp(v, -e) for v in absx]) if xi > 0.0]
+    if not terms:
+        return 0.0
+    s = min(unit / xi for (unit, _), xi in terms)
+    while True:
+        total = slope = 0.0
+        for (_, value_and_slope), xi in terms:
+            v, d = value_and_slope(xi * s)
+            total += v
+            slope += xi * d
+        step = s - (total - 1.0) / slope if total > 1.0 else s
+        if not step < s:  # s is the root
+            return math.ldexp(1.0 / s, e)
+        s = step
 
 
 class TestEval:
@@ -108,22 +167,20 @@ class TestEval:
 
     def test_value_and_slope_pwa(self):
         m = PiecewiseAffineConvex([0, 1, 2], [0, 1, 3], 3.0, domain_bound=4.0)
+        value, slope = MusielakSystem((m,)).evaluate([[0.5, 1.0, 2.0, 3.0, 4.0, 4.5]])
         # left derivative: the slope of the segment ending at a knot
-        assert m.value_and_slope(0.5) == (0.5, 1.0)
-        assert m.value_and_slope(1.0) == (1.0, 1.0)
-        assert m.value_and_slope(2.0) == (3.0, 2.0)
-        assert m.value_and_slope(3.0) == (6.0, 3.0)
-        assert m.value_and_slope(4.0) == (9.0, 3.0)
-        assert m.value_and_slope(4.5) == (math.inf, math.inf)
+        assert value.tolist() == [[0.5, 1.0, 3.0, 6.0, 9.0, math.inf]]
+        assert slope.tolist() == [[1.0, 1.0, 2.0, 3.0, 3.0, math.inf]]
 
     def test_value_and_slope_matches_call(self):
-        for m in [random_pwa(), random_pwa().conjugate(), PowerFunction(1.7, 0.3)]:
-            top = min(3.0, getattr(m, "domain_bound", None) or 3.0)
-            for t in rng.uniform(1e-3, top, 20):
-                v, d = m.value_and_slope(float(t))
-                assert v == pytest.approx(m(t), rel=1e-13)
-                h = 1e-7 * t
-                assert d == pytest.approx((m(t) - m(t - h)) / h, rel=1e-5, abs=1e-6)
+        functions = [random_pwa(), random_pwa().conjugate(), PowerFunction(1.7, 0.3)]
+        tops = [min(3.0, getattr(m, "domain_bound", None) or 3.0) for m in functions]
+        t = rng.uniform(1e-3, 1.0, (3, 20)) * np.array(tops)[:, None]
+        value, slope = MusielakSystem(functions).evaluate(t)
+        for m, ts, vs, ds in zip(functions, t, value, slope):
+            np.testing.assert_allclose(vs, m(ts), rtol=1e-13)
+            h = 1e-7 * ts
+            np.testing.assert_allclose(ds, (m(ts) - m(ts - h)) / h, rtol=1e-5, atol=1e-6)
 
 
 class TestInverse:
@@ -230,31 +287,38 @@ class TestTwoConcavity:
         # M(sqrt t) is +inf past domain_bound**2; the grid must stop there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for m in functions_from_matrix(make_matrix("power-family", 4)):
+            for m in row_functions(functions_from_matrix(make_matrix("power-family", 4))):
                 assert math.isfinite(is_two_concave(m).worst_margin)
 
 
 class TestLuxemburgNorm:
     def test_euclidean(self):
         s = MusielakSystem((PowerFunction(2),) * 2)
-        assert luxemburg_norm(s, [3, 4]) == pytest.approx(5, rel=1e-9)
+        assert norm(s, [3, 4]) == pytest.approx(5, rel=1e-9)
 
     def test_l1(self):
         # M(t) = t as a PWA with unit slope
         lin = PiecewiseAffineConvex([0.0, 1.0], [0.0, 1.0], 1.0)
         s = MusielakSystem((lin,) * 3)
-        assert luxemburg_norm(s, [1, 2, 3]) == pytest.approx(6, rel=1e-9)
+        assert norm(s, [1, 2, 3]) == pytest.approx(6, rel=1e-9)
 
     def test_zero_vector(self):
         s = MusielakSystem((PowerFunction(2),) * 4)
-        assert luxemburg_norm(s, np.zeros(4)) == 0.0
+        assert luxemburg_norm(s, np.zeros((2, 4))).tolist() == [0.0, 0.0]
+
+    def test_batch_shape(self):
+        s = MusielakSystem((PowerFunction(2),) * 2)
+        assert luxemburg_norm(s, np.zeros((0, 2))).shape == (0,)
+        for bad in ([3.0, 4.0], [[3.0, 4.0, 0.0]], np.ones((1, 1, 2))):
+            with pytest.raises(ValueError, match=r"xs must be a \(V, 2\) batch"):
+                luxemburg_norm(s, bad)
 
     def test_mixed_system_against_scan(self):
         # M1(t) = t, M2(t) = t^2, x = (1, 1): 1/rho + 1/rho^2 = 1 at the
         # golden ratio; frozen value confirmed by a 1e-6 grid scan
         lin = PiecewiseAffineConvex([0.0, 1.0], [0.0, 1.0], 1.0)
         s = MusielakSystem((lin, PowerFunction(2)))
-        got = luxemburg_norm(s, [1, 1])
+        got = norm(s, [1, 1])
         rhos = np.arange(1.0, 3.0, 1e-6)
         feasible = 1 / rhos + 1 / rhos**2 <= 1
         scan = rhos[feasible][0]
@@ -263,55 +327,52 @@ class TestLuxemburgNorm:
 
     def test_homogeneity(self):
         s = MusielakSystem((PowerFunction(1.5), PowerFunction(2.5), random_pwa()))
-        for _ in range(25):
-            x = rng.normal(size=3)
-            lam = rng.uniform(0.1, 10)
-            a = luxemburg_norm(s, lam * x)
-            b = abs(lam) * luxemburg_norm(s, x)
-            assert a == pytest.approx(b, rel=2e-10, abs=2e-10)
+        xs = rng.normal(size=(25, 3))
+        lam = rng.uniform(0.1, 10, 25)
+        a = luxemburg_norm(s, lam[:, None] * xs)
+        b = lam * luxemburg_norm(s, xs)
+        np.testing.assert_allclose(a, b, rtol=2e-10, atol=2e-10)
 
     def test_triangle_inequality(self):
         s = MusielakSystem((PowerFunction(1.5), random_pwa(), PowerFunction(3)))
-        for _ in range(25):
-            x, y = rng.normal(size=3), rng.normal(size=3)
-            nx, ny, nxy = (luxemburg_norm(s, v) for v in (x, y, x + y))
-            assert nxy <= nx + ny + 3e-10 * (nx + ny)
+        x, y = rng.normal(size=(25, 3)), rng.normal(size=(25, 3))
+        nx, ny, nxy = (luxemburg_norm(s, v) for v in (x, y, x + y))
+        assert np.all(nxy <= nx + ny + 3e-10 * (nx + ny))
 
     def test_modular_at_optimum(self):
         # at the norm the modular sum sits at 1 (unbounded strictly
         # increasing members)
-        s = MusielakSystem((PowerFunction(1.5), PowerFunction(2), PowerFunction(2.5)))
-        for _ in range(10):
-            x = rng.normal(size=3)
-            rho = luxemburg_norm(s, x)
-            total = sum(m(abs(xi) / rho) for m, xi in zip(s, x))
+        functions = (PowerFunction(1.5), PowerFunction(2), PowerFunction(2.5))
+        xs = rng.normal(size=(10, 3))
+        for x, rho in zip(xs, luxemburg_norm(MusielakSystem(functions), xs)):
+            total = sum(m(abs(xi) / rho) for m, xi in zip(functions, x))
             assert total == pytest.approx(1.0, abs=1e-8)
-
 
     def test_domain_cap_binds(self):
         # M = 0.2 t up to its domain bound 2, then +inf: the modular of
         # x = (1, 1) climbs to 0.8 at rho = 1/2 and jumps straight to +inf
         m = PiecewiseAffineConvex([0.0, 1.0], [0.0, 0.2], 0.2, domain_bound=2.0)
         s = MusielakSystem((m, m))
-        rho = luxemburg_norm(s, [1.0, -1.0])
+        rho = norm(s, [1.0, -1.0])
         assert rho == pytest.approx(0.5, rel=1e-15)
-        assert modular_sum(s, [1.0, 1.0], rho) == pytest.approx(0.8)
-        assert modular_sum(s, [1.0, 1.0], rho * (1 - 1e-12)) == math.inf
-        assert rho == pytest.approx(bisection_norm(s, [1.0, -1.0]), rel=1e-9)
+        assert modular_sum((m, m), [1.0, 1.0], rho) == pytest.approx(0.8)
+        assert modular_sum((m, m), [1.0, 1.0], rho * (1 - 1e-12)) == math.inf
+        assert rho == pytest.approx(bisection_norm((m, m), [1.0, -1.0]), rel=1e-9)
 
     def test_conjugate_of_linear_is_a_max_norm(self):
         # (1.5 t)* is 0 up to 1.5 and +inf beyond, so the norm is max|x_i|/1.5
         c = PiecewiseAffineConvex([0.0], [0.0], 1.5).conjugate()
         s = MusielakSystem((c, c))
-        assert luxemburg_norm(s, [3.0, -1.0]) == pytest.approx(2.0, rel=1e-15)
+        assert norm(s, [3.0, -1.0]) == pytest.approx(2.0, rel=1e-15)
 
     def test_ends_of_the_float_range(self):
         # unscaled, the Newton slope overflows at 1e308 and the start 1/|x| at 1e-310
         power = MusielakSystem((PowerFunction(1.5),) * 2)
-        assert luxemburg_norm(power, [1e308, 1e308]) == pytest.approx(2 ** (2 / 3) * 1e308, rel=1e-15)
-        assert luxemburg_norm(MusielakSystem((PowerFunction(1.5),)), [1e-310]) == pytest.approx(1e-310, rel=1e-12)
+        assert norm(power, [1e308, 1e308]) == pytest.approx(2 ** (2 / 3) * 1e308, rel=1e-15)
+        assert norm(MusielakSystem((PowerFunction(1.5),)), [1e-310]) == pytest.approx(1e-310, rel=1e-12)
         prefix = prefix_sum_system(WeightMatrix(np.ones((2, 2))))
-        assert luxemburg_norm(prefix, [1e-310, 0.0]) == pytest.approx(1e-310 * luxemburg_norm(prefix, [1.0, 0.0]), rel=1e-12)
+        tiny, one = luxemburg_norm(prefix, [[1e-310, 0.0], [1.0, 0.0]])
+        assert tiny == pytest.approx(1e-310 * one, rel=1e-12)
 
     @pytest.mark.parametrize("k", [-1000, 1000])
     def test_exact_homogeneity_by_powers_of_two(self, k):
@@ -320,18 +381,17 @@ class TestLuxemburgNorm:
         for s in (
             MusielakSystem((PowerFunction(1.5), PowerFunction(2.5), PowerFunction(1.2))),
             pwa,
-            MusielakSystem((PowerFunction(1.5), pwa[1], PowerFunction(3))),
+            MusielakSystem((PowerFunction(1.5), row_functions(pwa)[1], PowerFunction(3))),
         ):
-            for _ in range(20):
-                x = draws.choice([-1.0, 0.0, 1.0], 3) * draws.uniform(0.01, 10, 3)
-                assert luxemburg_norm(s, math.ldexp(1.0, k) * x) == math.ldexp(luxemburg_norm(s, x), k)
+            xs = draws.choice([-1.0, 0.0, 1.0], (20, 3)) * draws.uniform(0.01, 10, (20, 3))
+            assert luxemburg_norm(s, np.ldexp(xs, k)).tolist() == np.ldexp(luxemburg_norm(s, xs), k).tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vector_rejected(self, bad):
         lin = PiecewiseAffineConvex([0.0, 1.0], [0.0, 1.0], 1.0)
         for s in (MusielakSystem((lin,) * 3), MusielakSystem((PowerFunction(1.5),) * 3)):
-            with pytest.raises(ValueError, match="vector x"):
-                luxemburg_norm(s, [bad, 1.0, 1.0])
+            with pytest.raises(ValueError, match="xs: row 1 has a non-finite entry"):
+                luxemburg_norm(s, [[1.0, 1.0, 1.0], [bad, 1.0, 1.0]])
 
 
 # -- the Newton solver against the bisection oracle ---------------------------
@@ -355,18 +415,27 @@ power_functions = st.builds(PowerFunction, st.floats(1.05, 4.0), st.floats(0.1, 
 any_functions = st.one_of(pwa_functions, pwa_functions.map(lambda m: m.conjugate()), power_functions)
 
 
-def _systems(functions):
-    return st.lists(functions, min_size=1, max_size=7).map(MusielakSystem)
+def _systems(functions, max_size=7):
+    """(system, its function objects), for the oracles."""
+    return st.lists(functions, min_size=1, max_size=max_size).map(lambda fs: (MusielakSystem(fs), fs))
 
 
-def _matrices():
+def _matrices(max_n=6):
     def build(n, entries):
         rows = np.sort(np.reshape(entries, (n, n)), axis=1)[:, ::-1]
         return WeightMatrix(rows)
 
-    return st.integers(1, 6).flatmap(
+    return st.integers(1, max_n).flatmap(
         lambda n: st.builds(build, st.just(n), st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n))
     )
+
+
+def _built(build, loop_build):
+    """(the system ``build`` makes of a matrix, the M_i of ``loop_build``'s row-by-row reference).
+
+    The references are defined further down, so the tables below name them inside lambdas.
+    """
+    return lambda a: (build(a), [loop_conjugate(mstar) for mstar in loop_build(a)])
 
 
 SYSTEMS = {
@@ -374,8 +443,8 @@ SYSTEMS = {
     "conjugate": _systems(pwa_functions.map(lambda m: m.conjugate())),
     "power": _systems(power_functions),
     "mixed": _systems(any_functions),
-    "prefix-sum": _matrices().map(prefix_sum_system),
-    "from-matrix": _matrices().map(functions_from_matrix),
+    "prefix-sum": _matrices().map(_built(prefix_sum_system, lambda a: loop_prefix_sum_system(a))),
+    "from-matrix": _matrices().map(_built(functions_from_matrix, lambda a: loop_functions_from_matrix(a))),
 }
 
 # zero entries and magnitudes 1e-6 .. 1e6 of either sign
@@ -389,13 +458,37 @@ entries = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_newton_matches_bisection(kind, data):
-    system = data.draw(SYSTEMS[kind])
+    system, functions = data.draw(SYSTEMS[kind])
     x = data.draw(st.lists(entries, min_size=system.n, max_size=system.n))
-    rho = luxemburg_norm(system, x)
-    assert rho == pytest.approx(bisection_norm(system, x), rel=1e-9, abs=0.0)
+    rho = norm(system, x)
+    assert rho == pytest.approx(bisection_norm(functions, x), rel=1e-9, abs=0.0)
     if rho > 0:
         # feasible: the modular at the returned rho is at most 1
-        assert modular_sum(system, np.abs(x), rho) <= 1.0 + 1e-12
+        assert modular_sum(functions, np.abs(x), rho) <= 1.0 + 1e-12
+
+
+# the systems of the batch oracle test, n = 1..12
+BATCH_SYSTEMS = {
+    "from-matrix": _matrices(12).map(_built(functions_from_matrix, lambda a: loop_functions_from_matrix(a))),
+    "prefix-sum": _matrices(12).map(_built(prefix_sum_system, lambda a: loop_prefix_sum_system(a))),
+    "power": _systems(power_functions, 12),
+    "mixed": _systems(any_functions, 12),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_SYSTEMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_matches_scalar_oracles(kind, data):
+    system, functions = data.draw(BATCH_SYSTEMS[kind])
+    rows = st.lists(entries, min_size=system.n, max_size=system.n)
+    xs = np.array(data.draw(st.lists(rows, min_size=1, max_size=8)))
+    got = luxemburg_norm(system, xs)
+    for v, (x, rho) in enumerate(zip(xs, got)):
+        assert luxemburg_norm(system, xs[v : v + 1]).tobytes() == rho.tobytes()  # the same bits alone
+        newton = scalar_newton_norm(system, x)
+        assert abs(rho - newton) <= 4 * np.spacing(newton)
+        assert rho == pytest.approx(bisection_norm(functions, x), rel=1e-9, abs=0.0)
 
 
 class TestEquivalence:
@@ -429,30 +522,28 @@ def loop_conjugate(m):
 
 
 def loop_functions_from_matrix(a):
-    """Reference ``functions_from_matrix``: one M* object per row, then its loop conjugate."""
+    """Reference ``functions_from_matrix``: one M* object per row, each checked on its own."""
     v = conjugate_inverse_knots(a)
     n = a.n
-    funcs = []
+    mstars = []
     for i in range(n):
         inc = np.diff(v[i])
         if np.any(inc <= 0):
             raise ConstructionError(f"row {i}: knot values are not strictly increasing")
         if np.any(np.diff(inc) > 1e-12 * v[i, -1]):
             raise ConstructionError(f"row {i}: knot values are not concave")
-        mstar = PiecewiseAffineConvex(v[i], np.arange(n + 1) / n, (1.0 / n) / inc[-1])
-        funcs.append(loop_conjugate(mstar))
-    return funcs
+        mstars.append(PiecewiseAffineConvex(v[i], np.arange(n + 1) / n, (1.0 / n) / inc[-1]))
+    return mstars
 
 
 def loop_prefix_sum_system(a):
-    """Reference ``prefix_sum_system``: one M* object per row, then its loop conjugate."""
+    """Reference ``prefix_sum_system``: one M* object per row."""
     N = a.ncols
-    funcs = []
+    mstars = []
     for i in range(a.n):
         prefix = np.concatenate([[0.0], np.cumsum(a.entries[i])])
-        mstar = PiecewiseAffineConvex(prefix, np.arange(N + 1) / N, (1.0 / N) / a.entries[i, -1])
-        funcs.append(loop_conjugate(mstar))
-    return funcs
+        mstars.append(PiecewiseAffineConvex(prefix, np.arange(N + 1) / N, (1.0 / N) / a.entries[i, -1]))
+    return mstars
 
 
 @st.composite
@@ -466,16 +557,18 @@ def tied_matrices(draw, square=True):
     return WeightMatrix(np.sort(np.reshape(entries, (n, ncols)), axis=1)[:, ::-1])
 
 
-def assert_same_bits(got, want):
-    for m, r in zip(got, want, strict=True):
-        np.testing.assert_array_equal(m.knots, r.knots)
-        np.testing.assert_array_equal(m.values, r.values)
-        assert m.ext_slope == r.ext_slope and m.domain_bound == r.domain_bound
+def assert_same_bits(system, mstars):
+    """The system's knot data, row by row, has the bits of the reference M* objects."""
+    assert system.n == len(mstars) and system.pwa.tolist() == list(range(system.n))
+    for t, v, b, r in zip(system.knots, system.values, system.bounds, mstars, strict=True):
+        np.testing.assert_array_equal(t, r.knots)
+        np.testing.assert_array_equal(v, r.values)
+        assert b == r.ext_slope and r.domain_bound is None
 
 
 def built_or_error(build, a):
     try:
-        return list(build(a))
+        return build(a)
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -511,8 +604,9 @@ def test_builders_match_row_loop_on_random_matrices(n):
 @given(a=tied_matrices(square=False))
 def test_conjugate_of_finite_domain_matches_loop(a):
     # every built M has a finite domain, often bounded at its last knot
-    built = built_or_error(functions_from_matrix, a) if a.is_square else []
-    for m in list(prefix_sum_system(a)) + ([] if isinstance(built, str) else built):
+    built = built_or_error(loop_functions_from_matrix, a) if a.is_square else []
+    for mstar in loop_prefix_sum_system(a) + ([] if isinstance(built, str) else built):
+        m = loop_conjugate(mstar)
         got, want = m.conjugate(), loop_conjugate(m)
         for x, y in [(got.knots, want.knots), (got.values, want.values)]:
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
@@ -522,7 +616,10 @@ def test_conjugate_of_finite_domain_matches_loop(a):
 @settings(max_examples=100, deadline=None)
 @given(m=pwa_functions)
 def test_conjugate_of_unbounded_domain_matches_loop(m):
-    assert_same_bits([m.conjugate()], [loop_conjugate(m)])
+    got, want = m.conjugate(), loop_conjugate(m)
+    np.testing.assert_array_equal(got.knots, want.knots)
+    np.testing.assert_array_equal(got.values, want.values)
+    assert got.ext_slope == want.ext_slope and got.domain_bound == want.domain_bound
 
 
 # -- the list-based validation against the numpy checks it replaced ------------
@@ -587,22 +684,18 @@ def test_list_checks_match_numpy_checks(args):
         assert PiecewiseAffineConvex(*args)._slopes.tobytes() == want.tobytes()
 
 
-def test_unit_inverse_is_computed_once(monkeypatch):
-    calls = []
-    for cls in (PiecewiseAffineConvex, PowerFunction):
-        inverse = cls.inverse
-        monkeypatch.setattr(cls, "inverse", lambda m, y, inverse=inverse: calls.append(y) or inverse(m, y))
+def test_unit_inverse_matches_each_function():
+    # M^{-1}(1) of every column, from the system's arrays, against each function's own inverse
     pwa, power = PiecewiseAffineConvex([0, 1, 2], [0, 1, 3], 3.0), PowerFunction(1.5, 2.0)
-    system = MusielakSystem((pwa, power, pwa))
-    first = luxemburg_norm(system, [1.0, 2.0, 3.0])
-    assert luxemburg_norm(system, [1.0, 2.0, 3.0]) == first and luxemburg_norm(system, [3.0, 0.5, 1.0]) > 0
-    assert calls == [1.0, 1.0]  # one M^{-1}(1) per distinct function, over three solves
-    assert (pwa.unit_inverse, power.unit_inverse) == (pwa.inverse(1.0), power.inverse(1.0))
+    functions = (pwa, power, pwa.conjugate(), random_pwa(), PiecewiseAffineConvex([0.0], [0.0], 1.5).conjugate())
+    want = [m.inverse(1.0) for m in functions]
+    np.testing.assert_allclose(MusielakSystem(functions).unit_inverse, want, rtol=1e-15)
+    assert MusielakSystem(functions[:2]).unit_inverse.tolist() == [1.0, 0.5 ** (2 / 3)]
 
 
 def test_zero_function_raises_only_when_solved():
     zero = PiecewiseAffineConvex([0.0, 1.0], [0.0, 0.0], 0.0)  # flat tail, no domain bound
-    system = MusielakSystem((zero,))
-    assert luxemburg_norm(system, [0.0]) == 0.0
-    with pytest.raises(DegenerateTailError):
-        luxemburg_norm(system, [1.0])
+    system = MusielakSystem((PowerFunction(2.0), zero))
+    assert luxemburg_norm(system, [[0.0, 0.0], [3.0, 0.0]]).tolist() == [0.0, 3.0]
+    with pytest.raises(DegenerateTailError, match="M_1 is 0"):
+        luxemburg_norm(system, [[3.0, 0.0], [0.0, 1.0]])

@@ -440,11 +440,11 @@ class TestSandwich:
         system = prefix_sum_system(a)
         x = [1.3]
         rhos = np.arange(1e-3, 3.0, 1e-6)
-        with np.errstate(over="ignore"):
-            sums = system[0](1.3 / rhos)
+        sums = system.evaluate((1.3 / rhos)[None])[0][0]
         scan = rhos[sums <= 1][0]
-        assert luxemburg_norm(system, x) == pytest.approx(scan, abs=2e-6)
-        assert luxemburg_norm(system, x) == pytest.approx(0.8 * 1.3, rel=1e-9)
+        (norm,) = luxemburg_norm(system, [x])
+        assert norm == pytest.approx(scan, abs=2e-6)
+        assert norm == pytest.approx(0.8 * 1.3, rel=1e-9)
         assert lemma_matrixnorm_check(a, x).passed
 
     def test_equal_entries(self):
@@ -453,7 +453,7 @@ class TestSandwich:
         # +inf beyond, and the Luxemburg norm is max |x_i| / 5
         a = WeightMatrix(np.full((4, 4), 0.05))
         system = prefix_sum_system(a)
-        assert luxemburg_norm(system, [1.0, 2.0, -3.0, 0.5]) == pytest.approx(0.6, rel=1e-12)
+        assert luxemburg_norm(system, [[1.0, 2.0, -3.0, 0.5]])[0] == pytest.approx(0.6, rel=1e-12)
         assert lemma_matrixnorm_check(a, [1.0, 2.0, -3.0, 0.5]).passed
 
     def test_random_instances(self):
