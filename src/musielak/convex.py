@@ -250,19 +250,6 @@ class MusielakSystem:
         if self.power.size:
             self.unit_inverse[self.power] = (1.0 / self.scale) ** (1.0 / self.p)
 
-    def evaluate(self, u):
-        """M_i(u_i) and the left derivative M_i'(u_i) for an (n, V) array u >= 0, as two (n, V) arrays.
-
-        Both are +inf past a domain bound, with a margin of 1e-15 relative
-        for rounding.
-        """
-        u = np.asarray(u, dtype=float)
-        value, slope = self._terms(u)(np.ones(u.shape[1]))
-        past = np.zeros(u.shape, dtype=bool)
-        past[self.pwa] = u[self.pwa] > (self.bounds * (1 + 1e-15))[:, None]
-        value[past] = slope[past] = np.inf
-        return value, slope
-
     def _terms(self, y):
         """s -> (M_i(y_i s), M_i'(y_i s)) for the (n, V) batch y >= 0 and a (V,) array s, as two (n, V) arrays.
 

@@ -25,7 +25,7 @@ from musielak.construct import (
     roundtrip_check,
     rows_from_knots,
 )
-from musielak.convex import MusielakSystem, PowerFunction, is_two_concave
+from musielak.convex import MusielakSystem, PiecewiseAffineConvex, PowerFunction, is_two_concave
 from musielak.perms import WeightMatrix
 
 rng = np.random.default_rng(424242)
@@ -208,15 +208,18 @@ class TestPchip:
 
 class TestFunctionsFromMatrix:
     def test_conjugate_interpolates_knots(self):
-        # M_i*(v_{i,l}) = sup_s (s v_{i,l} - M_i(s)) = l/n, the sup taken on a grid of s up to M_i's domain bound
         a = random_matrix(4)
         v = conjugate_inverse_knots(a)
         system = functions_from_matrix(a)
-        s = np.linspace(0.0, 1.0, 200_001)[:, None] * system.bounds
-        m = system.evaluate(s.T)[0]
+        # M_i*(v_{i,l}) = sup_s (s v_{i,l} - M_i(s)) = l/n, the sup attained at a kink of M_i: 0 or a slope of M_i*
+        kinks = np.hstack([np.zeros((4, 1)), 0.25 / np.diff(v, axis=1)])
+        value, _ = system._terms(kinks)(np.ones(5))
         for i in range(4):
+            m = PiecewiseAffineConvex(system.knots[i], system.values[i], system.bounds[i]).conjugate()
+            np.testing.assert_allclose(value[i], m(kinks[i]), rtol=1e-13)
             for ell in range(1, 5):
-                assert np.max(s[:, i] * v[i, ell] - m[i]) == pytest.approx(ell / 4, abs=1e-5)
+                assert np.max(kinks[i] * v[i, ell] - value[i]) == pytest.approx(ell / 4, rel=1e-10)
+                assert m.conjugate().inverse(ell / 4) == pytest.approx(v[i, ell], rel=1e-10)
 
     def test_shape(self):
         assert functions_from_matrix(random_matrix(3)).n == 3

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from musielak.convex import luxemburg_norm
+from musielak.convex import PiecewiseAffineConvex, luxemburg_norm
 from musielak.embed import N_EXACT_PSI, psi_image_norm
 from musielak.perms import (
     N_EXACT,
@@ -440,7 +440,9 @@ class TestSandwich:
         system = prefix_sum_system(a)
         x = [1.3]
         rhos = np.arange(1e-3, 3.0, 1e-6)
-        sums = system.evaluate((1.3 / rhos)[None])[0][0]
+        m = PiecewiseAffineConvex(system.knots[0], system.values[0], system.bounds[0]).conjugate()
+        with np.errstate(over="ignore"):
+            sums = m(1.3 / rhos)
         scan = rhos[sums <= 1][0]
         (norm,) = luxemburg_norm(system, [x])
         assert norm == pytest.approx(scan, abs=2e-6)
