@@ -11,14 +11,13 @@ Composing them is a fixed point up to uniform equivalence.
 import numpy as np
 
 from musielak import (
-    MusielakSystem,
     WeightMatrix,
     conjugate_inverse_knots,
     functions_from_matrix,
     matrix_from_functions,
-    power_orlicz,
     power_profile,
     power_profile_value,
+    power_system,
     roundtrip_check,
 )
 
@@ -40,7 +39,7 @@ for t in [0.05, 0.25, 1.0]:
     num, exact = prof.value(t), float(power_profile_value(1.5, t))
     print(f"profile f({t}) = {num:.8f}  (closed form {exact:.8f})")
 
-mixed = MusielakSystem(tuple(power_orlicz(p) for p in [1.2, 1.5, 1.8, 1.5]))
+mixed = power_system([1.2, 1.5, 1.8, 1.5])
 b = matrix_from_functions(mixed)
 print("matrix from the mixed power system:")
 print(np.round(b.entries, 4))

@@ -7,14 +7,7 @@ equivalences, combinatorial sandwiches and embedding distortions at desk
 scale, exactly where enumeration is feasible and by seeded sampling beyond.
 """
 
-from .convex import (
-    EquivalenceReport,
-    MusielakSystem,
-    PiecewiseAffineConvex,
-    PowerFunction,
-    is_two_concave,
-    luxemburg_norm,
-)
+from .convex import EquivalenceReport, MusielakSystem, luxemburg_norm
 from .perms import (
     AverageResult,
     PermutationSampler,
@@ -38,8 +31,8 @@ from .construct import (
     h_reconstruct_check,
     matrix_from_functions,
     matrix_from_profiles,
-    power_orlicz,
     power_profile,
+    power_system,
     power_profile_value,
     roundtrip_check,
     rows_from_knots,

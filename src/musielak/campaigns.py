@@ -82,7 +82,7 @@ def make_matrix(
 def make_power_system(n: int, exponents=DEFAULT_EXPONENTS) -> MusielakSystem:
     """Normalized power system cycling through the exponent list."""
     ps = list(itertools.islice(itertools.cycle(exponents), n))
-    return MusielakSystem(tuple(construct.power_orlicz(p) for p in ps))
+    return construct.power_system(ps)
 
 
 # ---------------------------------------------------------------------------

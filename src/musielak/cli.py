@@ -103,7 +103,10 @@ def _is_square(rows) -> bool:
 _FIELDS = {
     "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
     **dict.fromkeys(("instances", "vectors", "samples"), (lambda v: _is_int(v, 1), "an integer >= 1")),
-    "dims": (lambda v: isinstance(v, list) and all(_is_int(n, 1) for n in v), "a list of integers >= 1"),
+    "dims": (
+        lambda v: isinstance(v, list) and all(_is_int(n, 1) for n in v) and len(set(v)) == len(v),
+        "a list of distinct integers >= 1",
+    ),
     "exponents": (
         lambda v: isinstance(v, list) and len(v) > 0 and all(_is_number(p) and 1 < p < 2 for p in v),
         "a non-empty list of numbers in (1, 2)",

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .convex import EquivalenceReport, MusielakSystem, PowerFunction
+from .convex import EquivalenceReport, MusielakSystem
 from .perms import WeightMatrix
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "rows_from_knots",
     "functions_from_matrix",
     "power_profile",
-    "power_orlicz",
+    "power_system",
     "matrix_from_profiles",
     "matrix_from_functions",
     "h_reconstruct_check",
@@ -189,9 +189,6 @@ class FProfile:
         shape = (self.rows, *s.shape)
         return [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in self.curvature(s)]
 
-    def _per_row(self, out: np.ndarray):
-        return (out[0] if self.rows == 1 else out)[()]
-
     def value(self, t):
         """f(t) for t in (0, 1], a number or an array; nonnegative and nonincreasing.
 
@@ -201,16 +198,8 @@ class FProfile:
         if not np.all((t > 0) & (t <= 1)):
             raise ValueError("t must lie in (0, 1]")
         breaks = _breaks([self], t)
-        f = _curvature_sums([self], breaks)[2]
-        return self._per_row(f[:, np.searchsorted(breaks, t)])
-
-    def integral(self, lo: float, hi: float):
-        """int_lo^hi f(t) dt, per row for a profile of several rows."""
-        if not 0 <= lo <= hi <= 1:
-            raise ValueError("need 0 <= lo <= hi <= 1")
-        if hi == lo:
-            return self._per_row(np.zeros(self.rows))
-        return self._per_row((hi - lo) * _interval_averages([self], [lo, hi])[:, 0])
+        f = _curvature_sums([self], breaks)[2][:, np.searchsorted(breaks, t)]
+        return (f[0] if self.rows == 1 else f)[()]
 
 
 def _curvature_sums(profiles, breaks: np.ndarray):
@@ -280,18 +269,19 @@ def _interval_averages(profiles, edges) -> np.ndarray:
 # the power family
 
 
-def power_orlicz(p: float) -> PowerFunction:
-    """Power Orlicz function rescaled so its conjugate satisfies M*(1) = 1.
+def power_system(exponents) -> MusielakSystem:
+    """The power system of the exponents p_i, each rescaled so that its conjugate satisfies M_i*(1) = 1.
 
     With q = p/(p-1) the rescaled function is M(t) = q^(1-p)/p * t^p, whose
-    conjugate is exactly x^q.  p must lie in (1, 2), where M is strictly
-    2-concave; any other p raises ``ValueError``.
+    conjugate is exactly x^q.  Every p must lie in (1, 2), where M is
+    strictly 2-concave; ``ValueError`` names the first that does not.
     """
-    if not 1 < p < 2:
-        raise ValueError("p must lie in (1, 2) for the strictly 2-concave pipeline")
-    q = p / (p - 1.0)
-    scale = q ** (1.0 - p) / p
-    return PowerFunction(p, scale)
+    ps = [float(p) for p in exponents]
+    for i, p in enumerate(ps):
+        if not 1 < p < 2:
+            raise ValueError(f"exponents[{i}] = {p} must lie in (1, 2) for the strictly 2-concave pipeline")
+    # in Python floats: numpy's vectorized pow can differ from the scalar one in the last bit
+    return MusielakSystem.powers(ps, [(p / (p - 1.0)) ** (1.0 - p) / p for p in ps])
 
 
 def power_profile(p: float) -> FProfile:
@@ -346,8 +336,9 @@ def matrix_from_functions(system: MusielakSystem) -> WeightMatrix:
     and nonincreasing because the profiles are nonnegative and nonincreasing.
     All rows come in one broadcast; the constant part of every entry is
     exactly A - B, so where a profile is flat (p = 2) the entries tie exactly.
+    A piecewise-affine system raises ``TypeError``.
     """
-    if system.pwa.size:
+    if system.p is None:
         raise TypeError(
             "matrix_from_functions needs power functions; "
             "fit piecewise-affine systems with fit_concave_profile first"
@@ -506,9 +497,9 @@ def roundtrip_check(a: WeightMatrix) -> EquivalenceReport:
 
     The matrix is turned into knot values, a smooth concave H is fitted to
     every row at once, the inverse construction produces a new matrix, and
-    the report collects the ratios of reconstructed to original knot values
-    (only norm equivalence is claimed, so raw matrix entries are not
-    compared).
+    the report holds the least and largest ratio of reconstructed to
+    original knot values (only norm equivalence is claimed, so raw matrix
+    entries are not compared).
     """
     if not a.is_square:
         raise ValueError("needs a square matrix")
@@ -517,5 +508,5 @@ def roundtrip_check(a: WeightMatrix) -> EquivalenceReport:
     profile, scales = fit_concave_profile(v)
     rebuilt = WeightMatrix(_interval_averages([profile], np.arange(n + 1) / n) * scales[:, None])
     v2 = conjugate_inverse_knots(rebuilt)
-    ratios = (v2[:, 1:] / v[:, 1:]).ravel()
-    return EquivalenceReport(float(ratios.min()), float(ratios.max()), ratios)
+    ratios = v2[:, 1:] / v[:, 1:]
+    return EquivalenceReport(float(ratios.min()), float(ratios.max()))

@@ -1,21 +1,18 @@
-"""Convex (Young/Orlicz) functions and Musielak-Orlicz norms.
+"""Musielak-Orlicz systems and their Luxemburg norms.
 
-Two single functions are the inputs a system is built from:
+A ``MusielakSystem`` holds the Orlicz functions M_1, ..., M_n, one per
+coordinate, as arrays, all of one of two kinds:
 
-* ``PowerFunction`` -- closed-form ``M(t) = scale * t**p`` with ``p > 1``;
-* ``PiecewiseAffineConvex`` -- a convex piecewise-affine function with
-  ``M(0) = 0``, extended linearly past its last knot, optionally with a
-  finite domain bound past which the function is +inf.
+* piecewise affine (``MusielakSystem.from_conjugate_knots``): the knots
+  t_ik and values v_ik of each conjugate M_i*, so that
+  M_i(s) = max_k (s t_ik - v_ik) up to the domain bound b_i (the last
+  slope of M_i*) and +inf beyond.  The matrix-built systems
+  (``construct.functions_from_matrix`` and ``perms.prefix_sum_system``)
+  come as such knot data;
+* powers (``MusielakSystem.powers``): M_i(s) = scale_i s^p_i with p_i > 1.
+  ``construct.power_system`` builds the normalized ones of the power family.
 
-Both support evaluation, (generalized) inversion and exact Legendre
-conjugation.  ``MusielakSystem`` holds M_1, ..., M_n as arrays: a
-piecewise-affine M_i as the knots t_ik and values v_ik of its conjugate
-M_i*, so that M_i(s) = max_k (s t_ik - v_ik) up to the domain bound b_i
-(the last slope of M_i*), and a power M_i as its (p, scale).  The
-matrix-built systems (``construct.functions_from_matrix`` and
-``perms.prefix_sum_system``) come as such knot data directly; a system of
-function objects converts them when it is built.  ``luxemburg_norm``
-evaluates the norm
+``luxemburg_norm`` evaluates the norm
 
     ||x|| = inf{ rho > 0 : sum_i M_i(|x_i| / rho) <= 1 }
 
@@ -28,196 +25,34 @@ step stops decreasing s, and the loop ends when no row moves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PiecewiseAffineConvex",
-    "PowerFunction",
-    "MusielakSystem",
-    "EquivalenceReport",
-    "TwoConcavityReport",
-    "is_two_concave",
-    "luxemburg_norm",
-]
+__all__ = ["MusielakSystem", "EquivalenceReport", "luxemburg_norm"]
 
 
 class DegenerateTailError(ValueError):
-    """Raised when an inversion hits a flat (non-invertible) tail."""
-
-
-@dataclass(frozen=True)
-class PiecewiseAffineConvex:
-    """Convex piecewise-affine function with M(0) = 0.
-
-    ``knots`` are strictly increasing abscissas starting at 0, ``values``
-    the matching ordinates (``values[0] == 0``).  Past the last knot the
-    function continues with slope ``ext_slope``.  If ``domain_bound`` is
-    finite the function is +inf for ``t > domain_bound``; this is how
-    degenerate conjugate tails are represented instead of storing an
-    infinite value.
-    """
-
-    knots: np.ndarray
-    values: np.ndarray
-    ext_slope: float
-    domain_bound: float | None = None
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-        if knots.ndim != 1 or knots.shape != values.shape:
-            raise ValueError("knots and values must be 1-d arrays of equal length")
-        # the checks run on plain floats: one pass of Python arithmetic beats numpy on a few knots
-        ks, vs = knots.tolist(), values.tolist()
-        if not ks:
-            raise ValueError("knots must not be empty: the first knot is (0, 0)")
-        if ks[0] != 0.0 or vs[0] != 0.0:
-            raise ValueError("first knot must be (0, 0)")
-        dk = [b - a for a, b in zip(ks, ks[1:])]
-        dv = [b - a for a, b in zip(vs, vs[1:])]
-        if any(d <= 0 for d in dk):
-            raise ValueError("knots must be strictly increasing")
-        if any(d < 0 for d in dv):
-            raise ValueError("values must be nondecreasing")
-        slopes = [v / k for v, k in zip(dv, dk)] + [float(self.ext_slope)]  # segments, then the extension
-        if any(b - a < -1e-12 for a, b in zip(slopes, slopes[1:])):
-            raise ValueError("segment slopes must be nondecreasing (convexity)")
-        if self.domain_bound is not None and self.domain_bound < ks[-1]:
-            raise ValueError("domain_bound must not cut into the knot range")
-        object.__setattr__(self, "_slopes", np.array(slopes))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("argument must be nonnegative")
-        out = np.interp(t, self.knots, self.values)
-        tail = t > self.knots[-1]
-        out = np.where(tail, self.values[-1] + self.ext_slope * (t - self.knots[-1]), out)
-        if self.domain_bound is not None:
-            out = np.where(t > self.domain_bound * (1 + 1e-15), np.inf, out)
-        return float(out) if out.ndim == 0 else out
-
-    def inverse(self, y: float) -> float:
-        """Generalized inverse sup{t : M(t) <= y} (exact interpolation)."""
-        if y < 0:
-            raise ValueError("argument must be nonnegative")
-        knots, values = self.knots, self.values
-        top = values[-1]
-        if y <= top:
-            # step back over ties so the enclosing segment is found
-            k = min(int(np.searchsorted(values, y, side="right")), len(values) - 1)
-            t0, t1 = knots[k - 1], knots[k]
-            v0, v1 = values[k - 1], values[k]
-            if v1 == v0:  # flat segment: rightmost preimage
-                return float(t1)
-            return float(t0 + (y - v0) * (t1 - t0) / (v1 - v0))
-        if self.ext_slope > 0:
-            t = knots[-1] + (y - top) / self.ext_slope
-            if self.domain_bound is not None:
-                t = min(t, self.domain_bound)
-            return float(t)
-        if self.domain_bound is not None:
-            return float(self.domain_bound)
-        raise DegenerateTailError(f"value {y} beyond range of a flat tail")
-
-    def conjugate(self) -> "PiecewiseAffineConvex":
-        """Exact Legendre conjugate, by slope duality.
-
-        With knots t_k, values v_k and slope s_k after t_k, the conjugate
-        has knots 0, s_0, ..., s_{K-1} with values 0 and s_k t_{k+1} - v_{k+1},
-        extension slope t_K and domain bound s_K.  A finite domain is one
-        more knot, at the bound, with slope +inf: no bound on the conjugate.
-        """
-        t, v, s = self.knots, self.values, self._slopes
-        if self.domain_bound is not None:
-            b = self.domain_bound
-            t, v, s = np.append(t, b), np.append(v, v[-1] + s[-1] * (b - t[-1])), np.append(s, np.inf)
-        # exact math makes both nondecreasing from 0 (so values >= 0): clamp rounding, and merge
-        # slopes equal up to rounding (equal matrix entries give slopes differing in the last bits)
-        kt = np.maximum.accumulate(np.append(0.0, s[:-1]))
-        kv = np.maximum.accumulate(np.append(0.0, s[:-1] * t[1:] - v[1:]))
-        keep = np.append(True, np.diff(kt) > 1e-12 * kt[-1])
-        # guard rounding: s_K can land a ulp below the last kept knot, which convexity forbids
-        bound = max(float(s[-1]), float(kt[keep][-1]))
-        return PiecewiseAffineConvex(kt[keep], kv[keep], float(t[-1]), None if math.isinf(bound) else bound)
-
-
-@dataclass(frozen=True)
-class PowerFunction:
-    """Closed-form Orlicz function M(t) = scale * t**p with p > 1."""
-
-    p: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.p <= 1:
-            raise ValueError("exponent must exceed 1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("argument must be nonnegative")
-        out = self.scale * t**self.p
-        return float(out) if out.ndim == 0 else out
-
-    def inverse(self, y: float) -> float:
-        if y < 0:
-            raise ValueError("argument must be nonnegative")
-        return float((y / self.scale) ** (1.0 / self.p))
-
-    def conjugate(self) -> "PowerFunction":
-        """Closed-form conjugate: (c t^p)* = x^q / (q (c p)^(q-1))."""
-        q = self.p / (self.p - 1.0)
-        cstar = (self.scale * self.p) ** (1.0 - q) / q
-        return PowerFunction(q, cstar)
-
-
-OrliczFunction = PowerFunction | PiecewiseAffineConvex
+    """Raised when an M_i that is 0 everywhere meets a nonzero coordinate."""
 
 
 class MusielakSystem:
-    """Orlicz functions M_1, ..., M_n, one per coordinate, held as arrays.
+    """Orlicz functions M_1, ..., M_n, one per coordinate, held as arrays, all of one kind.
 
-    ``MusielakSystem(functions)`` converts a sequence of ``PowerFunction``
-    and ``PiecewiseAffineConvex`` objects; ``from_conjugate_knots`` takes
-    piecewise-affine knot data directly.  The columns ``pwa`` are
-    piecewise affine: row r of ``knots`` and ``values`` holds the knots
-    t_k, increasing from 0, and values v_k >= 0 of the conjugate of
-    M_{pwa[r]}, so that M(s) = max_k (s t_k - v_k) for s <= ``bounds[r]``
-    and +inf beyond (``bounds`` is +inf where M has no domain bound).  A row
-    with fewer knots repeats its last knot.  The columns ``power`` are
-    M(s) = scale s^p, with ``p`` and ``scale`` in column order.
-    ``unit_inverse`` holds M_i^{-1}(1) per coordinate: the smaller of b and
-    min over t_k > 0 of (1 + v_k) / t_k, or (1 / scale)^(1/p); it is +inf
-    for an M_i that is 0 everywhere (``luxemburg_norm`` raises on it).
+    In a piecewise-affine system (``from_conjugate_knots``), row i of
+    ``knots`` and ``values`` holds the knots t_k, increasing from 0, and
+    values v_k >= 0 of the conjugate of M_i, so that
+    M_i(s) = max_k (s t_k - v_k) for s <= ``bounds[i]`` and +inf beyond
+    (``bounds`` is +inf where M_i has no domain bound).  A row with fewer
+    knots repeats its last knot.  In a power system (``powers``),
+    M_i(s) = scale_i s^p_i, with ``p`` and ``scale`` in coordinate order.
+    The arrays of the other kind are None.  ``unit_inverse`` holds
+    M_i^{-1}(1) per coordinate: the smaller of b_i and min over t_k > 0 of
+    (1 + v_k) / t_k, or (1 / scale_i)^(1/p_i); it is +inf for an M_i that is
+    0 everywhere (``luxemburg_norm`` raises on it).
     """
 
-    def __init__(self, functions):
-        functions = tuple(functions)
-        if not functions:
-            raise ValueError("need at least one function")
-        pwa = [i for i, m in enumerate(functions) if isinstance(m, PiecewiseAffineConvex)]
-        power = [i for i, m in enumerate(functions) if isinstance(m, PowerFunction)]
-        if len(pwa) + len(power) != len(functions):
-            raise TypeError("a system is built from PowerFunction and PiecewiseAffineConvex objects")
-        # M is the max of its segment lines, the extension included: the line of slope s_k through
-        # (t_k, v_k) is s -> s s_k - (s_k t_k - v_k), so the conjugate's knots are the s_k
-        width = max((functions[i].knots.size for i in pwa), default=1)
-        knots, values = np.empty((len(pwa), width)), np.empty((len(pwa), width))
-        for r, i in enumerate(pwa):
-            m = functions[i]
-            knots[r] = np.pad(m._slopes, (0, width - m.knots.size), "edge")
-            values[r] = np.pad(np.maximum(m._slopes * m.knots - m.values, 0.0), (0, width - m.knots.size), "edge")
-        bounds = [math.inf if functions[i].domain_bound is None else functions[i].domain_bound for i in pwa]
-        p, scale = [functions[i].p for i in power], [functions[i].scale for i in power]
-        self._build(len(functions), pwa, knots, values, bounds, power, p, scale)
+    knots = values = bounds = p = scale = None
 
     @classmethod
     def from_conjugate_knots(cls, knots, values, bounds) -> "MusielakSystem":
@@ -229,26 +64,42 @@ class MusielakSystem:
         builders check them and name the bad row.
         """
         self = cls.__new__(cls)
-        self._build(len(knots), np.arange(len(knots)), knots, values, bounds, [], [], [])
-        return self
-
-    def _build(self, n, pwa, knots, values, bounds, power, p, scale):
-        self.n = n
-        self.pwa, self.power = np.asarray(pwa, dtype=int), np.asarray(power, dtype=int)
         self.knots, self.values = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
         self.bounds = np.asarray(bounds, dtype=float)
+        self.n = len(self.knots)
+        # M(s) <= 1 up to the first crossing s t_k - v_k = 1, and up to the domain bound
+        crossing = np.full(self.knots.shape, np.inf)
+        np.divide(1.0 + self.values, self.knots, out=crossing, where=self.knots > 0)
+        self.unit_inverse = np.minimum(self.bounds, crossing.min(axis=1))
+        self._zero = bool(np.isinf(self.unit_inverse).any())  # some M_i is 0 everywhere: luxemburg_norm looks for it
+        return self
+
+    @classmethod
+    def powers(cls, p, scale) -> "MusielakSystem":
+        """The power system M_i(s) = scale[i] s^p[i].
+
+        ``p`` and ``scale`` are equally long and not empty; every p must be
+        a finite number above 1 and every scale a finite positive number
+        (``ValueError`` names the first index that is not).
+        """
+        self = cls.__new__(cls)
         self.p, self.scale = np.asarray(p, dtype=float), np.asarray(scale, dtype=float)
-        self.unit_inverse = np.empty(n)
-        self._zero = False  # whether some M_i is 0 everywhere, so that luxemburg_norm must look for it
-        if self.pwa.size:
-            # M(s) <= 1 up to the first crossing s t_k - v_k = 1, and up to the domain bound
-            crossing = np.full(self.knots.shape, np.inf)
-            np.divide(1.0 + self.values, self.knots, out=crossing, where=self.knots > 0)
-            unit = np.minimum(self.bounds, crossing.min(axis=1))
-            self.unit_inverse[self.pwa] = unit
-            self._zero = bool(np.isinf(unit).any())
-        if self.power.size:
-            self.unit_inverse[self.power] = (1.0 / self.scale) ** (1.0 / self.p)
+        if self.p.ndim != 1 or self.p.shape != self.scale.shape or not self.p.size:
+            raise ValueError(
+                f"p and scale must be equally long non-empty lists, got shapes {self.p.shape} and {self.scale.shape}"
+            )
+        for name, values, valid, wanted in (
+            ("p", self.p, self.p > 1, "a finite number above 1"),
+            ("scale", self.scale, self.scale > 0, "a finite positive number"),
+        ):
+            bad = ~(valid & np.isfinite(values))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"{name}[{i}] must be {wanted}, got {values[i]}")
+        self.n = self.p.size
+        self.unit_inverse = (1.0 / self.scale) ** (1.0 / self.p)
+        self._zero = False
+        return self
 
     def _terms(self, y):
         """s -> (M_i(y_i s), M_i'(y_i s)) for the (n, V) batch y >= 0 and a (V,) array s, as two (n, V) arrays.
@@ -258,80 +109,27 @@ class MusielakSystem:
         y_i t_ik of the lines in s are formed once per batch.  There is no
         domain cap: Newton's iterates never pass a bound.
         """
-        parts = []
-        if self.pwa.size:
-            knots, values = self.knots, self.values[:, None, :]
-            yt = y[self.pwa][:, :, None] * knots[:, None, :]
-            lines_at = np.arange(0, yt.size, knots.shape[1]).reshape(yt.shape[:2])  # the first line of each term
-            knots_at = np.arange(0, knots.size, knots.shape[1])[:, None]  # the first knot of each row
-
-            def pwa(s):
-                lines = yt * s[:, None]
-                lines -= values
-                k = lines.argmax(axis=2)
-                return lines.take(k + lines_at), knots.take(k + knots_at)
-
-            parts.append((self.pwa, pwa))
-        if self.power.size:
-            yp, p, scale = y[self.power], self.p[:, None], self.scale[:, None]
+        if self.p is not None:
+            p, scale = self.p[:, None], self.scale[:, None]
             p1, pscale = p - 1.0, p * scale
 
             def power(s):
-                u = yp * s
+                u = y * s
                 return scale * u**p, pscale * u**p1
 
-            parts.append((self.power, power))
-        if len(parts) == 1:
-            return parts[0][1]
+            return power
+        knots, values = self.knots, self.values[:, None, :]
+        yt = y[:, :, None] * knots[:, None, :]
+        lines_at = np.arange(0, yt.size, knots.shape[1]).reshape(yt.shape[:2])  # the first line of each term
+        knots_at = np.arange(0, knots.size, knots.shape[1])[:, None]  # the first knot of each row
 
-        def mixed(s):
-            value, slope = np.empty(y.shape), np.empty(y.shape)
-            for columns, terms in parts:
-                value[columns], slope[columns] = terms(s)
-            return value, slope
+        def pwa(s):
+            lines = yt * s[:, None]
+            lines -= values
+            k = lines.argmax(axis=2)
+            return lines.take(k + lines_at), knots.take(k + knots_at)
 
-        return mixed
-
-
-@dataclass
-class TwoConcavityReport:
-    passed: bool
-    strictly: bool
-    worst_margin: float  # positive = violation; see ``is_two_concave``
-
-
-# is_two_concave's grid: points log-spaced over [lo, hi], and the tolerance of the second differences
-TWO_CONCAVITY_POINTS = 2048
-TWO_CONCAVITY_RANGE = (1e-6, 1e3)
-TWO_CONCAVITY_TOL = 1e-12
-
-
-def is_two_concave(m: OrliczFunction) -> TwoConcavityReport:
-    """Decide whether t -> M(sqrt t) is concave, and strictly so.
-
-    For a ``PowerFunction`` c t^p, M(sqrt t) = c t^(p/2): concave iff p <= 2,
-    strictly iff p < 2, and ``worst_margin`` is p/2 - 1.  A piecewise-affine
-    M is checked on a log-spaced grid, up to ``domain_bound**2`` if M has a
-    finite domain: its second differences between consecutive points, over
-    max(|M(sqrt mid)|, 1), must not exceed ``TWO_CONCAVITY_TOL`` (strictly:
-    must stay below ``-TWO_CONCAVITY_TOL``); ``worst_margin`` is the largest.
-    """
-    if isinstance(m, PowerFunction):  # the grid's rounding hides the strictness of p just below 2
-        return TwoConcavityReport(bool(m.p <= 2), bool(m.p < 2), m.p / 2 - 1)
-    lo, hi = TWO_CONCAVITY_RANGE
-    if m.domain_bound is not None:
-        hi = min(hi, m.domain_bound**2)
-    t = np.logspace(math.log10(lo), math.log10(hi), TWO_CONCAVITY_POINTS)
-    g = lambda u: m(np.sqrt(u))
-    mid = 0.5 * (t[:-1] + t[1:])
-    # second difference: g(a) + g(b) - 2 g((a+b)/2); <= 0 means concave
-    d2 = g(t[:-1]) + g(t[1:]) - 2.0 * g(mid)
-    scale = np.maximum(np.abs(g(mid)), 1.0)
-    rel = d2 / scale
-    worst = float(rel.max())
-    passed = worst <= TWO_CONCAVITY_TOL
-    strictly = passed and bool(np.all(rel < -TWO_CONCAVITY_TOL))
-    return TwoConcavityReport(passed, strictly, worst)
+        return pwa
 
 
 def luxemburg_norm(system: MusielakSystem, xs) -> np.ndarray:
@@ -363,7 +161,9 @@ def luxemburg_norm(system: MusielakSystem, xs) -> np.ndarray:
         raise ValueError(f"xs: row {int(np.argmin(np.isfinite(xs).all(axis=1)))} has a non-finite entry")
     absx = np.abs(xs)
     e = np.frexp(absx.max(axis=1, initial=0.0))[1]
-    y = np.ldexp(absx, -e[:, None]).T  # (n, V), each column's largest entry in [1/2, 1)
+    # (n, V), each column's largest entry in [1/2, 1); copied to C order, so that the arrays of
+    # each Newton step are contiguous (piecewise-affine steps on 8 rows run 10-20% faster)
+    y = np.ldexp(absx, -e[:, None]).T.copy()
     if system._zero:
         zero = np.isinf(system.unit_inverse)
         hit = zero & (y > 0).any(axis=1)
@@ -385,20 +185,14 @@ def luxemburg_norm(system: MusielakSystem, xs) -> np.ndarray:
 
 @dataclass
 class EquivalenceReport:
-    """Empirical two-sided equivalence constants with the observed ratios."""
+    """Empirical two-sided equivalence constants: the least and largest ratio observed."""
 
     c_low: float
     c_high: float
-    ratios: np.ndarray
 
     def __post_init__(self):
-        self.ratios = np.asarray(self.ratios, dtype=float)
         if self.c_low <= 0:
             raise ValueError("c_low must be positive")
-        if self.ratios.size and (
-            self.ratios.min() < self.c_low - 1e-12 or self.ratios.max() > self.c_high + 1e-12
-        ):
-            raise ValueError("recorded ratios fall outside [c_low, c_high]")
 
     @property
     def spread(self) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from musielak import construct, embed, perms
-from musielak.convex import MusielakSystem, luxemburg_norm
+from musielak.convex import luxemburg_norm
 from musielak.perms import PermutationSampler, WeightMatrix
 
 
@@ -89,7 +89,7 @@ def test_04_system_to_matrix_equivalence_band():
 
     def make_pair(n):
         ps = list(itertools.islice(itertools.cycle(exponents), n))
-        system = MusielakSystem(tuple(construct.power_orlicz(p) for p in ps))
+        system = construct.power_system(ps)
         return construct.matrix_from_functions(system), system
 
     bands = _equivalence_bands(range(3, 7), 500, make_pair, rng)
@@ -126,7 +126,7 @@ def test_07_roundtrip():
     power_ok = True
     for n in [3, 4, 5]:
         ps = list(itertools.islice(itertools.cycle(exponents), n))
-        system = MusielakSystem(tuple(construct.power_orlicz(p) for p in ps))
+        system = construct.power_system(ps)
         a = construct.matrix_from_functions(system)
         rep = construct.roundtrip_check(a)
         power_ok = power_ok and 0.25 <= rep.c_low <= rep.c_high <= 4.0

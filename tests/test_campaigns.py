@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from musielak import campaigns, construct, perms
-from musielak.convex import MusielakSystem, luxemburg_norm
+from musielak.convex import luxemburg_norm
 from musielak.perms import PermutationSampler, WeightMatrix
 
 SEED = 11
@@ -42,7 +42,7 @@ def test_thm2_row_replays_from_dimension_key():
     row = _row(campaigns.thm2_campaign([n], SEED, vectors=2, exponents=exponents), f"n{n}-x{v}")
     s = PermutationSampler(SEED).spawn(n)
     ps = itertools.islice(itertools.cycle(exponents), n)
-    system = MusielakSystem(tuple(construct.power_orlicz(p) for p in ps))
+    system = construct.power_system(ps)
     x = [s.normals(n) for _ in range(v + 1)][-1]
     assert row["lhs"] == perms.ave_l2(construct.matrix_from_functions(system), [x]).value[0]
     assert row["rhs"] == luxemburg_norm(system, [x])[0]

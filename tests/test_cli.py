@@ -160,6 +160,7 @@ def test_invalid_dims_is_usage_error(tmp_path, capsys, dims):
         ("vectors", 3),  # read by verify-thm1/2, not by embed-report
         ("family", "constant"),
         ("threads", 2),
+        ("dims", [3, 3]),  # ran n = 3 twice, with one n in the report's dims
     ],
 )
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, field, value):
@@ -361,7 +362,7 @@ def _break_khintchine(monkeypatch):
 def _break_roundtrip(monkeypatch):
     from musielak.convex import EquivalenceReport
 
-    report = EquivalenceReport(0.1, 1.0, [0.1, 1.0])
+    report = EquivalenceReport(0.1, 1.0)
     monkeypatch.setattr(construct, "roundtrip_check", lambda a: report)
 
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
+from orlicz import PiecewiseAffineConvex, PowerFunction
 from scipy.interpolate import PchipInterpolator, PPoly
 
 from musielak.construct import (
     ConstructionError,
     FProfile,
+    _interval_averages,
     _Pchip,
     _power_sum,
     conjugate_inverse_knots,
@@ -19,14 +21,14 @@ from musielak.construct import (
     h_reconstruct_check,
     matrix_from_functions,
     matrix_from_profiles,
-    power_orlicz,
     power_profile,
     power_profile_value,
+    power_system,
     roundtrip_check,
     rows_from_knots,
 )
-from musielak.convex import MusielakSystem, PiecewiseAffineConvex, PowerFunction, is_two_concave
-from musielak.perms import WeightMatrix
+from musielak.convex import MusielakSystem
+from musielak.perms import WeightMatrix, prefix_sum_system
 
 rng = np.random.default_rng(424242)
 
@@ -42,13 +44,19 @@ def analytic_profile_integral(p, lo, hi):
     return F(hi) - F(lo)
 
 
+def integral(prof, lo, hi):
+    """int_lo^hi f, per row for a profile of several rows: the width times the average over [lo, hi]."""
+    out = (hi - lo) * _interval_averages([prof], [lo, hi])[:, 0]
+    return (out[0] if prof.rows == 1 else out)[()]
+
+
 def random_matrix(n):
     return WeightMatrix(np.sort(rng.uniform(0.05, 1, (n, n)), axis=1)[:, ::-1])
 
 
 def power_matrix(exponents):
     n = len(exponents)
-    return matrix_from_functions(MusielakSystem(tuple(power_orlicz(p) for p in exponents)))
+    return matrix_from_functions(power_system(exponents))
 
 
 def quad_fitted_row(knot_values):
@@ -267,20 +275,20 @@ class TestFProfile:
         for p in [1.01, 1.5, 1.99]:
             prof = power_profile(p)
             for hi in [1e-12, 1e-6, 1e-3, 0.3]:
-                assert prof.integral(0.0, hi) == pytest.approx(analytic_profile_integral(p, 0.0, hi), rel=1e-12)
+                assert integral(prof, 0.0, hi) == pytest.approx(analytic_profile_integral(p, 0.0, hi), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.01, 1.5, 1.99])
     def test_integral_inside_one_piece(self, p):
         # the pieces below lo and past hi drop out of the sums; [0.25, 0.5] is one piece
         prof = power_profile(p)
         for lo, hi in [(0.3, 0.4), (0.26, 0.49), (0.6, 0.7), (0.01, 0.011), (0.0, 0.2), (0.0, 0.7)]:
-            assert prof.integral(lo, hi) == pytest.approx(analytic_profile_integral(p, lo, hi), rel=1e-12)
+            assert integral(prof, lo, hi) == pytest.approx(analytic_profile_integral(p, lo, hi), rel=1e-12)
 
     def test_fitted_integral_below_the_first_knot(self):
         prof, _ = fit_concave_profile(conjugate_inverse_knots(power_matrix([1.2, 1.5, 1.8, 1.4])))
         for hi in [1e-9, 0.01, 0.1, 0.2]:  # the first knot is 1/4
-            split = prof.integral(0.0, hi) + prof.integral(hi, 0.25)
-            np.testing.assert_allclose(split, prof.integral(0.0, 0.25), rtol=1e-13)
+            split = integral(prof, 0.0, hi) + integral(prof, hi, 0.25)
+            np.testing.assert_allclose(split, integral(prof, 0.0, 0.25), rtol=1e-13)
 
     def test_guard_inside_the_piece_next_to_zero(self):
         # H - s H' <= 0 only on (0, 0.1) of row 1, inside the first piece [0, 1/4] of the averages
@@ -294,7 +302,7 @@ class TestFProfile:
         with pytest.raises(ConstructionError, match=r"^row 1: H\(s\) - s H'\(s\) <= 0 at s = "):
             matrix_from_profiles([prof], 4)
         with pytest.raises(ConstructionError, match=r"^row 1: "):
-            prof.integral(0.0, 0.05)
+            integral(prof, 0.0, 0.05)
 
     def test_convex_h_rejected_at_construction(self):
         with pytest.raises(ConstructionError):
@@ -314,7 +322,7 @@ class TestFProfile:
 class TestMatrixFromFunctions:
     def test_degenerate_gives_ones(self):
         # H(t) = t, i.e. M*(x) = x^2, M(t) = t^2/4
-        system = MusielakSystem((PowerFunction(2.0, 0.25),) * 3)
+        system = MusielakSystem.powers([2.0] * 3, [0.25] * 3)
         a = matrix_from_functions(system)
         np.testing.assert_allclose(a.entries, np.ones((3, 3)), atol=1e-9)
 
@@ -322,15 +330,15 @@ class TestMatrixFromFunctions:
     def test_flat_profile_rows_tie_exactly(self, n):
         # interval widths of arange(n + 1) / n differ by rounding; the rows
         # of a flat profile must still be nonincreasing
-        a = matrix_from_functions(MusielakSystem((PowerFunction(2.0, 0.25),) * n))
+        a = matrix_from_functions(MusielakSystem.powers([2.0] * n, [0.25] * n))
         assert np.all(a.entries == a.entries[0, 0]) and a.entries[0, 0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("p", [1.01, 1.15, 1.2, 1.5, 1.8, 1.85, 1.99])
     def test_closed_form_matches_quadrature(self, p):
         prof = power_profile(p)
         for n in range(2, 17):
-            a = matrix_from_functions(MusielakSystem((power_orlicz(p),) * n))
-            quadrature = [n * prof.integral(j / n, (j + 1) / n) for j in range(n)]
+            a = matrix_from_functions(power_system([p] * n))
+            quadrature = [n * integral(prof, j / n, (j + 1) / n) for j in range(n)]
             np.testing.assert_allclose(a.entries[0], quadrature, rtol=1e-12)
             rows = matrix_from_profiles([prof], n).entries[0]
             np.testing.assert_allclose(a.entries[0], rows, rtol=1e-12)
@@ -340,7 +348,7 @@ class TestMatrixFromFunctions:
         draw = np.random.default_rng(17)
         for n in range(1, 17):
             ps = draw.uniform(1.01, 1.99, n)
-            a = matrix_from_functions(MusielakSystem(tuple(power_orlicz(p) for p in ps)))
+            a = matrix_from_functions(power_system(ps))
             for p, row in zip(ps, a.entries):
                 beta = (p - 1.0) / p
                 r = math.sqrt(1.0 - 2.0 * beta)
@@ -350,25 +358,26 @@ class TestMatrixFromFunctions:
 
     def test_p_above_two_rejected(self):
         with pytest.raises(ConstructionError, match="not concave"):
-            matrix_from_functions(MusielakSystem((PowerFunction(2.5),) * 3))
+            matrix_from_functions(MusielakSystem.powers([2.5] * 3, [1.0] * 3))
 
     def test_power_family_against_analytic(self):
         n, p = 4, 1.5
-        system = MusielakSystem((power_orlicz(p),) * n)
+        system = power_system([p] * n)
         a = matrix_from_functions(system)
         expected = np.array([n * analytic_profile_integral(p, j / n, (j + 1) / n) for j in range(n)])
         np.testing.assert_allclose(a.entries, np.tile(expected, (n, 1)), rtol=1e-12)
 
     def test_rows_positive_nonincreasing(self):
-        system = MusielakSystem(tuple(power_orlicz(p) for p in [1.2, 1.5, 1.8, 1.3, 1.7]))
+        system = power_system([1.2, 1.5, 1.8, 1.3, 1.7])
         a = matrix_from_functions(system)
         assert np.all(a.entries > 0)
         assert np.all(np.diff(a.entries, axis=1) <= 0)
 
     def test_rejects_pwa_members(self):
         a = random_matrix(3)
-        with pytest.raises(TypeError):
-            matrix_from_functions(functions_from_matrix(a))
+        for system in (functions_from_matrix(a), prefix_sum_system(a)):
+            with pytest.raises(TypeError, match="needs power functions"):
+                matrix_from_functions(system)
 
 
 class TestReconstructionIdentity:
@@ -390,7 +399,7 @@ class TestReconstructionIdentity:
     def test_identity_at_one(self):
         # H(1) = (int_0^1 f)^2
         prof = power_profile(1.6)
-        assert prof.integral(0.0, 1.0) ** 2 == pytest.approx(1.0, abs=1e-6)
+        assert integral(prof, 0.0, 1.0) ** 2 == pytest.approx(1.0, abs=1e-6)
 
     def test_oracle_cross_check(self):
         # both sides from the analytic profile, independent quadrature
@@ -401,23 +410,38 @@ class TestReconstructionIdentity:
         assert head**2 + t * tail == pytest.approx(t**alpha, abs=1e-9)
 
 
+def power_members(system):
+    """The M_i of a power system, as reference functions."""
+    return [PowerFunction(p, c) for p, c in zip(system.p.tolist(), system.scale.tolist())]
+
+
 class TestPowerOrlicz:
     def test_conjugate_exponent(self):
-        m = power_orlicz(1.5)
+        (m,) = power_members(power_system([1.5]))
         assert m.conjugate().p == pytest.approx(3.0)
 
     def test_normalization(self):
-        for p in [1.2, 1.5, 1.8]:
-            mstar = power_orlicz(p).conjugate()
-            assert mstar(1.0) == pytest.approx(1.0, rel=1e-12)
+        for m in power_members(power_system([1.2, 1.5, 1.8])):
+            assert m.conjugate()(1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_strict_two_concavity(self):
-        rep = is_two_concave(power_orlicz(1.5))
-        assert rep.passed and rep.strictly
+        # t -> M(sqrt t) = scale t^(p/2) has strictly negative second differences
+        t = np.linspace(0.01, 100, 1000)
+        for m in power_members(power_system([1.2, 1.5, 1.99])):
+            assert np.all(np.diff(m(np.sqrt(t)), 2) < 0)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            power_orlicz(2.5)
+        for exponents, index in [([2.5], 0), ([1.5, 1.0], 1), ([1.5, 1.2, 2.0], 2)]:
+            with pytest.raises(ValueError, match=rf"^exponents\[{index}\] = "):
+                power_system(exponents)
+
+    def test_scales_have_the_bits_of_the_scalar_formula(self):
+        ps = np.random.default_rng(5).uniform(1.01, 1.99, 2000).tolist()
+        system = power_system(ps)
+        assert system.p.tolist() == ps
+        for p, scale in zip(ps, system.scale.tolist()):
+            q = p / (p - 1.0)
+            assert scale == q ** (1.0 - p) / p
 
     def test_h_strictly_concave(self):
         # (M*^{-1})^2 = t^(2/q) has strictly negative second differences
@@ -446,14 +470,10 @@ class TestRoundtrip:
         assert rep.c_high == pytest.approx(1.0, abs=1e-7)
 
     def test_power_family_band(self):
-        system = MusielakSystem(tuple(power_orlicz(p) for p in [1.2, 1.5, 1.8]))
-        a = matrix_from_functions(system)
+        a = matrix_from_functions(power_system([1.2, 1.5, 1.8]))
         rep = roundtrip_check(a)
         assert 0.25 <= rep.c_low <= rep.c_high <= 4.0
-        # swapping original/reconstructed inverts every ratio
-        swapped = 1.0 / rep.ratios
-        assert swapped.min() == pytest.approx(1.0 / rep.c_high)
-        assert swapped.max() == pytest.approx(1.0 / rep.c_low)
+        assert rep.spread == rep.c_high / rep.c_low
 
 
 class TestBatchedFit:
@@ -463,8 +483,14 @@ class TestBatchedFit:
         v = conjugate_inverse_knots(a)
         profiles, scales = zip(*(scipy_fit_concave_profile(row) for row in v))
         rebuilt = WeightMatrix(matrix_from_profiles(profiles, n).entries * np.array(scales)[:, None])
-        expected = (conjugate_inverse_knots(rebuilt)[:, 1:] / v[:, 1:]).ravel()
-        np.testing.assert_allclose(roundtrip_check(a).ratios, expected, rtol=1e-12)
+        expected = conjugate_inverse_knots(rebuilt)[:, 1:] / v[:, 1:]
+        # every ratio, as roundtrip_check forms them, and the report's extremes
+        prof, scales = fit_concave_profile(v)
+        refitted = WeightMatrix(matrix_from_profiles([prof], n).entries * scales[:, None])
+        ratios = conjugate_inverse_knots(refitted)[:, 1:] / v[:, 1:]
+        np.testing.assert_allclose(ratios, expected, rtol=1e-12)
+        rep = roundtrip_check(a)
+        assert (rep.c_low, rep.c_high) == (ratios.min(), ratios.max())
 
     def test_rows_of_one_profile(self):
         v = conjugate_inverse_knots(power_matrix([1.2, 1.5, 1.8]))
@@ -475,7 +501,7 @@ class TestBatchedFit:
             single, scale = fit_concave_profile(row)
             assert scale == scales[i]
             np.testing.assert_allclose(prof.value(t)[i], single.value(t), rtol=1e-14)
-            assert prof.integral(0.0, 0.5)[i] == pytest.approx(single.integral(0.0, 0.5), rel=1e-14)
+            assert integral(prof, 0.0, 0.5)[i] == pytest.approx(integral(single, 0.0, 0.5), rel=1e-14)
 
     def test_guard_names_the_first_failing_row(self):
         good = conjugate_inverse_knots(WeightMatrix(np.ones((3, 3))))[0]

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from musielak.construct import functions_from_matrix, matrix_from_functions, power_orlicz
-from musielak.convex import MusielakSystem
+from musielak.construct import functions_from_matrix, matrix_from_functions, power_system
 from musielak.embed import (
     DistortionReport,
     N_EXACT_PSI,
@@ -162,7 +161,7 @@ class TestDistortion:
         assert r1.distortion == pytest.approx(r2.distortion, rel=1e-8)
 
     def test_power_family_bounded(self):
-        system = MusielakSystem((power_orlicz(1.5),) * 4)
+        system = power_system([1.5] * 4)
         a = matrix_from_functions(system)
         rep = distortion_estimate(system, a, PermutationSampler(9), samples=100)
         assert 1.0 <= rep.distortion < 10.0

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from orlicz import PiecewiseAffineConvex
 from scipy.stats import chisquare
 
-from musielak.convex import PiecewiseAffineConvex, luxemburg_norm
+from musielak.convex import luxemburg_norm
 from musielak.embed import N_EXACT_PSI, psi_image_norm
 from musielak.perms import (
     N_EXACT,
