@@ -36,6 +36,7 @@ print(f"sandwich: {rep.lower:.6f} <= {rep.value:.6f} <= {rep.upper:.6f}  passed 
 # Distortion witness: band of ||Psi(x)|| / ||x|| over basis vectors, the
 # all-ones vector, and Gaussian directions.
 system = functions_from_matrix(a)
-dist = distortion_estimate(system, a, PermutationSampler(0), samples=200)
-print(f"ratio band [{dist.ratio_min:.4f}, {dist.ratio_max:.4f}]")
-print(f"distortion upper-bound witness: {dist.distortion:.4f} over {dist.samples} directions")
+samples = 200
+dist = distortion_estimate(system, a, PermutationSampler(0), samples=samples)
+print(f"ratio band [{dist.c_low:.4f}, {dist.c_high:.4f}]")
+print(f"distortion upper-bound witness: {dist.spread:.4f} over {n + 1 + samples} directions")

@@ -38,7 +38,6 @@ from .construct import (
     rows_from_knots,
 )
 from .embed import (
-    DistortionReport,
     distortion_estimate,
     khintchine_sandwich_check,
     psi_image_norm,

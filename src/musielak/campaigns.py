@@ -254,7 +254,7 @@ def distortion_campaign(dims, seed: int, samples: int, exponents) -> dict:
         system = make_power_system(n, exponents)
         a = construct.matrix_from_functions(system)
         rep = embed.distortion_estimate(system, a, s, samples=samples)
-        return [_row(tag, n, rep.ratio_min, rep.ratio_max, rep.distortion)]
+        return [_row(tag, n, rep.c_low, rep.c_high, rep.spread)]
 
     return _run(seed, _per_dim(dims, "dist-"), one, DISTORTION_MAX, _max_ratio)
 

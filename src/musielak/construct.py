@@ -17,9 +17,11 @@ H = (M^{*-1})^2 the profile
 
 is nonnegative and nonincreasing, and the matrix entries are its interval
 averages a_{i,j} = n * int_{(j-1)/n}^{j/n} f_i.  For power functions these
-integrals are taken in closed form; for fitted (PCHIP) profiles all
-averages of all rows come from one pass of a fixed tanh-sinh rule over a
-(rows, pieces, nodes) grid and two sums per piece (see ``FProfile``).
+integrals are taken in closed form.  Otherwise one ``FProfile`` holds the
+profiles of every row: H, f(1) and the curvature terms H'' and H - s H'.
+All averages of all rows then come from one pass of a fixed tanh-sinh rule
+over a (rows, pieces, nodes) grid and two sums per piece; round trips fit
+each row's H by PCHIP (``fit_concave_profile``).
 (Note the minus sign on the integral term: it is forced by the
 reconstruction identity H(t) = (int_0^t f)^2 + t int_t^1 f^2, since
 H'' = 2 f' (F - t f) and sqrt(H - t H') = F - t f with F(t) = int_0^t f.)
@@ -41,6 +43,7 @@ __all__ = [
     "rows_from_knots",
     "functions_from_matrix",
     "power_profile",
+    "power_profile_value",
     "power_system",
     "matrix_from_profiles",
     "matrix_from_functions",
@@ -140,69 +143,64 @@ _TS_WEIGHTS = np.pi / 16.0 * np.cosh(_TAU) * _TS_NODES / (1.0 + np.exp(2.0 * _U)
 _TS_MOMENTS = np.stack([_TS_WEIGHTS, _TS_WEIGHTS * _TS_NODES], axis=1)
 
 
-def _breaks(profiles, points) -> np.ndarray:
+def _breaks(profile, points) -> np.ndarray:
     """Sorted distinct cuts from min(points) up to 1: the points, knots and powers of 2 in between.
 
     No piece but one from 0 is longer than its distance from 0, where g may blow up.
     """
     points = np.asarray(points, dtype=float).ravel()
     lo = points.min()
-    cuts = np.concatenate([p.knots for p in profiles] + [[1.0], points])
+    cuts = np.concatenate([profile.knots, [1.0], points])
     cuts = cuts[(cuts >= lo) & (cuts > 0)]
     powers = 2.0 ** -np.arange(math.floor(-math.log2(cuts.min())) + 1)
     return np.unique(np.concatenate([cuts, powers, [0.0] if lo == 0 else []]))
 
 
-def _joined(arrays):
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _concavity_root(rad):
+    """sqrt(rad) per row for rad = H(1) - H'(1), the root that f(1) = sqrt(H(1)) - sqrt(H(1) - H'(1)) subtracts.
+
+    A rad below -1e-12 (H not concave) raises ``ConstructionError`` naming its row; one in [-1e-12, 0) counts as 0.
+    """
+    convex = rad < -1e-12
+    if np.any(convex):
+        raise ConstructionError(f"row {np.argmax(convex)}: H(1) - H'(1) is negative: H is not concave")
+    return np.sqrt(np.maximum(rad, 0.0))
 
 
 class FProfile:
-    """The profiles f of one or more concave increasing H on [0, 1] with H(0) = 0.
+    """The profiles f of the rows of concave increasing H on [0, 1] with H(0) = 0.
 
-    ``h``, ``dh`` and ``d2h`` are H, H' and H'' as functions of an array s:
-    for a single H they return an array shaped like s (or a constant, which
-    is broadcast), for several they return one row per H.  ``knots`` are the
-    points of (0, 1) where the pieces must split, such as the knots of a
-    piecewise cubic and the zeros of its H''.  ``curvature`` returns H''(s)
-    and H(s) - s H'(s) on a (pieces, nodes) grid s, for an H that can compute
-    the second where ``h(s) - s * dh(s)`` would cancel.  With
-    g = H''/sqrt(H - s H'), f(t) = f(1) - (1/2) int_t^1 g, and all integrals
-    of g come from one pass of a fixed tanh-sinh rule over the pieces between
-    the knots and the query points (see ``_curvature_sums``).
+    ``h`` is H of an array s, one row per H along a leading axis;
+    ``boundary`` is f(1) = sqrt(H(1)) - sqrt(H(1) - H'(1)) per row.
+    ``curvature`` returns H''(s) and H(s) - s H'(s), formed without
+    cancellation, on a (pieces, nodes) grid s, each (rows, pieces, nodes) or
+    broadcast to it.  ``knots`` are the points of (0, 1) where the pieces
+    must split, such as the knots of a piecewise cubic and the zeros of its
+    H''.  With g = H''/sqrt(H - s H'), f(t) = f(1) - (1/2) int_t^1 g, and all
+    integrals of g come from one pass of a fixed tanh-sinh rule over the
+    pieces between the knots and the query points (see ``_curvature_sums``).
     """
 
-    def __init__(self, h, dh, d2h, knots=(), curvature=None):
-        self.h, self.dh, self.d2h = h, dh, d2h
+    def __init__(self, h, boundary, curvature, knots=()):
+        self.h, self.curvature = h, curvature
+        self.boundary = np.array(boundary, dtype=float, ndmin=1)
+        self.rows = self.boundary.size
         self.knots = np.asarray(knots, dtype=float)
-        self.curvature = curvature if curvature is not None else lambda s: (d2h(s), h(s) - s * dh(s))
-        h1 = np.atleast_1d(np.asarray(h(1.0), dtype=float))
-        rad = h1 - np.asarray(dh(1.0), dtype=float)
-        convex = rad < -1e-12
-        if convex.any():
-            raise ConstructionError(f"row {np.argmax(convex)}: H(1) - H'(1) is negative: H is not concave")
-        self.rows = h1.size
-        self.boundary = np.sqrt(h1) - np.sqrt(np.maximum(rad, 0.0))
-
-    def _terms(self, s: np.ndarray):
-        """H''(s) and H(s) - s H'(s) as (rows, *s.shape) arrays, views where they have that shape."""
-        shape = (self.rows, *s.shape)
-        return [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in self.curvature(s)]
 
     def value(self, t):
-        """f(t) for t in (0, 1], a number or an array; nonnegative and nonincreasing.
+        """f(t) for t in (0, 1], a number or a nonempty array; nonnegative and nonincreasing.
 
         A profile of several rows gives one value per row, along a leading axis.
         """
         t = np.asarray(t, dtype=float)
-        if not np.all((t > 0) & (t <= 1)):
-            raise ValueError("t must lie in (0, 1]")
-        breaks = _breaks([self], t)
-        f = _curvature_sums([self], breaks)[2][:, np.searchsorted(breaks, t)]
+        if t.size == 0 or not np.all((t > 0) & (t <= 1)):
+            raise ValueError("t must be nonempty and lie in (0, 1]")
+        breaks = _breaks(self, t)
+        f = _curvature_sums(self, breaks)[2][:, np.searchsorted(breaks, t)]
         return (f[0] if self.rows == 1 else f)[()]
 
 
-def _curvature_sums(profiles, breaks: np.ndarray):
+def _curvature_sums(profile: FProfile, breaks: np.ndarray):
     """int g and int (s - lo) g on each piece [lo, hi] between the breaks, and f at the breaks, per row.
 
     ``breaks`` increase to 1 from a positive point or from 0.  H'' and
@@ -218,7 +216,8 @@ def _curvature_sums(profiles, breaks: np.ndarray):
     """
     width = np.diff(breaks)
     s = breaks[:-1, None] + width[:, None] * _TS_NODES
-    d2, rad = (_joined(x) for x in zip(*(p._terms(s) for p in profiles)))
+    shape = (profile.rows, *s.shape)
+    d2, rad = (np.broadcast_to(np.asarray(x, dtype=float), shape) for x in profile.curvature(s))
     keep = np.abs(d2) > 1e-8
     neg = rad <= 0.0
     if neg.any():
@@ -230,13 +229,13 @@ def _curvature_sums(profiles, breaks: np.ndarray):
             )
         rad = np.where(neg, np.inf, rad)  # H'' counts as zero there, and g = H'' / inf does too
     start = int(breaks[0] == 0.0)
-    sums = np.zeros((len(d2), len(width), 2))
+    sums = np.zeros((profile.rows, len(width), 2))
     sums[:, start:] = (d2[:, start:] / np.sqrt(rad[:, start:]) * keep[:, start:]) @ _TS_MOMENTS
     whole, moment = sums[..., 0] * width, sums[..., 1] * width**2
     if start:
         moment[:, 0] = np.where(keep[:, 0].any(axis=1) & ~neg[:, 0, -1], -2.0 * np.sqrt(rad[:, 0, -1]), 0.0)
-    tails = np.cumsum(np.hstack([whole, np.zeros((len(d2), 1))])[:, ::-1], axis=1)[:, ::-1]  # int_{b_k}^1 g
-    f = _joined([p.boundary for p in profiles])[:, None] - 0.5 * tails
+    tails = np.cumsum(np.hstack([whole, np.zeros((profile.rows, 1))])[:, ::-1], axis=1)[:, ::-1]  # int_{b_k}^1 g
+    f = profile.boundary[:, None] - 0.5 * tails
     low = f[:, start:] < -1e-7
     if low.any():
         i, k = np.argwhere(low)[0]
@@ -244,7 +243,7 @@ def _curvature_sums(profiles, breaks: np.ndarray):
     return whole, moment, np.maximum(f, 0.0)
 
 
-def _interval_averages(profiles, edges) -> np.ndarray:
+def _interval_averages(profile: FProfile, edges) -> np.ndarray:
     """The average of every row f_i over each [a, b] between increasing edges in [0, 1].
 
     Integrating f(t) = f(b) - (1/2) int_t^b g by parts gives
@@ -256,8 +255,8 @@ def _interval_averages(profiles, edges) -> np.ndarray:
     whatever the rounding of the interval widths.
     """
     edges = np.asarray(edges, dtype=float)
-    breaks = _breaks(profiles, edges)
-    whole, moment, f = _curvature_sums(profiles, breaks)
+    breaks = _breaks(profile, edges)
+    whole, moment, f = _curvature_sums(profile, breaks)
     ends = np.searchsorted(breaks, edges)  # every edge is a break
     pieces = slice(0, ends[-1])
     offset = breaks[pieces] - np.repeat(edges[:-1], np.diff(ends))
@@ -285,13 +284,17 @@ def power_system(exponents) -> MusielakSystem:
 
 
 def power_profile(p: float) -> FProfile:
-    """FProfile of the normalized power function: H(t) = t^alpha, alpha = 2/q."""
-    q = p / (p - 1.0)
-    alpha = 2.0 / q
-    h = lambda t: t**alpha
-    dh = lambda t: alpha * t ** (alpha - 1.0)
-    d2h = lambda t: alpha * (alpha - 1.0) * t ** (alpha - 2.0)
-    return FProfile(h, dh, d2h)
+    """FProfile of the normalized power function: H(t) = t^alpha, alpha = 2/q, with H - s H' = (1 - alpha) s^alpha.
+
+    ``ValueError`` names a p that is not a finite number above 1; a p above
+    2, where H is convex, raises ``ConstructionError``.
+    """
+    if not (math.isfinite(p) and p > 1):
+        raise ValueError(f"p must be a finite number above 1, got {p}")
+    alpha = 2.0 / (p / (p - 1.0))
+    r = _concavity_root(1.0 - alpha)
+    curvature = lambda s: (alpha * (alpha - 1.0) * s ** (alpha - 2.0), (1.0 - alpha) * s**alpha)
+    return FProfile(lambda t: t**alpha, 1.0 - r, curvature)
 
 
 def _power_profile_coefficients(p):
@@ -300,11 +303,7 @@ def _power_profile_coefficients(p):
     Raises ``ConstructionError``, naming the first such row, when H is not concave (p > 2).
     """
     beta = (np.asarray(p, dtype=float) - 1.0) / p  # alpha / 2 with alpha = 2 / q
-    rad = 1.0 - 2.0 * beta  # H(1) - H'(1)
-    convex = rad < -1e-12
-    if convex.any():
-        raise ConstructionError(f"row {np.argmax(convex)}: H(1) - H'(1) is negative: H is not concave")
-    r = np.sqrt(np.maximum(rad, 0.0))
+    r = _concavity_root(1.0 - 2.0 * beta)  # of H(1) - H'(1)
     return 1.0 - r, beta * r / (1.0 - beta), beta
 
 
@@ -319,11 +318,11 @@ def power_profile_value(p: float, t) -> np.ndarray:
 # inverse direction (system -> weight matrix)
 
 
-def matrix_from_profiles(profiles, n: int) -> WeightMatrix:
-    """Weight matrix with rows a_{i,j} = n * int_{(j-1)/n}^{j/n} f_i(s) ds."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return WeightMatrix(_interval_averages(profiles, np.arange(n + 1) / n))
+def matrix_from_profiles(profile: FProfile, n: int) -> WeightMatrix:
+    """Weight matrix with rows a_{i,j} = n * int_{(j-1)/n}^{j/n} f_i(s) ds, one per row of ``profile``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be at least 1 and an integer, got {n!r}")
+    return WeightMatrix(_interval_averages(profile, np.arange(n + 1) / n))
 
 
 def matrix_from_functions(system: MusielakSystem) -> WeightMatrix:
@@ -358,8 +357,8 @@ def h_reconstruct_check(profile: FProfile) -> float:
         raise ValueError(f"profile has {profile.rows} rows: h_reconstruct_check takes a profile of one row")
     t = np.linspace(1.0 / 64, 1.0, 64)
     edges = np.append(0.0, t)
-    heads = np.cumsum(np.diff(edges) * _interval_averages([profile], edges)[0])
-    breaks = _breaks([profile], t)
+    heads = np.cumsum(np.diff(edges) * _interval_averages(profile, edges)[0])
+    breaks = _breaks(profile, t)
     width = np.diff(breaks)
     pieces = width * (profile.value(breaks[:-1, None] + width[:, None] * _TS_NODES) ** 2 @ _TS_WEIGHTS)
     tails = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)[np.searchsorted(breaks, t)]
@@ -382,10 +381,7 @@ def _power_sum(table: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sum_j table[j, :, k] u^(J-1-j), summed from the constant term up.
 
     The powers of u come by repeated multiplication, as in the usual
-    piecewise-polynomial evaluators, so that H(1) and H'(1) of a fit have the
-    same bits as the reference PCHIP in the tests.  That matters where
-    f(1) = sqrt(H(1)) - sqrt(H(1) - H'(1)) takes the square root of a
-    difference at rounding level (a nearly linear H).
+    piecewise-polynomial evaluators (``_Pchip.ends`` sums in the same order).
     """
     out, z = table[-1][:, k], u
     for c in table[-2::-1]:
@@ -401,10 +397,10 @@ class _Pchip:
     Fritsch-Butland weighted harmonic mean of the secant slopes, 0 where they
     change sign or vanish; at the ends Moler's shape-preserving three-point
     formula; for two points the line.  On piece k the interpolant is
-    c_0 u^3 + c_1 u^2 + c_2 u + c_3 with u = s - x_k.  ``tables`` hold the
-    (terms, rows, pieces) coefficients of H, H' and H'', and ``radicand``
-    those of H - s H', formed exactly so that it does not cancel: on the
-    first piece it is -c_1 u^2 - 2 c_0 u^3.
+    c_0 u^3 + c_1 u^2 + c_2 u + c_3 with u = s - x_k.  ``table`` holds the
+    (terms, rows, pieces) coefficients of H, and ``radicand`` those of
+    H - s H', formed exactly so that it does not cancel: on the first piece
+    it is -c_1 u^2 - 2 c_0 u^3.  ``ends`` are H and H' of every row at x[-1].
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -425,21 +421,22 @@ class _Pchip:
         t = (d[:, :-1] + d[:, 1:] - 2.0 * mk) / hk
         c0, c1, c2, c3 = t / hk, (mk - d[:, :-1]) / hk - t, d[:, :-1], y[:, :-1]
         x0 = x[:-1]
-        self.tables = (
-            np.array([c0, c1, c2, c3]),
-            np.array([3.0 * c0, 2.0 * c1, c2]),
-            np.array([6.0 * c0, 2.0 * c1]),
-        )
+        self.table = np.array([c0, c1, c2, c3])
         self.radicand = np.array([-2.0 * c0, -c1 - 3.0 * x0 * c0, -2.0 * x0 * c1, c3 - x0 * c2])
         # per segment, the coefficients of u^3, u^2, u, 1 in H'' of every row, then in H - s H'
-        both = np.array([[0.0 * c0, 0.0 * c0, *self.tables[2]], list(self.radicand)])
+        both = np.array([[0.0 * c0, 0.0 * c0, 6.0 * c0, 2.0 * c1], list(self.radicand)])
         self._curvatures = both.transpose(3, 0, 2, 1).reshape(len(x0), 2 * len(y), 4)
+        # summed in ``_power_sum``'s order, for the bits of the reference PCHIP: where H is nearly
+        # linear, f(1) = sqrt(H(1)) - sqrt(H(1) - H'(1)) takes the root of a difference at rounding level
+        e0, e1, e2, e3 = self.table[:, :, -1]
+        u = hk[-1]
+        self.ends = (e3 + e2 * u + e1 * (u * u) + e0 * (u * u * u), e2 + (2.0 * e1) * u + (3.0 * e0) * (u * u))
 
-    def __call__(self, s, nu: int = 0) -> np.ndarray:
-        """The nu-th derivative (nu <= 2) of every row at s, with a leading row axis."""
+    def __call__(self, s) -> np.ndarray:
+        """H of every row at s, with a leading row axis."""
         s = np.asarray(s, dtype=float)
         k = np.searchsorted(self.x[1:-1], s, side="right")  # the piece holding each s
-        return _power_sum(self.tables[nu], k, s - self.x[k])
+        return _power_sum(self.table, k, s - self.x[k])
 
     def curvature(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """H''(s) and H(s) - s H'(s) of every row on a (pieces, nodes) grid, as (rows, pieces, nodes) arrays.
@@ -483,13 +480,13 @@ def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, np.ndarray]:
     # H - s H' (whose derivative is -s H'') has a minimum, possibly close to 0,
     # and g a narrow bump there that a fixed rule resolves only at the end of
     # a piece: the zeros of H'' of every row become knots too.
-    c0, c1 = fit.tables[0][:2]
+    c0, c1 = fit.table[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = -c1 / (3.0 * c0)
     inflections = (grid[:-1] + u)[(u > 0) & (u < np.diff(grid))]
     knots = np.concatenate([grid[1:-1], inflections])
-    prof = FProfile(fit, lambda s: fit(s, 1), lambda s: fit(s, 2), knots=knots, curvature=fit.curvature)
-    return prof, np.sqrt(hvals[:, -1])
+    h1, dh1 = fit.ends
+    return FProfile(fit, np.sqrt(h1) - _concavity_root(h1 - dh1), fit.curvature, knots), np.sqrt(hvals[:, -1])
 
 
 def roundtrip_check(a: WeightMatrix) -> EquivalenceReport:
@@ -506,7 +503,7 @@ def roundtrip_check(a: WeightMatrix) -> EquivalenceReport:
     n = a.n
     v = conjugate_inverse_knots(a)
     profile, scales = fit_concave_profile(v)
-    rebuilt = WeightMatrix(_interval_averages([profile], np.arange(n + 1) / n) * scales[:, None])
+    rebuilt = WeightMatrix(_interval_averages(profile, np.arange(n + 1) / n) * scales[:, None])
     v2 = conjugate_inverse_knots(rebuilt)
     ratios = v2[:, 1:] / v[:, 1:]
     return EquivalenceReport(float(ratios.min()), float(ratios.max()))

@@ -193,6 +193,8 @@ class EquivalenceReport:
     def __post_init__(self):
         if self.c_low <= 0:
             raise ValueError("c_low must be positive")
+        if self.c_high < self.c_low:
+            raise ValueError("c_high must be at least c_low")
 
     @property
     def spread(self) -> float:

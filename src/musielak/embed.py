@@ -19,11 +19,10 @@ over one draw of (sign pattern, permutation) pairs shared by the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import MusielakSystem, luxemburg_norm
+from .convex import EquivalenceReport, MusielakSystem, luxemburg_norm
 from .perms import (
     DEFAULT_SAMPLES,
     AverageResult,
@@ -36,7 +35,6 @@ from .perms import (
 )
 
 __all__ = [
-    "DistortionReport",
     "psi_image_norm",
     "khintchine_sandwich_check",
     "distortion_estimate",
@@ -89,39 +87,20 @@ def khintchine_sandwich_check(a: WeightMatrix, x) -> SandwichReport:
     return SandwichReport(ave / np.sqrt(2.0), psi, ave, passed)
 
 
-@dataclass
-class DistortionReport:
-    """Empirical distortion of the embedding over sampled directions.
-
-    ``distortion`` is an upper-bound witness for the Banach-Mazur distance
-    between the Musielak-Orlicz space and the image subspace; no optimality
-    over isomorphisms is claimed.
-    """
-
-    ratio_min: float
-    ratio_max: float
-    samples: int
-
-    def __post_init__(self):
-        if self.ratio_min <= 0 or self.ratio_max < self.ratio_min:
-            raise ValueError("need 0 < ratio_min <= ratio_max")
-
-    @property
-    def distortion(self) -> float:
-        return self.ratio_max / self.ratio_min
-
-
 def distortion_estimate(
     system: MusielakSystem,
     a: WeightMatrix,
     sampler: PermutationSampler,
     samples: int,
-) -> DistortionReport:
+) -> EquivalenceReport:
     """Ratio band of ||Psi(x)|| / ||x||_{sum M_i} over sampled directions.
 
     Directions mix random Gaussian vectors with the standard basis vectors
     and the all-ones vector (distortion extremes tend to sit at sparse or
-    flat vectors, which pure random sampling undercovers).
+    flat vectors, which pure random sampling undercovers).  The report's
+    ``spread`` is an upper-bound witness for the Banach-Mazur distance
+    between the Musielak-Orlicz space and the image subspace; no optimality
+    over isomorphisms is claimed.
     """
     n = a.n
     if system.n != n:
@@ -131,4 +110,4 @@ def distortion_estimate(
     if (denoms == 0.0).any():
         raise ValueError("zero-norm direction")
     ratios = psi_image_norm(a, directions).value / denoms
-    return DistortionReport(float(ratios.min()), float(ratios.max()), ratios.size)
+    return EquivalenceReport(float(ratios.min()), float(ratios.max()))

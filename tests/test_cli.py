@@ -371,7 +371,9 @@ def _break_construct(monkeypatch):
 
 
 def _break_distortion(monkeypatch):
-    report = embed.DistortionReport(0.1, 10.0, 2)
+    from musielak.convex import EquivalenceReport
+
+    report = EquivalenceReport(0.1, 10.0)
     monkeypatch.setattr(embed, "distortion_estimate", lambda *args, **kwargs: report)
 
 

@@ -46,7 +46,7 @@ def analytic_profile_integral(p, lo, hi):
 
 def integral(prof, lo, hi):
     """int_lo^hi f, per row for a profile of several rows: the width times the average over [lo, hi]."""
-    out = (hi - lo) * _interval_averages([prof], [lo, hi])[:, 0]
+    out = (hi - lo) * _interval_averages(prof, [lo, hi])[:, 0]
     return (out[0] if prof.rows == 1 else out)[()]
 
 
@@ -113,7 +113,9 @@ def scipy_fit_concave_profile(knot_values):
         u = -c[1] / (3.0 * c[0])
     knots = np.union1d(grid[1:-1], (x + u)[(u > 0) & (u < np.diff(fit.x))])
     d2 = fit.derivative(2)
-    prof = FProfile(fit, fit.derivative(), d2, knots=knots, curvature=lambda s: (d2(s), radicand(s)))
+    h1 = float(fit(1.0))
+    f1 = math.sqrt(h1) - math.sqrt(max(h1 - float(fit.derivative()(1.0)), 0.0))
+    prof = FProfile(fit, f1, lambda s: (d2(s), radicand(s)), knots)
     return prof, math.sqrt(hvals[-1])
 
 
@@ -170,14 +172,22 @@ class TestPchip:
     """The numpy PCHIP against scipy's ``PchipInterpolator``."""
 
     @staticmethod
-    def check(y):
+    def d2(fit, s):
+        """H'' of every row at each s, from the grid path with one node per piece."""
+        return fit.curvature(np.asarray(s, dtype=float)[:, None])[0][..., 0]
+
+    @classmethod
+    def check(cls, y):
+        """H, H'' and the ends H and H' at x[-1], against scipy."""
         x = np.arange(y.shape[1]) / (y.shape[1] - 1)
         fit = _Pchip(x, y)
         ref = PchipInterpolator(x, y, axis=1)
         s = np.concatenate([x, rng.uniform(0.0, 1.0, 40)])
         np.testing.assert_allclose(fit.slopes, ref.derivative()(x), rtol=1e-13, atol=1e-13)
-        for nu in range(3):
-            np.testing.assert_allclose(fit(s, nu), ref.derivative(nu)(s), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(fit(s), ref(s), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(cls.d2(fit, s), ref.derivative(2)(s), rtol=1e-13, atol=1e-13)
+        for nu, end in enumerate(fit.ends):
+            np.testing.assert_allclose(end, ref.derivative(nu)(1.0), rtol=1e-13, atol=1e-13)
         return fit
 
     @pytest.mark.parametrize("points", range(2, 18))
@@ -191,10 +201,10 @@ class TestPchip:
     def test_collinear_rows_are_lines(self, points):
         x = np.arange(points) / (points - 1)
         fit = self.check(np.stack([2.0 + 3.0 * x, x, 0.5 - x]))
-        assert np.max(np.abs(fit(rng.uniform(0.0, 1.0, 40), 2))) < 1e-12
+        assert np.max(np.abs(self.d2(fit, rng.uniform(0.0, 1.0, 40)))) < 1e-12
 
     def test_curvature_on_a_grid_matches_pointwise(self):
-        # the grid path finds each piece's segment once; the pointwise path searches every node
+        # the grid path finds each piece's segment once; scipy and ``_power_sum`` search for every node
         fitted = conjugate_inverse_knots(power_matrix(np.linspace(1.1, 1.9, 7))) ** 2
         for y in [fitted, np.random.default_rng(6).normal(size=(5, 7))]:
             x = np.arange(y.shape[1]) / (y.shape[1] - 1)
@@ -205,13 +215,14 @@ class TestPchip:
             assert d2.shape == rad.shape == (len(y), *s.shape)
             inner = s[:, 1:-1]  # the ends of a piece may be evaluated from the next segment
             k = np.searchsorted(x[1:-1], inner, side="right")
-            np.testing.assert_allclose(d2[:, :, 1:-1], fit(inner, 2), rtol=1e-13, atol=1e-13)
+            ref = PchipInterpolator(x, y, axis=1).derivative(2)
+            np.testing.assert_allclose(d2[:, :, 1:-1], ref(inner), rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(rad[:, :, 1:-1], _power_sum(fit.radicand, k, inner - x[k]), rtol=1e-13)
 
     def test_two_points_linear(self):
         fit = self.check(np.array([[0.0, 1.0], [1.0, 3.0]]))
         np.testing.assert_array_equal(fit.slopes, [[1.0, 1.0], [2.0, 2.0]])
-        assert np.all(fit(np.linspace(0, 1, 9), 2) == 0.0)
+        assert np.all(self.d2(fit, np.linspace(0, 1, 9)) == 0.0)
 
 
 class TestFunctionsFromMatrix:
@@ -239,7 +250,7 @@ class TestFunctionsFromMatrix:
 
 class TestFProfile:
     def test_degenerate_linear(self):
-        prof = FProfile(lambda t: t, lambda t: 1.0, lambda t: 0.0)
+        prof = FProfile(lambda t: t, 1.0, lambda s: (0.0, 0.0))
         for t in [0.01, 0.3, 1.0]:
             assert prof.value(t) == pytest.approx(1.0, abs=1e-12)
 
@@ -296,27 +307,34 @@ class TestFProfile:
             d2, rad = -0.25 * s**-1.5, 0.5 * np.sqrt(s)
             return np.stack([d2, d2]), np.stack([rad, np.where(s < 0.1, -rad, rad)])
 
-        h, dh = (lambda s: np.stack([np.sqrt(s)] * 2)), (lambda s: np.stack([0.5 / np.sqrt(s)] * 2))
-        prof = FProfile(h, dh, None, curvature=curvature)
+        prof = FProfile(lambda s: np.stack([np.sqrt(s)] * 2), [1.0 - math.sqrt(0.5)] * 2, curvature)
         assert np.all(prof.value(0.2) > 0)  # the pieces from 0.2 on pass
         with pytest.raises(ConstructionError, match=r"^row 1: H\(s\) - s H'\(s\) <= 0 at s = "):
-            matrix_from_profiles([prof], 4)
+            matrix_from_profiles(prof, 4)
         with pytest.raises(ConstructionError, match=r"^row 1: "):
             integral(prof, 0.0, 0.05)
 
     def test_convex_h_rejected_at_construction(self):
-        with pytest.raises(ConstructionError):
-            FProfile(lambda t: t**2, lambda t: 2 * t, lambda t: 2.0)
+        # H = t^2: the fit through its knots has H'(1) = 2, and the power profile of p = 2.5 is t^1.2
+        with pytest.raises(ConstructionError, match=r"^row 0: H\(1\) - H'\(1\) is negative"):
+            fit_concave_profile([0.0, 0.5, 1.0])
+        with pytest.raises(ConstructionError, match=r"^row 0: H\(1\) - H'\(1\) is negative"):
+            power_profile(2.5)
 
     def test_interior_convexity_violation_detected(self):
-        # concave at the right endpoint but H - s H' < 0 inside
-        prof = FProfile(
-            lambda s: s * s,
-            lambda s: np.where(s == 1.0, 0.5, 2 * s),
-            lambda s: 2.0,
-        )
+        # H = s^2, with f(1) as if H'(1) were 0.5: H - s H' = -s^2 < 0 inside
+        prof = FProfile(lambda s: s * s, 1.0 - math.sqrt(0.5), lambda s: (2.0, -s * s))
         with pytest.raises(ConstructionError):
             prof.value(0.5)
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.nan, math.inf])
+    def test_power_profile_needs_a_finite_p_above_one(self, p):
+        with pytest.raises(ValueError, match=r"^p must be a finite number above 1"):
+            power_profile(p)
+
+    def test_value_needs_some_t(self):
+        with pytest.raises(ValueError, match=r"^t must be nonempty"):
+            power_profile(1.5).value([])
 
 
 class TestMatrixFromFunctions:
@@ -340,7 +358,7 @@ class TestMatrixFromFunctions:
             a = matrix_from_functions(power_system([p] * n))
             quadrature = [n * integral(prof, j / n, (j + 1) / n) for j in range(n)]
             np.testing.assert_allclose(a.entries[0], quadrature, rtol=1e-12)
-            rows = matrix_from_profiles([prof], n).entries[0]
+            rows = matrix_from_profiles(prof, n).entries[0]
             np.testing.assert_allclose(a.entries[0], rows, rtol=1e-12)
 
     def test_rows_match_the_per_row_closed_form(self):
@@ -382,12 +400,17 @@ class TestMatrixFromFunctions:
 
 class TestReconstructionIdentity:
     def test_degenerate_exact(self):
-        prof = FProfile(lambda t: t, lambda t: 1.0, lambda t: 0.0)
+        prof = FProfile(lambda t: t, 1.0, lambda s: (0.0, 0.0))
         assert h_reconstruct_check(prof) <= 1e-12
 
     def test_power_family(self):
         for p in [1.2, 1.5, 1.8]:
             assert h_reconstruct_check(power_profile(p)) <= 1e-6
+
+    def test_fitted_row(self):
+        # the fit's H is the pointwise evaluation of the PCHIP here
+        v = conjugate_inverse_knots(power_matrix([1.17, 1.4, 1.77, 1.17]))
+        assert h_reconstruct_check(fit_concave_profile(v[1])[0]) <= 1e-12
 
     def test_several_rows_rejected(self):
         # the tail sums would run over the flattened rows
@@ -469,6 +492,15 @@ class TestRoundtrip:
         assert rep.c_low == pytest.approx(1.0, abs=1e-7)
         assert rep.c_high == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.parametrize(
+        "n,constants",
+        [(4, (0.9986862922197929, 1.0)), (6, (0.9986805625715297, 0.9999999999999999)), (8, (0.9986774024123394, 1.0))],
+    )
+    def test_power_constants_are_pinned(self, n, constants):
+        # the exponents cycle over the rows, as in the roundtrip command
+        rep = roundtrip_check(power_matrix(([1.17, 1.4, 1.77] * 3)[:n]))
+        assert (rep.c_low, rep.c_high) == constants
+
     def test_power_family_band(self):
         a = matrix_from_functions(power_system([1.2, 1.5, 1.8]))
         rep = roundtrip_check(a)
@@ -481,12 +513,12 @@ class TestBatchedFit:
     def test_roundtrip_matches_per_row_scipy_fits(self, n):
         a = power_matrix(np.linspace(1.1, 1.9, n))
         v = conjugate_inverse_knots(a)
-        profiles, scales = zip(*(scipy_fit_concave_profile(row) for row in v))
-        rebuilt = WeightMatrix(matrix_from_profiles(profiles, n).entries * np.array(scales)[:, None])
+        fits = [scipy_fit_concave_profile(row) for row in v]
+        rebuilt = WeightMatrix(np.vstack([matrix_from_profiles(prof, n).entries * scale for prof, scale in fits]))
         expected = conjugate_inverse_knots(rebuilt)[:, 1:] / v[:, 1:]
         # every ratio, as roundtrip_check forms them, and the report's extremes
         prof, scales = fit_concave_profile(v)
-        refitted = WeightMatrix(matrix_from_profiles([prof], n).entries * scales[:, None])
+        refitted = WeightMatrix(matrix_from_profiles(prof, n).entries * scales[:, None])
         ratios = conjugate_inverse_knots(refitted)[:, 1:] / v[:, 1:]
         np.testing.assert_allclose(ratios, expected, rtol=1e-12)
         rep = roundtrip_check(a)
@@ -508,7 +540,7 @@ class TestBatchedFit:
         bad = conjugate_inverse_knots(WeightMatrix(np.tile([1.0, 1.0, 0.5], (3, 1))))[0]
         prof, _ = fit_concave_profile(np.stack([good, bad, bad]))
         with pytest.raises(ConstructionError, match=r"^row 1: H\(s\) - s H'\(s\) <= 0 at s = "):
-            matrix_from_profiles([prof], 3)
+            matrix_from_profiles(prof, 3)
 
 
 class TestInputChecks:
@@ -537,10 +569,10 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"^knot_values row 0 .*at least 2 values"):
             fit_concave_profile(knots)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True])
     def test_matrix_needs_a_positive_n(self, n):
-        with pytest.raises(ValueError, match=r"^n must be at least 1"):
-            matrix_from_profiles([power_profile(1.5)], n)
+        with pytest.raises(ValueError, match=r"^n must be at least 1 and an integer"):
+            matrix_from_profiles(power_profile(1.5), n)
 
 
 class TestConfig:
@@ -560,13 +592,12 @@ def test_fitted_rows_match_scalar_quadrature(n, data):
     # the rows that pass, all in one call
     fitted = []
     for v in knots:
-        prof = fit_concave_profile(v)[0]
         try:
-            matrix_from_profiles([prof], n)
+            matrix_from_profiles(fit_concave_profile(v)[0], n)
         except (ConstructionError, ValueError):
             continue
-        fitted.append((prof, v))
+        fitted.append(v)
     assume(fitted)
-    rows = matrix_from_profiles([prof for prof, _ in fitted], n).entries
-    for row, (_, v) in zip(rows, fitted):
+    rows = matrix_from_profiles(fit_concave_profile(np.stack(fitted))[0], n).entries
+    for row, v in zip(rows, fitted):
         np.testing.assert_allclose(row, quad_fitted_row(v), rtol=1e-10)

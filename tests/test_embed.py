@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from musielak.construct import functions_from_matrix, matrix_from_functions, power_system
+from musielak.convex import EquivalenceReport
 from musielak.embed import (
-    DistortionReport,
     N_EXACT_PSI,
     distortion_estimate,
     khintchine_sandwich_check,
@@ -149,7 +149,7 @@ class TestDistortion:
         a = WeightMatrix(np.array([[1.0]]))
         system = functions_from_matrix(a)
         rep = distortion_estimate(system, a, PermutationSampler(1), samples=20)
-        assert rep.distortion == pytest.approx(1.0, rel=1e-8)
+        assert rep.spread == pytest.approx(1.0, rel=1e-8)
 
     def test_matrix_scaling_invariance(self):
         # scaling the matrix scales psi but also the knot values, leaving
@@ -158,20 +158,20 @@ class TestDistortion:
         b = WeightMatrix(2.0 * a.entries)
         r1 = distortion_estimate(functions_from_matrix(a), a, PermutationSampler(5), samples=50)
         r2 = distortion_estimate(functions_from_matrix(b), b, PermutationSampler(5), samples=50)
-        assert r1.distortion == pytest.approx(r2.distortion, rel=1e-8)
+        assert r1.spread == pytest.approx(r2.spread, rel=1e-8)
 
     def test_power_family_bounded(self):
         system = power_system([1.5] * 4)
         a = matrix_from_functions(system)
         rep = distortion_estimate(system, a, PermutationSampler(9), samples=100)
-        assert 1.0 <= rep.distortion < 10.0
+        assert 1.0 <= rep.spread < 10.0
 
     def test_report_invariants(self):
-        with pytest.raises(ValueError):
-            DistortionReport(2.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            DistortionReport(0.0, 1.0, 5)
-        assert DistortionReport(0.5, 1.5, 5).distortion == pytest.approx(3.0)
+        with pytest.raises(ValueError, match="c_high must be at least c_low"):
+            EquivalenceReport(2.0, 1.0)
+        with pytest.raises(ValueError, match="c_low must be positive"):
+            EquivalenceReport(0.0, 1.0)
+        assert EquivalenceReport(0.5, 1.5).spread == pytest.approx(3.0)
 
     def test_dimension_mismatch(self):
         a = random_matrix(3)
