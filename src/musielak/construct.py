@@ -283,14 +283,19 @@ def power_system(exponents) -> MusielakSystem:
     return MusielakSystem.powers(ps, [(p / (p - 1.0)) ** (1.0 - p) / p for p in ps])
 
 
+def _check_exponent(p: float) -> None:
+    """A ValueError naming ``p`` unless it is a finite number above 1."""
+    if not (math.isfinite(p) and p > 1):
+        raise ValueError(f"p must be a finite number above 1, got {p}")
+
+
 def power_profile(p: float) -> FProfile:
     """FProfile of the normalized power function: H(t) = t^alpha, alpha = 2/q, with H - s H' = (1 - alpha) s^alpha.
 
     ``ValueError`` names a p that is not a finite number above 1; a p above
     2, where H is convex, raises ``ConstructionError``.
     """
-    if not (math.isfinite(p) and p > 1):
-        raise ValueError(f"p must be a finite number above 1, got {p}")
+    _check_exponent(p)
     alpha = 2.0 / (p / (p - 1.0))
     r = _concavity_root(1.0 - alpha)
     curvature = lambda s: (alpha * (alpha - 1.0) * s ** (alpha - 2.0), (1.0 - alpha) * s**alpha)
@@ -308,7 +313,8 @@ def _power_profile_coefficients(p):
 
 
 def power_profile_value(p: float, t) -> np.ndarray:
-    """Closed-form profile of H(t) = t^alpha (analytic quadrature oracle)."""
+    """Closed-form profile of H(t) = t^alpha (analytic quadrature oracle); p is checked as in ``power_profile``."""
+    _check_exponent(p)
     A, B, beta = _power_profile_coefficients(p)
     t = np.asarray(t, dtype=float)
     return A + B * (t ** (beta - 1.0) - 1.0)

@@ -11,9 +11,10 @@ gives an empirical upper-bound witness for the Banach-Mazur distance to the
 image subspace.
 
 ``psi_image_norm`` computes the norm of a (V, n) batch of vectors.  Exact,
-it is one ``perms.walk_prefix_tree`` over the signs +-1, with the last
-level folded in closed form; with a sampler, ``perms.monte_carlo_average``
-over one draw of (sign pattern, permutation) pairs shared by the batch.
+it is ``perms.split_average`` over the signs +-1, each permutation split
+into a head and a tail whose signed sums meet in closed form; with a
+sampler, ``perms.monte_carlo_average`` over one draw of (sign pattern,
+permutation) pairs shared by the batch.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .perms import (
     PermutationSampler,
     SandwichReport,
     WeightMatrix,
+    _check_vector,
     ave_l2,
     monte_carlo_average,
-    walk_prefix_tree,
+    split_average,
 )
 
 __all__ = [
@@ -56,31 +58,29 @@ def psi_image_norm(
     """Normalized L1 norms ||Psi(x)|| of each row of the (V, n) batch ``xs``.
 
     Without a sampler, exact over all (sign pattern, permutation) pairs.
-    The sum only changes sign under eps -> -eps, so the walk fixes
-    eps_0 = +1 and stops one level short, at the partial sums u over
-    i <= n - 2.  With v = x_{n-1} a_{n-1,pi(n-1)}, the exact identity
-    |u + v| + |u - v| = 2 max(|u|, |v|) folds the last level, so the norm is
-    the mean of max(|u|, |v|) over the n! 2^(n-2) nodes of level n - 2 (or
-    the empty prefix, u = 0, for n = 1).  With a sampler, the mean over
-    ``samples`` uniform pairs by ``monte_carlo_average``, with its standard
-    error.  A vector alone and in a batch give the same bits.
+    The sum only changes sign under eps -> -eps, so ``perms.split_average``
+    fixes eps_0 = +1 in the head sum A over i < n // 2, and eps at the first
+    tail coordinate h = n // 2 to +1 in the tail sum B.  The exact identity
+    |A + B| + |A - B| = 2 max(|A|, |B|) folds eps_h, so the norm is the
+    mean of max(|A|, |B|) over n! 2^(n-2) leaves (one, with A = 0, for
+    n = 1).  With a sampler, the mean over ``samples`` uniform pairs by
+    ``monte_carlo_average``, with its standard error.  A vector alone and in
+    a batch give the same bits.
     """
     if sampler is not None:
         return monte_carlo_average(a, xs, (1.0, -1.0), 1, np.abs, sampler, samples)
 
-    def fold(sums, v):  # v holds |v| at each leaf
-        np.abs(sums, out=sums)
-        np.maximum(sums, v[:, None, :], out=sums)
-        # the mean, as ndarray.mean computes it
-        return np.add.reduce(sums.reshape(len(sums), -1), axis=1) / sums[0].size
+    def leaf(head, tail, out):
+        np.copyto(out, np.abs(tail, out=tail))  # the broadcast over the head is one long copy, then the max in place
+        np.maximum(out, np.abs(head, out=head), out=out)
 
-    value = walk_prefix_tree(a, xs, N_EXACT_PSI, (1.0, -1.0), 1, a.n - 1, fold)
+    value = split_average(a, xs, N_EXACT_PSI, (1.0, -1.0), 1, leaf)
     return AverageResult(value, "exact", 2**a.n * math.factorial(a.n), np.zeros(value.shape))
 
 
 def khintchine_sandwich_check(a: WeightMatrix, x) -> SandwichReport:
     """Exact check of (1/sqrt 2) Ave <= ||Psi(x)|| <= Ave, within ``KHINTCHINE_TOL``."""
-    xs = np.asarray(x, dtype=float)[None, :]
+    xs = _check_vector(x, "x")[None, :]
     ave = float(ave_l2(a, xs).value[0])
     psi = float(psi_image_norm(a, xs).value[0])
     passed = ave / np.sqrt(2.0) - KHINTCHINE_TOL <= psi <= ave + KHINTCHINE_TOL

@@ -8,16 +8,17 @@ over the symmetric group.  Each average enumerates every permutation when
 called without a sampler (up to its exact limit), and is a seeded Monte
 Carlo estimate over ``samples`` draws of the ``PermutationSampler`` it is
 given.  ``ave_l2`` and ``embed.psi_image_norm`` take a (V, n) batch of
-vectors.  Exact, each is one walk down the prefix tree of S_n
-(``walk_prefix_tree``), which sums each prefix once for all the
-permutations that share it, with a sign axis for the L1 norm of ``embed``.
-Sampled, each is ``monte_carlo_average`` over one draw of permutations (and
-signs) that the whole batch shares.  Both paths check the batch at the same
-boundary, and give a row alone and in a batch the same bits.  The prefix
-tree is the module's one enumeration of S_n; the exact max averages walk
-it with ``np.maximum`` in place of the add.  The module also provides the
-two-permutation max average and the decreasing-rearrangement bound it is
-equivalent to, the matrix norm ||x||_a (greedy top-N selection), and the
+vectors.  Exact, each is ``split_average``: a meet-in-the-middle split of
+S_n (``_split_layout``) sums the head and the tail of every permutation
+once per subset and ordering, and each permutation's value is a closed form
+of its two half sums.  Sampled, each is ``monte_carlo_average`` over one
+draw of permutations (and signs) that the whole batch shares.  Both paths
+check the batch at the same boundary, and give a row alone and in a batch
+the same bits.  The exact max averages, over pairs of permutations
+(``ave_max_two``) and over one (``ave_max_vector``), walk the prefix tree of
+S_n (``_prefix_tree``) with ``np.maximum``.  The module also provides the
+decreasing-rearrangement bound that the pair average is equivalent to, the
+matrix norm ||x||_a (greedy top-N selection), and the
 piecewise-affine system whose Luxemburg norm sandwiches ||x||_a within
 exact factors 1/2 and 2.
 """
@@ -25,6 +26,7 @@ exact factors 1/2 and 2.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +47,7 @@ __all__ = [
     "lemma_matrixnorm_check",
     "build_b_vector",
     "ave_max_vector",
-    "walk_prefix_tree",
+    "split_average",
     "monte_carlo_average",
     "N_EXACT",
     "N_EXACT_PAIRS",
@@ -178,7 +180,7 @@ def dra(values) -> np.ndarray:
 
 @functools.cache
 def _prefix_tree(n: int) -> tuple[np.ndarray, ...]:
-    """The prefix tree of S_n, the module's one enumeration of it: a read-only ``uint8`` level per k.
+    """The prefix tree of S_n, which the exact max averages walk: a read-only ``uint8`` level per k.
 
     ``levels[k]`` holds pi(k) at each of the n!/(n-k-1)! prefixes of length
     k + 1, laid out child-slot-major: with P = n!/(n-k)! prefixes of length
@@ -202,21 +204,6 @@ def _exact_levels(n: int, limit: int) -> tuple[np.ndarray, ...]:
     return _prefix_tree(n)
 
 
-@functools.cache
-def _node_entries(n: int) -> np.ndarray:
-    """Flat indices into an (n, n) matrix of a_{k,pi(k)} at every node of ``_prefix_tree(n)``.
-
-    Level k's nodes in the tree's layout, levels concatenated; read-only.
-    """
-    levels = _prefix_tree(n)
-    flat, end = np.empty(sum(level.size for level in levels), dtype=np.intp), 0
-    for k, level in enumerate(levels):
-        np.add(level, k * n, out=flat[end : end + level.size], dtype=np.intp)
-        end += level.size
-    flat.flags.writeable = False
-    return flat
-
-
 def _check_batch(a: WeightMatrix, xs) -> np.ndarray:
     """``xs`` as a (V, n) float batch of finite vectors for the square matrix ``a``, or a ValueError."""
     if not a.is_square:
@@ -229,76 +216,78 @@ def _check_batch(a: WeightMatrix, xs) -> np.ndarray:
     return xs
 
 
-# elements of each of the two work buffers in one pass of ``walk_prefix_tree``
+@functools.cache
+def _split_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The meet-in-the-middle split of S_n at h = n // 2: read-only flat indices i * n + pi(i) of its two halves.
+
+    A permutation pi is one triple (T, head, tail): T = pi({0..h-1}), the
+    head is pi on 0..h-1 (an ordering of T) and the tail pi on h..n-1 (one
+    of the complement).  With C = comb(n, h) subsets T in lexicographic
+    order, ``head[i, j * C + c]`` is i * n + pi(i) in the j-th ordering of
+    the c-th T, and ``tail[i - h, k * C + c]`` likewise for its complement.
+    """
+    heads = list(itertools.combinations(range(n), n // 2))
+    halves = []
+    for first, images in ((0, heads), (n // 2, [[j for j in range(n) if j not in t] for t in heads])):
+        cube = np.array([list(itertools.permutations(t)) for t in images], dtype=np.intp)  # (T, ordering, i)
+        m = cube.shape[2]
+        flat = (cube.T + n * np.arange(first, first + m)[:, None, None]).reshape(m, math.prod(cube.shape[:2]))
+        flat.flags.writeable = False
+        halves.append(flat)
+    return tuple(halves)
+
+
+# leaves in one pass of ``split_average``
 _BATCH_ELEMENTS = 1 << 16
 
 
-def walk_prefix_tree(
-    a: WeightMatrix, xs, limit: int, signs: tuple[float, ...], power: int, depth: int, fold
-) -> np.ndarray:
-    """Walk ``depth`` levels down the signed prefix tree of S_n, for each row of the (V, n) batch ``xs``.
+def split_average(a: WeightMatrix, xs, limit: int, signs: tuple[float, ...], power: int, leaf) -> np.ndarray:
+    """Exact means of ``leaf`` over the split of S_n (``_split_layout``), for each row of the (V, n) batch ``xs``.
 
-    The exact paths of ``ave_l2`` and ``embed.psi_image_norm`` are this walk
-    and a fold of its last level.  A node of level k is a pair
-    (eps_0 .. eps_k, pi(0) .. pi(k)) and holds the partial sum
-    sum_{i<=k} eps_i x_i^power a_{i,pi(i)}^power, computed once for every
-    permutation below it.  eps_0 = +1, and each later eps_i runs over
-    ``signs``, which starts with +1.  Level k is laid out (eps_k, parent
-    sign pattern, child slot, parent prefix), the prefixes as in
-    ``_prefix_tree``: its terms are multiplied into the next work buffer,
-    and its parent level is added in place by one broadcast.
-
-    ``depth`` is n or n - 1.  The batch runs in passes of at most
-    ``_BATCH_ELEMENTS`` nodes per work buffer; each pass's rows of the
-    result are ``fold(sums, spare)``.  ``sums`` is (rows, sign patterns,
-    prefixes) at level depth - 1, or the empty prefix 0 for depth 0.
-    ``spare`` is a free (rows, n!) buffer, which for depth n - 1 holds the
-    last level's |x_{n-1}|^power a_{n-1,pi(n-1)}^power.  Every node is
-    summed in i order, elementwise (no BLAS), so row v of the result has the
-    same bits as a batch of ``xs[v]`` alone.
+    The exact paths of ``ave_l2`` and ``embed.psi_image_norm``.  The head
+    sums A = sum_{i<h} eps_i x_i^power a_{i,pi(i)}^power and the tail sums
+    B (over i >= h) are formed once per (sign pattern, subset, ordering),
+    each in i order, with eps_0 = eps_h = +1 and every other eps_i in
+    ``signs``, which starts with +1.  ``leaf(head, tail, out)`` writes the
+    leaves of a pass, laid out (vectors, head, tail, subset), into ``out``
+    from the broadcasts of A and B, which it may overwrite; the result is
+    their mean.  A pass holds at most ``_BATCH_ELEMENTS`` leaves and a block
+    of passes shares its half sums.  All is elementwise (no BLAS) and each
+    row is reduced alone, so row v has the same bits as a batch of ``xs[v]``.
     """
     xs = _check_batch(a, xs)
     n = a.n
-    levels = _exact_levels(n, limit)
-    leaves = math.factorial(n)
-    nodes = len(signs) ** (depth - 1) * levels[depth - 1].size if depth else 1  # of the deepest level walked
-    step = max(1, _BATCH_ELEMENTS // nodes)
-    rows = min(step, len(xs))  # vectors per pass
-    # one allocation for the two work buffers, reused by every level of every pass, and for
-    # a_{k,pi(k)}^power at each node of each level k: fresh temporaries cost page faults
-    entries = _node_entries(n)
-    block = np.empty(2 * rows * nodes + entries.size)
-    work = block[: rows * nodes], block[rows * nodes : 2 * rows * nodes]
-    flat = (a.entries**power).take(entries, out=block[2 * rows * nodes :], mode="clip")
-    # every pass has the same shape, so each level's views are made once: its gathers (child
-    # slot, parent prefix), its nodes (vectors, eps_k, parent sign pattern, child slot, parent
-    # prefix), and its parent level as (vectors, 1, sign pattern, 1, prefix)
-    root = parent = work[0][:rows].reshape(rows, 1, 1, 1, 1)  # the empty prefix
-    plan, end, patterns = [], 0, 1
-    for k, level in enumerate(levels[:depth]):
-        eps = 1 if k == 0 else len(signs)  # eps_0 = +1 only
-        shape = (n - k, level.size // (n - k))
-        nxt = work[(k + 1) % 2][: rows * eps * patterns * level.size].reshape(rows, eps, patterns, *shape)
-        plan.append((eps, flat[end : end + level.size].reshape(shape), nxt, parent))
-        patterns *= eps
-        parent = nxt.reshape(rows, 1, patterns, 1, level.size)
-        end += level.size
-    sums = parent[:, 0, :, 0]  # (vectors, sign pattern, prefix) at level depth - 1
-    spare = work[(depth + 1) % 2][: rows * leaves].reshape(rows, leaves)
-    xp = xs**power
-    signed = np.multiply.outer(xp, signs)[..., None, None, None]  # (vectors, i, eps_i, 1, 1, 1)
+    if n > limit:
+        raise ValueError(f"exact mode limited to n <= {limit}")
+    subsets = math.comb(n, n // 2)
+    ap = (a.entries**power).ravel()
+    halves, first = [], 0  # per half: its first i, and a_{i,pi(i)}^power by (i, ordering * subset)
+    for flat in _split_layout(n):
+        halves.append((first, ap.take(flat)))
+        first += len(flat)
+    count = math.factorial(n) * len(signs) ** max(n - 2, 0)  # leaves per vector
+    step = max(1, _BATCH_ELEMENTS // count)  # vectors per pass
+    larger = len(signs) ** (n - n // 2 - 1) * halves[1][1].shape[1]  # sums per vector of the tail, the larger half
+    block = step * max(1, _BATCH_ELEMENTS // (step * larger))  # vectors per block, a whole number of passes
+    buffer = np.empty(min(step, len(xs)) * count)
+    signed = np.multiply.outer(xs**power, signs)[..., None]  # (vectors, i, eps_i, 1)
     out = np.empty(len(xs))
-    for start in range(0, len(xs), step):
-        start = min(start, len(xs) - rows)  # the last pass ends at the last vector, repeating a few
-        x = signed[start : start + rows]
-        root.fill(0.0)
-        for k, (eps, g, nxt, parent) in enumerate(plan):
-            np.multiply(x[:, k, :eps], g, out=nxt)
-            np.add(nxt, parent, out=nxt)  # t + u is u + t exactly: each sum stays in i order
-        if depth < n:
-            np.multiply(np.abs(xp[start : start + rows, -1:]), flat[-leaves:], out=spare)
-        out[start : start + rows] = fold(sums, spare)
-    return out
+    for start in range(0, len(xs), block):
+        x = signed[start : start + block]
+        sums = []
+        for first, terms in halves:  # the head, then the tail
+            # (vectors, sign pattern, ordering * subset) from the half's first i, signed +1; n = 1 has no head
+            acc = x[:, first, :1] * terms[0] if len(terms) else np.zeros((len(x), 1, 1))
+            for i in range(1, len(terms)):
+                acc = (x[:, first + i, :, None] * terms[i] + acc[:, None]).reshape(len(x), -1, terms.shape[1])
+            sums.append(acc.reshape(len(x), -1, subsets))
+        head, tail = sums[0][:, :, None], sums[1][:, None]
+        for lo in range(0, len(x), step):
+            hi = min(lo + step, len(x))
+            leaves = buffer[: (hi - lo) * count].reshape(hi - lo, head.shape[1], tail.shape[2], subsets)
+            leaf(head[lo:hi], tail[lo:hi], leaves)
+            np.add.reduce(leaves.reshape(hi - lo, count), axis=1, out=out[start + lo : start + hi])
+    return np.divide(out, count, out=out)
 
 
 def monte_carlo_average(
@@ -312,7 +301,7 @@ def monte_carlo_average(
 ) -> AverageResult:
     """Monte Carlo means of finish(sum_i eps_i x_i^power a_{i,pi(i)}^power) for the (V, n) batch ``xs``.
 
-    The sampled counterpart of ``walk_prefix_tree``: ``samples`` permutations
+    The sampled counterpart of ``split_average``: ``samples`` permutations
     pi are drawn from ``sampler``, and as many sign patterns eps when
     ``signs`` has two entries (+-1), and the whole batch shares them.  The
     terms eps_i a_{i,pi(i)}^power are gathered once; each row sums its
@@ -345,20 +334,22 @@ def ave_l2(
 ) -> AverageResult:
     """Ave_pi ( sum_i (x_i a_{i,pi(i)})^2 )^(1/2) over uniform pi, for each row of the (V, n) batch ``xs``.
 
-    Without a sampler, exact: ``walk_prefix_tree`` over all n levels, with
-    the single sign +1, sums x_i^2 a_{i,pi(i)}^2 for the whole batch, each
-    prefix once for all the permutations that share it.  Each leaf is summed
-    in i order, so row v has the same bits as a batch of ``xs[v]`` alone,
-    and as the flat sum over the permutations in the tree's leaf order.
-    With a sampler, ``monte_carlo_average`` over ``samples`` permutations.
+    Without a sampler, exact: ``split_average`` sums x_i^2 a_{i,pi(i)}^2
+    over each half of every permutation once, and each leaf is
+    sqrt(A + B), so row v has the same bits as a batch of ``xs[v]`` alone,
+    and as the flat sum over the permutations in the split's leaf order,
+    head and tail each in i order.  With a sampler,
+    ``monte_carlo_average`` over ``samples`` permutations.
     """
     if sampler is not None:
         return monte_carlo_average(a, xs, (1.0,), 2, np.sqrt, sampler, samples)
 
-    def fold(sums, spare):  # the leaves, in tree order
-        return np.sqrt(sums, out=sums).reshape(len(sums), -1).mean(axis=1)
+    def leaf(head, tail, out):
+        np.copyto(out, tail)  # the broadcast over the head is one long copy, then A + B in place
+        np.add(out, head, out=out)
+        np.sqrt(out, out=out)
 
-    value = walk_prefix_tree(a, xs, N_EXACT, (1.0,), 2, a.n, fold)
+    value = split_average(a, xs, N_EXACT, (1.0,), 2, leaf)
     return AverageResult(value, "exact", math.factorial(a.n), np.zeros(value.shape))
 
 

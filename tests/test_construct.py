@@ -332,6 +332,14 @@ class TestFProfile:
         with pytest.raises(ValueError, match=r"^p must be a finite number above 1"):
             power_profile(p)
 
+    @pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.nan, math.inf])
+    def test_power_profile_value_needs_a_finite_p_above_one(self, p):
+        # the closed form returned a negative "profile" at p = 0.5, zeros at 1 and nan at nan
+        with pytest.raises(ValueError, match=rf"^p must be a finite number above 1, got {p}$"):
+            power_profile_value(p, [0.25, 0.5, 1.0])
+        with pytest.raises(ConstructionError, match=r"^row 0: H\(1\) - H'\(1\) is negative"):
+            power_profile_value(2.5, [0.25, 0.5, 1.0])
+
     def test_value_needs_some_t(self):
         with pytest.raises(ValueError, match=r"^t must be nonempty"):
             power_profile(1.5).value([])

@@ -138,6 +138,15 @@ class TestKhintchine:
         xs = rng.normal(size=(3, 4))
         assert (psi_image_norm(a, xs).value <= ave_l2(a, xs).value + 1e-12).all()
 
+    def test_x_is_checked_as_a_vector(self):
+        # a 0-d x raised IndexError, a (1, n) x a length mismatch, and a NaN was named as xs: row 0
+        a = random_matrix(3)
+        for bad in (1.0, [[1.0, 2.0, 3.0]], [], [1.0, np.nan, 0.0], [np.inf, 1.0, 0.0]):
+            with pytest.raises(ValueError, match="^x must be a nonempty finite vector$"):
+                khintchine_sandwich_check(a, bad)
+        with pytest.raises(ValueError, match="^vector length must match matrix dimension$"):
+            khintchine_sandwich_check(a, [1.0, 2.0])
+
     def test_lower_bound_tight_for_n1(self):
         # n = 1: |x a| on both sides, so value == upper exactly
         rep = khintchine_sandwich_check(WeightMatrix(np.array([[0.9]])), [1.4])

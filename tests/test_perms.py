@@ -16,8 +16,8 @@ from musielak.perms import (
     AverageResult,
     PermutationSampler,
     WeightMatrix,
-    _node_entries,
     _prefix_tree,
+    _split_layout,
     ave_l2,
     ave_max_two,
     ave_max_vector,
@@ -561,15 +561,33 @@ class TestSerialization:
         assert seen == {None, "has a non-finite entry", "is not strictly positive", "is not nonincreasing"}
 
 
+def split_order_table(n) -> np.ndarray:
+    """(n!, n) flat indices i * n + pi(i) of every permutation, row t the leaf t of ``_split_layout(n)``.
+
+    The leaves are laid out (head ordering, tail ordering, subset), and a
+    leaf's coordinates are its head's followed by its tail's.
+    """
+    h, subsets = n // 2, math.comb(n, n // 2)
+    head, tail = _split_layout(n)
+    shape = (math.factorial(h), math.factorial(n - h), subsets)
+    table = np.empty((n, *shape), dtype=np.intp)
+    table[:h] = head.reshape(h, shape[0], 1, subsets)
+    table[h:] = tail.reshape(n - h, 1, shape[1], subsets)
+    return table.reshape(n, -1).T
+
+
 def _flat_ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
-    """Reference: the sums over i on the flat (V, n!) array of the tree-order table's rows, then the mean."""
-    table = tree_order_table(a.n)
-    e2 = a.entries**2
+    """Reference: head and tail sums on the flat (V, n!) array of the split-order table's rows, then the mean."""
+    table = split_order_table(a.n)
+    e2 = (a.entries**2).ravel()
     x2 = np.asarray(xs, dtype=float) ** 2
-    acc = x2[:, :1] * e2[0].take(table[:, 0])
-    for i in range(1, a.n):
-        acc += x2[:, i : i + 1] * e2[i].take(table[:, i])
-    return np.sqrt(acc).mean(axis=1)
+    halves = []
+    for coords in (range(a.n // 2), range(a.n // 2, a.n)):  # each in i order
+        acc = np.zeros((len(x2), len(table)))
+        for i in coords:
+            acc += x2[:, i : i + 1] * e2.take(table[:, i])
+        halves.append(acc)
+    return np.sqrt(halves[0] + halves[1]).mean(axis=1)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -598,11 +616,24 @@ def test_prefix_tree_leaves_rebuild_the_table(n):
     assert sorted(map(tuple, rebuilt.tolist())) == list(itertools.permutations(range(n)))  # each once
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_split_layout_covers_every_permutation_once(n):
+    head, tail = _split_layout(n)
+    subsets = math.comb(n, n // 2)
+    assert head.shape == (n // 2, math.factorial(n // 2) * subsets)
+    assert tail.shape == (n - n // 2, math.factorial(n - n // 2) * subsets)
+    assert not head.flags.writeable and not tail.flags.writeable
+    table = split_order_table(n)
+    np.testing.assert_array_equal(table // n, np.broadcast_to(np.arange(n), table.shape))  # coordinate i at column i
+    assert sorted(map(tuple, (table % n).tolist())) == list(itertools.permutations(range(n)))  # each once
+
+
 def test_exact_averages_walk_one_tree():
-    # the four exact averages at one n build S_n once, as its prefix tree, and nothing else enumerates it
-    for cache in (_prefix_tree, _node_entries):
+    # ave_l2 and psi share one split layout per n, the two max walks one prefix tree, and nothing else enumerates S_n
+    for cache in (_prefix_tree, _split_layout):
         cache.cache_clear()
     a, x, a3 = average_inputs(5)
     for average, _ in AVERAGES.values():
         average(a, x, a3)
-    assert (_prefix_tree.cache_info().misses, _prefix_tree.cache_info().currsize) == (1, 1)
+    for cache in (_prefix_tree, _split_layout):
+        assert (cache.cache_info().misses, cache.cache_info().currsize) == (1, 1)
