@@ -261,10 +261,8 @@ def split_average(a: WeightMatrix, xs, limit: int, signs: tuple[float, ...], pow
         raise ValueError(f"exact mode limited to n <= {limit}")
     subsets = math.comb(n, n // 2)
     ap = (a.entries**power).ravel()
-    halves, first = [], 0  # per half: its first i, and a_{i,pi(i)}^power by (i, ordering * subset)
-    for flat in _split_layout(n):
-        halves.append((first, ap.take(flat)))
-        first += len(flat)
+    # the head and the tail: each one's first i, and a_{i,pi(i)}^power by (i, ordering * subset)
+    halves = [(first, ap.take(flat)) for first, flat in zip((0, n // 2), _split_layout(n))]
     count = math.factorial(n) * len(signs) ** max(n - 2, 0)  # leaves per vector
     step = max(1, _BATCH_ELEMENTS // count)  # vectors per pass
     larger = len(signs) ** (n - n // 2 - 1) * halves[1][1].shape[1]  # sums per vector of the tail, the larger half
