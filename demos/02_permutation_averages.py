@@ -48,7 +48,7 @@ for v, (value, stderr) in enumerate(zip(far.value, far.stderr)):
 # and 1 times the prefix-sum Musielak-Orlicz norm -- an exact inequality,
 # checked per instance.
 print("matrix norm ||x||_a =", matrix_norm_a(a, x))
-rep = lemma_matrixnorm_check(a, x)
+(rep,) = lemma_matrixnorm_check([(a, x)])
 print(f"sandwich: {rep.lower:.6f} <= {rep.value:.6f} <= {rep.upper:.6f}  passed = {rep.passed}")
 
 # Averages of maxima over two independent permutations, against the bound

@@ -14,9 +14,11 @@ import numpy as np
 from musielak import (
     PermutationSampler,
     WeightMatrix,
+    distortion_directions,
     distortion_estimate,
     functions_from_matrix,
     khintchine_sandwich_check,
+    luxemburg_norm,
     psi_image_norm,
 )
 
@@ -37,6 +39,7 @@ print(f"sandwich: {rep.lower:.6f} <= {rep.value:.6f} <= {rep.upper:.6f}  passed 
 # all-ones vector, and Gaussian directions.
 system = functions_from_matrix(a)
 samples = 200
-dist = distortion_estimate(system, a, PermutationSampler(0), samples=samples)
+directions = distortion_directions(n, PermutationSampler(0), samples)
+dist = distortion_estimate(a, directions, luxemburg_norm(system, directions))
 print(f"ratio band [{dist.c_low:.4f}, {dist.c_high:.4f}]")
 print(f"distortion upper-bound witness: {dist.spread:.4f} over {n + 1 + samples} directions")

@@ -38,6 +38,7 @@ from .construct import (
     rows_from_knots,
 )
 from .embed import (
+    distortion_directions,
     distortion_estimate,
     khintchine_sandwich_check,
     psi_image_norm,

@@ -2,10 +2,27 @@
 
 Each campaign draws instances from a named family (``constant``,
 ``random-decreasing`` or ``power-family``), evaluates one of the library's
-equivalence or sandwich checks per instance, and gates the rows against
-one declared bound.  All randomness flows from a single seed through
+equivalence or sandwich checks on them, and gates the rows against one
+declared bound.  All randomness flows from a single seed through
 per-instance derived samplers, so a campaign is reproducible instance by
-instance.
+instance: instance k of dimension n draws from spawn key
+n * INSTANCE_KEYS + k (``_per_instance``), an instance per dimension from
+key n (``_per_dim``), the matrix first and then the vectors.  So
+Lemma 2.1 and Lemma 2.2 instance k of dimension n spawn the same key, each
+from a fresh root sampler, and their draws start from the same state:
+Lemma 2.1 draws its cube of normals, Lemma 2.2 its matrix of uniforms and
+then its vector.  Khintchine instance k of ``embed-report`` draws just as
+Lemma 2.2 does, so at one seed it checks the same matrix and vector.
+
+One runner, ``_run``, works in two phases.  ``draw(n, sampler, tag)``
+builds each instance from its own sampler, in the listed order, and
+``check(drawn)`` turns all of them into rows in one call.  Theorems 1
+and 2, Lemma 2.2 and the distortion part of ``embed-report`` solve every
+Luxemburg norm of the campaign in stacked passes
+(``convex.stacked_passes``): one ``luxemburg_norm`` call at the usual
+sizes, each row with the bits of its own instance's solve.  Lemma 2.1,
+Khintchine and the round trip check instance by instance.  The draws are
+read as the check goes, so a check holds one pass of instances at a time.
 
 Each CLI command runs one campaign, whose parameters are the config keys
 of the command, without defaults (``cli.COMMANDS`` holds those).
@@ -27,7 +44,7 @@ import math
 import numpy as np
 
 from . import construct, embed, perms
-from .convex import MusielakSystem, luxemburg_norm
+from .convex import MusielakSystem, luxemburg_norm, stacked_passes
 from .perms import PermutationSampler, WeightMatrix
 
 __all__ = [
@@ -61,6 +78,9 @@ DISTORTION_MAX = math.sqrt(2.0) * BAND_SPREAD_MAX
 # Construct: knot values of the rows rebuilt from the knot values, relative to the input's.
 KNOT_REBUILD_MAX = 1e-12
 N_KHINTCHINE = 5  # the Khintchine part of embed-report: 2^5 5! = 3840 terms per instance
+# Instance k of dimension n is drawn from spawn key n * INSTANCE_KEYS + k, so a campaign draws at most
+# INSTANCE_KEYS instances per n (``cli`` rejects more): instance (n, INSTANCE_KEYS) would replay (n + 1, 0).
+INSTANCE_KEYS = 10_000
 
 
 def make_matrix(
@@ -106,8 +126,8 @@ def _row(instance_id: str, n: int, lhs, rhs, ratio, **extra) -> dict:
 
 
 def _per_instance(dims, instances: int, prefix: str = ""):
-    """Instances k = 0..instances-1 per n, drawn from spawn key n*10000 + k."""
-    return [(n, n * 10_000 + k, f"{prefix}n{n}-i{k}") for n in dims for k in range(instances)]
+    """Instances k = 0..instances-1 per n, drawn from spawn key n * INSTANCE_KEYS + k."""
+    return [(n, n * INSTANCE_KEYS + k, f"{prefix}n{n}-i{k}") for n in dims for k in range(instances)]
 
 
 def _per_dim(dims, prefix: str = ""):
@@ -128,14 +148,18 @@ def _gate(bound, worst) -> dict:
     return {"gate": gate, "passed": margin is None or margin >= 0}
 
 
-def _run(seed: int, instances, one, bound, worst) -> dict:
-    """Run ``one(n, sampler, tag) -> rows`` per instance and gate the rows.
+def _run(seed: int, instances, draw, check, bound, worst) -> dict:
+    """Draw the instances, check them in one call, and gate the rows.
 
-    ``instances`` lists ``(n, spawn key, id tag)``; ``worst(rows)`` is the
-    value held against ``bound``, an upper bound or an interval.
+    ``instances`` lists ``(n, spawn key, id tag)``; ``draw(n, sampler,
+    tag)`` builds one instance from its own sampler, and ``check(drawn) ->
+    rows`` runs once, on the iterator of the draws in that order.  The
+    iterator draws as it is read, so a check holds only what it keeps.
+    ``worst(rows)`` is the value held against ``bound``, an upper bound or
+    an interval.
     """
     root = PermutationSampler(seed)
-    rows = [r for n, key, tag in instances for r in one(n, root.spawn(key), tag)]
+    rows = check(draw(n, root.spawn(key), tag) for n, key, tag in instances)
     dims = list(dict.fromkeys(n for n, _, _ in instances))
     return {
         "rows": rows,
@@ -144,6 +168,13 @@ def _run(seed: int, instances, one, bound, worst) -> dict:
         "band": _band_summary(rows),
         **_gate(bound, worst(rows) if rows else None),
     }
+
+
+def _solved(problems):
+    """(item, the Luxemburg norms of xs) for each (system, xs, item) of ``problems``, in stacked passes."""
+    for system, xs, items in stacked_passes(problems):
+        norms = luxemburg_norm(system, xs)
+        yield from ((item, norms[rows]) for item, rows in items)
 
 
 def _spread(rows) -> float:
@@ -174,65 +205,78 @@ def _merge(**parts) -> dict:
 # campaigns
 
 
-def _band_rows(tag: str, n: int, a: WeightMatrix, system, s, vectors: int) -> list:
-    """Exact l2 average vs. Luxemburg norm for ``vectors`` Gaussian vectors."""
-    xs = s.normals((vectors, n))  # the same draws as ``vectors`` calls of s.normals(n)
-    pairs = zip(perms.ave_l2(a, xs).value.tolist(), luxemburg_norm(system, xs).tolist())
-    return [_row(f"{tag}-x{v}", n, lhs, rhs, lhs / rhs) for v, (lhs, rhs) in enumerate(pairs)]
+def _band_rows(drawn) -> list:
+    """Exact l2 average vs. Luxemburg norm for the vectors of each drawn ``(tag, n, a, system, xs)``."""
+    problems = ((system, xs, (tag, n, perms.ave_l2(a, xs).value)) for tag, n, a, system, xs in drawn)
+    return [
+        _row(f"{tag}-x{v}", n, lhs, rhs, lhs / rhs)
+        for (tag, n, averages), norms in _solved(problems)
+        for v, (lhs, rhs) in enumerate(zip(averages.tolist(), norms.tolist()))
+    ]
 
 
 def thm1_campaign(dims, seed: int, instances: int, vectors: int, family: str) -> dict:
     """Band of exact l2 average vs. Luxemburg norm of the matrix-built system."""
 
-    def one(n, s, tag):
+    def draw(n, s, tag):
         a = make_matrix(family, n, s)
-        return _band_rows(tag, n, a, construct.functions_from_matrix(a), s, vectors)
+        # the same draws as ``vectors`` calls of s.normals(n)
+        return tag, n, a, construct.functions_from_matrix(a), s.normals((vectors, n))
 
-    return _run(seed, _per_instance(dims, instances), one, BAND_SPREAD_MAX, _spread)
+    return _run(seed, _per_instance(dims, instances), draw, _band_rows, BAND_SPREAD_MAX, _spread)
 
 
 def thm2_campaign(dims, seed: int, vectors: int, exponents) -> dict:
     """Same band as thm1 but for matrices produced from power systems."""
 
-    def one(n, s, tag):
+    def draw(n, s, tag):
         system = make_power_system(n, exponents)
-        return _band_rows(tag, n, construct.matrix_from_functions(system), system, s, vectors)
+        return tag, n, construct.matrix_from_functions(system), system, s.normals((vectors, n))
 
-    return _run(seed, _per_dim(dims), one, BAND_SPREAD_MAX, _spread)
+    return _run(seed, _per_dim(dims), draw, _band_rows, BAND_SPREAD_MAX, _spread)
 
 
 def lemma21_campaign(dims, seed: int, instances: int) -> dict:
     """Exact two-permutation max average vs. the rearrangement bound."""
 
-    def one(n, s, tag):
-        a3 = s.normals((n, n, n))
-        lhs = perms.ave_max_two(a3).value
-        rhs = perms.dra_sum_bound(a3)
-        return [_row(tag, n, lhs, rhs, lhs / rhs)]
+    def draw(n, s, tag):
+        return tag, n, s.normals((n, n, n))
 
-    return _run(seed, _per_instance(dims, instances, "l21-"), one, LEMMA21_MAX, _max_ratio)
+    def check(drawn):
+        bounds = ((tag, n, perms.ave_max_two(a3).value, perms.dra_sum_bound(a3)) for tag, n, a3 in drawn)
+        return [_row(tag, n, lhs, rhs, lhs / rhs) for tag, n, lhs, rhs in bounds]
+
+    return _run(seed, _per_instance(dims, instances, "l21-"), draw, check, LEMMA21_MAX, _max_ratio)
+
+
+def _matrix_and_vector(n, s, tag):
+    """The draw of a sandwich instance: a random-decreasing matrix, then one Gaussian vector."""
+    return make_matrix("random-decreasing", n, s), s.normals(n)
+
+
+def _sandwich_rows(instances, reports) -> list:
+    """One row per listed instance, from its ``SandwichReport``."""
+    return [_row(tag, n, r.lower, r.value, r.ratio, passed=r.passed) for (n, _, tag), r in zip(instances, reports)]
 
 
 def lemma22_campaign(dims, seed: int, instances: int) -> dict:
     """Exact 1/2 .. 2 sandwich of the matrix norm by the prefix-sum system."""
+    listed = _per_instance(dims, instances, "l22-")
 
-    def one(n, s, tag):
-        a = make_matrix("random-decreasing", n, s)
-        rep = perms.lemma_matrixnorm_check(a, s.normals(n))
-        return [_row(tag, n, rep.lower, rep.value, rep.ratio, passed=rep.passed)]
+    def check(drawn):
+        return _sandwich_rows(listed, perms.lemma_matrixnorm_check(drawn))
 
-    return _run(seed, _per_instance(dims, instances, "l22-"), one, SANDWICH_FAILURES_MAX, _failures)
+    return _run(seed, listed, _matrix_and_vector, check, SANDWICH_FAILURES_MAX, _failures)
 
 
 def khintchine_campaign(dims, seed: int, instances: int) -> dict:
     """Exact Khintchine sandwich of the embedded L1 norm, per instance."""
+    listed = _per_instance(dims, instances, "kh-")
 
-    def one(n, s, tag):
-        a = make_matrix("random-decreasing", n, s)
-        rep = embed.khintchine_sandwich_check(a, s.normals(n))
-        return [_row(tag, n, rep.lower, rep.value, rep.ratio, passed=rep.passed)]
+    def check(drawn):
+        return _sandwich_rows(listed, (embed.khintchine_sandwich_check(a, x) for a, x in drawn))
 
-    return _run(seed, _per_instance(dims, instances, "kh-"), one, SANDWICH_FAILURES_MAX, _failures)
+    return _run(seed, listed, _matrix_and_vector, check, SANDWICH_FAILURES_MAX, _failures)
 
 
 def roundtrip_campaign(dims, seed: int, family: str, exponents) -> dict:
@@ -240,23 +284,29 @@ def roundtrip_campaign(dims, seed: int, family: str, exponents) -> dict:
     if family == "random-decreasing":  # PCHIP of concave knot data is not concave in general
         raise ValueError("family 'random-decreasing' cannot run roundtrip: its PCHIP fits fail 2-concavity")
 
-    def one(n, s, tag):
-        rep = construct.roundtrip_check(make_matrix(family, n, s, exponents))
-        return [_row(tag, n, rep.c_low, rep.c_high, rep.spread)]
+    def draw(n, s, tag):
+        return tag, n, make_matrix(family, n, s, exponents)
 
-    return _run(seed, _per_dim(dims, "rt-"), one, ROUNDTRIP_RANGE, _constants)
+    def check(drawn):
+        constants = ((tag, n, construct.roundtrip_check(a)) for tag, n, a in drawn)
+        return [_row(tag, n, rep.c_low, rep.c_high, rep.spread) for tag, n, rep in constants]
+
+    return _run(seed, _per_dim(dims, "rt-"), draw, check, ROUNDTRIP_RANGE, _constants)
 
 
 def distortion_campaign(dims, seed: int, samples: int, exponents) -> dict:
-    """Embedding distortion witness for power-family pipelines."""
+    """Embedding distortion witness for power-family pipelines, the norms of all directions in one check."""
 
-    def one(n, s, tag):
+    def draw(n, s, tag):
         system = make_power_system(n, exponents)
-        a = construct.matrix_from_functions(system)
-        rep = embed.distortion_estimate(system, a, s, samples=samples)
-        return [_row(tag, n, rep.c_low, rep.c_high, rep.spread)]
+        return tag, n, construct.matrix_from_functions(system), system, embed.distortion_directions(n, s, samples)
 
-    return _run(seed, _per_dim(dims, "dist-"), one, DISTORTION_MAX, _max_ratio)
+    def check(drawn):
+        problems = ((system, xs, (tag, n, a, xs)) for tag, n, a, system, xs in drawn)
+        bands = ((tag, n, embed.distortion_estimate(a, xs, norms)) for (tag, n, a, xs), norms in _solved(problems))
+        return [_row(tag, n, rep.c_low, rep.c_high, rep.spread) for tag, n, rep in bands]
+
+    return _run(seed, _per_dim(dims, "dist-"), draw, check, DISTORTION_MAX, _max_ratio)
 
 
 def lemma_oracles_campaign(dims, seed: int, instances: int) -> dict:

@@ -102,7 +102,12 @@ def _is_square(rows) -> bool:
 # What each config key must hold, and how an error says it.
 _FIELDS = {
     "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
-    **dict.fromkeys(("instances", "vectors", "samples"), (lambda v: _is_int(v, 1), "an integer >= 1")),
+    "instances": (
+        lambda v: _is_int(v, 1) and v <= campaigns.INSTANCE_KEYS,
+        f"an integer from 1 to {campaigns.INSTANCE_KEYS}: instance k of dimension n is drawn from spawn key "
+        f"n * {campaigns.INSTANCE_KEYS} + k",
+    ),
+    **dict.fromkeys(("vectors", "samples"), (lambda v: _is_int(v, 1), "an integer >= 1")),
     "dims": (
         lambda v: isinstance(v, list) and all(_is_int(n, 1) for n in v) and len(set(v)) == len(v),
         "a list of distinct integers >= 1",

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .convex import EquivalenceReport, MusielakSystem, luxemburg_norm
+from .convex import EquivalenceReport
 from .perms import (
     DEFAULT_SAMPLES,
     AverageResult,
@@ -39,6 +39,7 @@ from .perms import (
 __all__ = [
     "psi_image_norm",
     "khintchine_sandwich_check",
+    "distortion_directions",
     "distortion_estimate",
     "N_EXACT_PSI",
 ]
@@ -87,27 +88,31 @@ def khintchine_sandwich_check(a: WeightMatrix, x) -> SandwichReport:
     return SandwichReport(ave / np.sqrt(2.0), psi, ave, passed)
 
 
-def distortion_estimate(
-    system: MusielakSystem,
-    a: WeightMatrix,
-    sampler: PermutationSampler,
-    samples: int,
-) -> EquivalenceReport:
-    """Ratio band of ||Psi(x)|| / ||x||_{sum M_i} over sampled directions.
+def distortion_directions(n: int, sampler: PermutationSampler, samples: int) -> np.ndarray:
+    """Directions for ``distortion_estimate``: the n basis vectors, the all-ones vector, then ``samples`` Gaussian ones.
 
-    Directions mix random Gaussian vectors with the standard basis vectors
-    and the all-ones vector (distortion extremes tend to sit at sparse or
-    flat vectors, which pure random sampling undercovers).  The report's
+    The rows of one (n + 1 + samples, n) array.  Distortion extremes tend to sit at sparse or flat vectors, which pure
+    random sampling undercovers.
+    """
+    return np.vstack([np.eye(n), np.ones((1, n)), sampler.normals((samples, n))])
+
+
+def distortion_estimate(a: WeightMatrix, directions, norms) -> EquivalenceReport:
+    """Ratio band of ||Psi(x)|| / ||x||_{sum M_i} over the rows x of ``directions``, given their norms ``norms``.
+
+    ``norms`` are the Musielak-Orlicz norms of the directions (from
+    ``luxemburg_norm``, say, of ``distortion_directions``).  The report's
     ``spread`` is an upper-bound witness for the Banach-Mazur distance
     between the Musielak-Orlicz space and the image subspace; no optimality
     over isomorphisms is claimed.
     """
-    n = a.n
-    if system.n != n:
-        raise ValueError("system and matrix dimensions must match")
-    directions = np.vstack([np.eye(n), np.ones((1, n)), sampler.normals((samples, n))])
-    denoms = luxemburg_norm(system, directions)
-    if (denoms == 0.0).any():
+    directions, norms = np.asarray(directions, dtype=float), np.asarray(norms, dtype=float)
+    if directions.ndim != 2 or directions.shape[1] != a.n or norms.shape != directions.shape[:1]:
+        raise ValueError(
+            f"need (V, {a.n}) directions and V norms for a matrix with {a.n} rows, "
+            f"got shapes {directions.shape} and {norms.shape}"
+        )
+    if (norms == 0.0).any():
         raise ValueError("zero-norm direction")
-    ratios = psi_image_norm(a, directions).value / denoms
+    ratios = psi_image_norm(a, directions).value / norms
     return EquivalenceReport(float(ratios.min()), float(ratios.max()))

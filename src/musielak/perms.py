@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import MusielakSystem, luxemburg_norm
+from .convex import MusielakSystem, luxemburg_norm, stacked_passes
 
 __all__ = [
     "WeightMatrix",
@@ -446,13 +446,28 @@ class SandwichReport:
         return self.value / self.upper if self.upper > 0 else 1.0
 
 
-def lemma_matrixnorm_check(a: WeightMatrix, x) -> SandwichReport:
-    """Check (1/2)||x||_a <= ||x||_{sum M_i} <= 2 ||x||_a for the prefix system, within ``SANDWICH_TOL``."""
-    na = matrix_norm_a(a, x)
-    system = prefix_sum_system(a)
-    nl = float(luxemburg_norm(system, [x])[0])
-    passed = 0.5 * na - SANDWICH_TOL <= nl <= 2.0 * na + SANDWICH_TOL
-    return SandwichReport(0.5 * na, nl, 2.0 * na, passed)
+def lemma_matrixnorm_check(instances) -> list:
+    """Check (1/2)||x||_a <= ||x||_{sum M_i} <= 2 ||x||_a for the prefix system, within ``SANDWICH_TOL``.
+
+    One ``SandwichReport`` per ``(a, x)`` of ``instances``, in order.  The
+    Luxemburg norms of all instances are solved in the stacked passes of
+    ``convex.stacked_passes``, each with the bits of its own solve;
+    ``instances`` is read as the passes are made.
+    """
+
+    def problems():
+        for a, x in instances:
+            na = matrix_norm_a(a, x)
+            yield prefix_sum_system(a), [x], na
+
+    reports = []
+    for system, xs, items in stacked_passes(problems()):
+        norms = luxemburg_norm(system, xs)
+        for na, rows in items:
+            (nl,) = norms[rows].tolist()
+            passed = 0.5 * na - SANDWICH_TOL <= nl <= 2.0 * na + SANDWICH_TOL
+            reports.append(SandwichReport(0.5 * na, nl, 2.0 * na, passed))
+    return reports
 
 
 def build_b_vector(n: int) -> np.ndarray:

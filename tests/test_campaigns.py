@@ -10,8 +10,9 @@ replays these draws, so any change to them must show here first.
 import itertools
 
 import numpy as np
+import pytest
 
-from musielak import campaigns, construct, perms
+from musielak import campaigns, construct, convex, embed, perms
 from musielak.convex import luxemburg_norm
 from musielak.perms import PermutationSampler, WeightMatrix
 
@@ -53,5 +54,41 @@ def test_lemma22_row_replays_from_instance_key():
     row = _row(campaigns.lemma22_campaign([n], SEED, instances=3), f"l22-n{n}-i{k}")
     s = PermutationSampler(SEED).spawn(n * 10_000 + k)
     a = _decreasing(s, n)
-    rep = perms.lemma_matrixnorm_check(a, s.normals(n))
+    (rep,) = perms.lemma_matrixnorm_check([(a, s.normals(n))])
     assert (row["lhs"], row["rhs"]) == (rep.lower, rep.value)
+
+
+def test_lemma21_row_replays_from_instance_key():
+    n, k = 3, 1
+    row = _row(campaigns.lemma21_campaign([n], SEED, instances=2), f"l21-n{n}-i{k}")
+    a3 = PermutationSampler(SEED).spawn(n * 10_000 + k).normals((n, n, n))
+    assert (row["lhs"], row["rhs"]) == (perms.ave_max_two(a3).value, perms.dra_sum_bound(a3))
+
+
+def test_khintchine_row_replays_from_instance_key():
+    n, k = 4, 2
+    row = _row(campaigns.khintchine_campaign([n], SEED, instances=3), f"kh-n{n}-i{k}")
+    s = PermutationSampler(SEED).spawn(n * 10_000 + k)
+    a = _decreasing(s, n)
+    rep = embed.khintchine_sandwich_check(a, s.normals(n))
+    assert (row["lhs"], row["rhs"], row["passed"]) == (rep.lower, rep.value, rep.passed)
+
+
+MIXED = [5, 2, 4]  # unsorted, so that each stack pads vectors of a smaller n between larger ones
+STACKED = {
+    "thm1": lambda dims, instances: campaigns.thm1_campaign(dims, SEED, instances, 3, "random-decreasing"),
+    "lemma22": lambda dims, instances: campaigns.lemma22_campaign(dims, SEED, instances),
+    "distortion": lambda dims, instances: campaigns.distortion_campaign(dims, SEED, 5, (1.3, 1.7)),
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(STACKED))
+def test_stacked_rows_are_the_rows_of_one_instance_calls(campaign, monkeypatch):
+    run = STACKED[campaign]
+    rows = run(MIXED, 1)["rows"]
+    assert len({r["n"] for r in rows}) == len(MIXED)
+    assert rows == [r for n in MIXED for r in run([n], 1)["rows"]]
+    # several instances per n: the same rows when every instance is solved in a pass of its own
+    rows = run(MIXED, 3)["rows"]
+    monkeypatch.setattr(convex, "PASS_ELEMENTS", 0)
+    assert rows == run(MIXED, 3)["rows"]

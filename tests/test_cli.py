@@ -161,6 +161,7 @@ def test_invalid_dims_is_usage_error(tmp_path, capsys, dims):
         ("family", "constant"),
         ("threads", 2),
         ("dims", [3, 3]),  # ran n = 3 twice, with one n in the report's dims
+        ("instances", 10_001),  # instance (2, 10000) would replay the draws of instance (3, 0)
     ],
 )
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, field, value):
@@ -169,6 +170,11 @@ def test_invalid_config_field_is_usage_error(tmp_path, capsys, field, value):
     assert main(["embed-report", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "embed-report.json").exists()
+
+
+def test_instances_past_the_spawn_keys_is_usage_error(tmp_path, capsys):
+    assert run(tmp_path, "lemma-oracles", {"instances": campaigns.INSTANCE_KEYS + 1}) == 1
+    assert "drawn from spawn key n * 10000 + k, got 10001" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from orlicz import PiecewiseAffineConvex, PowerFunction, system_of
 
 from musielak.construct import ConstructionError, conjugate_inverse_knots, functions_from_matrix
-from musielak.convex import DegenerateTailError, EquivalenceReport, MusielakSystem, luxemburg_norm
+from musielak.convex import (
+    PASS_ELEMENTS,
+    DegenerateTailError,
+    EquivalenceReport,
+    MusielakSystem,
+    luxemburg_norm,
+    stacked_passes,
+)
 from musielak.perms import WeightMatrix, prefix_sum_system
 
 rng = np.random.default_rng(20240817)
@@ -441,6 +448,93 @@ def test_batch_matches_scalar_oracles(kind, data):
         newton = scalar_newton_norm(system, x)
         assert abs(rho - newton) <= 4 * np.spacing(newton)
         assert rho == pytest.approx(bisection_norm(functions, x), rel=1e-9, abs=0.0)
+
+
+# -- stacked systems: the vectors of many systems in one solve -----------------
+
+# M = 0 up to a domain bound b and +inf beyond: a vector on it alone has its norm at the bound
+bounded_zeros = st.floats(0.5, 3.0).map(lambda b: PiecewiseAffineConvex([0.0], [0.0], b).conjugate())
+STACKS = {
+    "pwa": st.one_of(pwa_functions, pwa_functions.map(lambda m: m.conjugate()), bounded_zeros),
+    "power": power_functions,
+}
+
+
+def _stack_pair(functions, rows=st.integers(0, 4)):
+    """(system, batch): a system of 1..7 ``functions`` and a (V, n) batch of ``entries``."""
+
+    def batch(system, count):
+        return st.lists(st.lists(entries, min_size=system.n, max_size=system.n), min_size=count, max_size=count)
+
+    systems = _systems(functions).map(lambda pair: pair[0])
+    return systems.flatmap(lambda system: st.tuples(st.just(system), rows.flatmap(lambda v: batch(system, v))))
+
+
+def _width(system):
+    return 1 if system.knots is None else system.knots.shape[1]
+
+
+def _stacked_norms(pairs):
+    """Each pair's norms from ``stacked_passes``, and the number of passes."""
+    norms, passes = [], 0
+    problems = ((system, np.reshape(xs, (-1, system.n)), j) for j, (system, xs) in enumerate(pairs))
+    for system, xs, items in stacked_passes(problems):
+        solved, passes = luxemburg_norm(system, xs), passes + 1
+        norms += [(j, solved[rows]) for j, rows in items]
+    assert [j for j, _ in norms] == list(range(len(pairs)))
+    return [rho for _, rho in norms], passes
+
+
+@pytest.mark.parametrize("kind", sorted(STACKS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_rows_keep_their_own_bits(kind, data):
+    pairs = data.draw(st.lists(_stack_pair(STACKS[kind]), min_size=1, max_size=6))
+    system, xs = pairs[0]
+    pairs[0] = system, [*xs, [0.0] * system.n]  # a zero vector
+    # a batch that fills more than one pass by itself, among the others
+    system, _ = data.draw(_stack_pair(STACKS[kind]))
+    draws = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    big = draws.normal(size=(PASS_ELEMENTS // (system.n * _width(system)) + 1, system.n))
+    pairs.insert(data.draw(st.integers(0, len(pairs))), (system, big))
+    if kind == "pwa":  # last, a vector on the coordinate of a bounded M = 0 alone: its norm is |x_0| / b_0
+        bounded = system_of((data.draw(bounded_zeros), *data.draw(st.lists(STACKS[kind], max_size=3))))
+        pairs.append((bounded, [[2.5] + [0.0] * (bounded.n - 1)]))
+    norms, passes = _stacked_norms(pairs)
+    assert passes >= 2
+    for (system, xs), rho in zip(pairs, norms):
+        assert rho.tobytes() == luxemburg_norm(system, np.reshape(xs, (-1, system.n))).tobytes()
+        if xs is not big:  # row by row as well (the big batch's rows alone: ``test_batch_matches_scalar_oracles``)
+            assert [luxemburg_norm(system, [x])[0] for x in xs] == rho.tolist()
+    if kind == "pwa":
+        assert norms[-1][0] == pytest.approx(2.5 / bounded.bounds[0], rel=1e-15)
+
+
+def test_stack_pads_each_system_to_the_largest():
+    lin = PiecewiseAffineConvex([0.0, 1.0], [0.0, 1.0], 1.0)
+    wide = PiecewiseAffineConvex([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 3.0, 6.0], 4.0)
+    small, large = system_of((lin,)), system_of((wide, wide))
+    stack = MusielakSystem.stack([small, large], [2, 1])
+    assert (stack.n, stack.vectors, stack.knots.shape, stack.bounds.shape) == (2, 3, (2, 3, 4), (2, 3))
+    np.testing.assert_array_equal(stack.knots[0, 0], np.pad(small.knots[0], (0, 2), "edge"))
+    np.testing.assert_array_equal(stack.knots[:, 2], large.knots)
+    assert stack.knots[1, :2].tolist() == [[0.0] * 4] * 2 and stack.unit_inverse[1, :2].tolist() == [math.inf] * 2
+    with pytest.raises(ValueError, match=r"xs must be a \(3, 2\) batch of vectors, got shape \(2, 2\)"):
+        luxemburg_norm(stack, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="systems of one kind"):
+        MusielakSystem.stack([small, system_of((PowerFunction(1.5),))], [1, 1])
+    with pytest.raises(ValueError, match="none of them stacked"):
+        MusielakSystem.stack([stack, small], [3, 1])
+
+
+def test_stacked_zero_function_raises_naming_its_coordinate():
+    lin = PiecewiseAffineConvex([0.0, 1.0], [0.0, 1.0], 1.0)
+    zero = PiecewiseAffineConvex([0.0, 1.0], [0.0, 0.0], 0.0)  # flat tail, no domain bound
+    degenerate = system_of((lin, zero))
+    fine = [(system_of((lin,) * 3), [[1.0, 2.0, 3.0]]), (degenerate, [[3.0, 0.0]])]
+    assert [rho.tolist() for rho in _stacked_norms(fine)[0]] == [[6.0], [3.0]]  # l1 norms
+    with pytest.raises(DegenerateTailError, match="M_1 is 0 with no domain bound, and x_1 is nonzero"):
+        _stacked_norms([*fine, (degenerate, [[0.0, 0.0], [1.0, 2.0]])])
 
 
 class TestEquivalence:

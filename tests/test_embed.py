@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from musielak.construct import functions_from_matrix, matrix_from_functions, power_system
-from musielak.convex import EquivalenceReport
+from musielak.convex import EquivalenceReport, luxemburg_norm
 from musielak.embed import (
     N_EXACT_PSI,
+    distortion_directions,
     distortion_estimate,
     khintchine_sandwich_check,
     psi_image_norm,
@@ -153,11 +154,17 @@ class TestKhintchine:
         assert rep.value == pytest.approx(rep.upper)
 
 
+def sampled_distortion(system, a, sampler, samples):
+    """The distortion band over ``distortion_directions``, with their Luxemburg norms in ``system``."""
+    directions = distortion_directions(a.n, sampler, samples)
+    return distortion_estimate(a, directions, luxemburg_norm(system, directions))
+
+
 class TestDistortion:
     def test_n1_is_flat(self):
         a = WeightMatrix(np.array([[1.0]]))
         system = functions_from_matrix(a)
-        rep = distortion_estimate(system, a, PermutationSampler(1), samples=20)
+        rep = sampled_distortion(system, a, PermutationSampler(1), samples=20)
         assert rep.spread == pytest.approx(1.0, rel=1e-8)
 
     def test_matrix_scaling_invariance(self):
@@ -165,14 +172,14 @@ class TestDistortion:
         # the ratio band unchanged
         a = random_matrix(3)
         b = WeightMatrix(2.0 * a.entries)
-        r1 = distortion_estimate(functions_from_matrix(a), a, PermutationSampler(5), samples=50)
-        r2 = distortion_estimate(functions_from_matrix(b), b, PermutationSampler(5), samples=50)
+        r1 = sampled_distortion(functions_from_matrix(a), a, PermutationSampler(5), samples=50)
+        r2 = sampled_distortion(functions_from_matrix(b), b, PermutationSampler(5), samples=50)
         assert r1.spread == pytest.approx(r2.spread, rel=1e-8)
 
     def test_power_family_bounded(self):
         system = power_system([1.5] * 4)
         a = matrix_from_functions(system)
-        rep = distortion_estimate(system, a, PermutationSampler(9), samples=100)
+        rep = sampled_distortion(system, a, PermutationSampler(9), samples=100)
         assert 1.0 <= rep.spread < 10.0
 
     def test_report_invariants(self):
@@ -184,5 +191,9 @@ class TestDistortion:
 
     def test_dimension_mismatch(self):
         a = random_matrix(3)
-        with pytest.raises(ValueError):
-            distortion_estimate(functions_from_matrix(random_matrix(4)), a, PermutationSampler(0), samples=10)
+        with pytest.raises(ValueError, match=r"need \(V, 3\) directions and V norms"):
+            distortion_estimate(a, np.ones((2, 4)), [1.0, 1.0])
+        with pytest.raises(ValueError, match="V norms"):
+            distortion_estimate(a, np.ones((2, 3)), [1.0])
+        with pytest.raises(ValueError, match="zero-norm direction"):
+            distortion_estimate(a, np.ones((2, 3)), [1.0, 0.0])

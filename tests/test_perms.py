@@ -431,7 +431,7 @@ class TestMatrixNorm:
 
 class TestSandwich:
     def test_zero_vector(self):
-        rep = lemma_matrixnorm_check(random_matrix(3), np.zeros(3))
+        (rep,) = lemma_matrixnorm_check([(random_matrix(3), np.zeros(3))])
         assert rep.passed and rep.value == 0.0
 
     def test_one_by_one_against_scan(self):
@@ -448,7 +448,8 @@ class TestSandwich:
         (norm,) = luxemburg_norm(system, [x])
         assert norm == pytest.approx(scan, abs=2e-6)
         assert norm == pytest.approx(0.8 * 1.3, rel=1e-9)
-        assert lemma_matrixnorm_check(a, x).passed
+        (rep,) = lemma_matrixnorm_check([(a, x)])
+        assert rep.passed
 
     def test_equal_entries(self):
         # M_i* has slope 1/(4 * 0.05) = 5 throughout (the rounded prefix sums
@@ -457,13 +458,14 @@ class TestSandwich:
         a = WeightMatrix(np.full((4, 4), 0.05))
         system = prefix_sum_system(a)
         assert luxemburg_norm(system, [[1.0, 2.0, -3.0, 0.5]])[0] == pytest.approx(0.6, rel=1e-12)
-        assert lemma_matrixnorm_check(a, [1.0, 2.0, -3.0, 0.5]).passed
+        (rep,) = lemma_matrixnorm_check([(a, [1.0, 2.0, -3.0, 0.5])])
+        assert rep.passed
 
     def test_random_instances(self):
         for _ in range(100):
             n = rng.integers(1, 5)
             a = random_matrix(n, rng.integers(n, 6))
-            rep = lemma_matrixnorm_check(a, rng.normal(size=n))
+            (rep,) = lemma_matrixnorm_check([(a, rng.normal(size=n))])
             assert rep.passed
 
 
