@@ -20,7 +20,10 @@ builds each instance from its own sampler, in the listed order, and
 and 2, Lemma 2.2 and the distortion part of ``embed-report`` solve every
 Luxemburg norm of the campaign in stacked passes
 (``convex.stacked_passes``): one ``luxemburg_norm`` call at the usual
-sizes, each row with the bits of its own instance's solve.  Lemma 2.1,
+sizes, each row with the bits of its own instance's solve.  Theorem 1
+and Lemma 2.2 draw matrices, not systems: each pass builds the systems
+of all its matrices in one call (``construct.functions_from_matrices``,
+``perms.prefix_sum_systems``).  Lemma 2.1,
 Khintchine and the round trip check instance by instance.  The draws are
 read as the check goes, so a check holds one pass of instances at a time.
 
@@ -170,9 +173,9 @@ def _run(seed: int, instances, draw, check, bound, worst) -> dict:
     }
 
 
-def _solved(problems):
-    """(item, the Luxemburg norms of xs) for each (system, xs, item) of ``problems``, in stacked passes."""
-    for system, xs, items in stacked_passes(problems):
+def _solved(problems, build=None):
+    """(item, the Luxemburg norms of xs) for each (source, xs, item) of ``problems``, in stacked passes."""
+    for system, xs, items in stacked_passes(problems, build):
         norms = luxemburg_norm(system, xs)
         yield from ((item, norms[rows]) for item, rows in items)
 
@@ -205,12 +208,15 @@ def _merge(**parts) -> dict:
 # campaigns
 
 
-def _band_rows(drawn) -> list:
-    """Exact l2 average vs. Luxemburg norm for the vectors of each drawn ``(tag, n, a, system, xs)``."""
-    problems = ((system, xs, (tag, n, perms.ave_l2(a, xs).value)) for tag, n, a, system, xs in drawn)
+def _band_rows(drawn, build=None) -> list:
+    """Exact l2 average vs. Luxemburg norm for the vectors of each drawn ``(tag, n, a, source, xs)``.
+
+    The source is the system, or with ``build`` the matrix it is built from (see ``stacked_passes``).
+    """
+    problems = ((source, xs, (tag, n, perms.ave_l2(a, xs).value)) for tag, n, a, source, xs in drawn)
     return [
         _row(f"{tag}-x{v}", n, lhs, rhs, lhs / rhs)
-        for (tag, n, averages), norms in _solved(problems)
+        for (tag, n, averages), norms in _solved(problems, build)
         for v, (lhs, rhs) in enumerate(zip(averages.tolist(), norms.tolist()))
     ]
 
@@ -221,9 +227,12 @@ def thm1_campaign(dims, seed: int, instances: int, vectors: int, family: str) ->
     def draw(n, s, tag):
         a = make_matrix(family, n, s)
         # the same draws as ``vectors`` calls of s.normals(n)
-        return tag, n, a, construct.functions_from_matrix(a), s.normals((vectors, n))
+        return tag, n, a, a, s.normals((vectors, n))
 
-    return _run(seed, _per_instance(dims, instances), draw, _band_rows, BAND_SPREAD_MAX, _spread)
+    def check(drawn):
+        return _band_rows(drawn, construct.functions_from_matrices)
+
+    return _run(seed, _per_instance(dims, instances), draw, check, BAND_SPREAD_MAX, _spread)
 
 
 def thm2_campaign(dims, seed: int, vectors: int, exponents) -> dict:

@@ -73,17 +73,14 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def write_csv(path: Path, rows) -> None:
+    """The rows in ``CSV_COLUMNS`` order, sorted by instance id; floats with 17 digits, which read back exactly."""
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in sorted(rows, key=lambda r: r["instance_id"]):
-            fh.write(",".join(_fmt(row.get(c, "")) for c in CSV_COLUMNS) + "\n")
+        fh.writelines(
+            f"{r['instance_id']},{r['n']},{r['lhs']:.17g},{r['rhs']:.17g},{r['ratio']:.17g}\n"
+            for r in sorted(rows, key=lambda r: r["instance_id"])
+        )
 
 
 def _is_int(value, least: int) -> bool:

@@ -42,6 +42,7 @@ __all__ = [
     "conjugate_inverse_knots",
     "rows_from_knots",
     "functions_from_matrix",
+    "functions_from_matrices",
     "power_profile",
     "power_profile_value",
     "power_system",
@@ -68,14 +69,20 @@ def conjugate_inverse_knots(a: WeightMatrix) -> np.ndarray:
     return _knot_values(a.entries)
 
 
-def _knot_values(rows: np.ndarray) -> np.ndarray:
-    """``conjugate_inverse_knots`` of an (n, n) array, which need not be a valid ``WeightMatrix``."""
-    n = len(rows)
-    prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(rows, axis=1)], axis=1) / n
-    sq_tail = np.concatenate(
-        [np.cumsum((rows**2)[:, ::-1], axis=1)[:, ::-1] / n, np.zeros((n, 1))], axis=1
-    )
-    ell = np.arange(n + 1) / n
+def _knot_values(rows: np.ndarray, n=None) -> np.ndarray:
+    """``conjugate_inverse_knots`` of an (n, n) array, which need not be a valid ``WeightMatrix``.
+
+    Or of a (J, m, m) stack of such arrays, zero-padded at their far ends,
+    with their own sizes ``n`` ((J,)): the tail sums add their padding
+    first, as +0.0, so each real knot value keeps its bits; a row repeats
+    its last past its own n, and a padded row is 0.
+    """
+    m = rows.shape[-1]
+    n = m if n is None else np.reshape(n, (-1, 1, 1))
+    zero = np.zeros((*rows.shape[:-1], 1))
+    prefix = np.concatenate([zero, np.cumsum(rows, axis=-1)], axis=-1) / n
+    sq_tail = np.concatenate([np.cumsum((rows**2)[..., ::-1], axis=-1)[..., ::-1] / n, zero], axis=-1)
+    ell = np.arange(m + 1) / n  # past its own n a row's tail sum is 0
     return np.sqrt(prefix**2 + ell * sq_tail)
 
 
@@ -111,17 +118,44 @@ def functions_from_matrix(a: WeightMatrix) -> MusielakSystem:
     ``ConstructionError`` if the knot values of some row are not increasing
     and concave (no convex conjugate would interpolate them).
     """
-    v = conjugate_inverse_knots(a)
-    n = a.n
-    inc = v[:, 1:] - v[:, :-1]
-    flat = (inc <= 0).any(axis=1)
-    bad = flat | (inc[:, 1:] - inc[:, :-1] > 1e-12 * v[:, -1:]).any(axis=1)
+    return MusielakSystem.from_conjugate_knots(*(data[0] for data in _conjugate_knots([a])))
+
+
+def functions_from_matrices(matrices, counts) -> MusielakSystem:
+    """The stack of each matrix's ``functions_from_matrix``, ``matrices[j]`` for the next ``counts[j]`` vectors.
+
+    Built in one pass over the zero-padded entries of all matrices, with
+    the bits of ``MusielakSystem.stack`` of the systems built one by one;
+    the first matrix whose rows build no system raises as it would alone.
+    """
+    return MusielakSystem.from_conjugate_knots(*_conjugate_knots(matrices), counts)
+
+
+def _conjugate_knots(matrices):
+    """The knots, values and bounds of each square matrix's system, padded as ``MusielakSystem.stack`` pads.
+
+    The knot values come from ``_knot_values`` of the zero-padded entries,
+    the values are the grid min(l/n, 1), and a padded row is an M_i = 0:
+    zero knots and values, and bound +inf.
+    """
+    entries, n, ncols = WeightMatrix.padded(matrices)
+    if (n != ncols).any():
+        raise ValueError("needs a square matrix")
+    v = _knot_values(entries, n)
+    inc = v[:, :, 1:] - v[:, :, :-1]
+    # past its own n a row's increments are 0: the flat test skips them, and they bend down, never up
+    flat = ((inc <= 0) & (np.arange(inc.shape[2]) < n[:, None, None])).any(axis=2)
+    rows = np.arange(entries.shape[1]) < n[:, None]
+    bad = (flat | (inc[:, :, 1:] - inc[:, :, :-1] > 1e-12 * v[:, :, -1:]).any(axis=2)) & rows
     if bad.any():
-        i = int(np.argmax(bad))
-        what = "not strictly increasing" if flat[i] else "not concave"
+        j = int(np.argmax(bad.any(axis=1)))
+        i = int(np.argmax(bad[j]))
+        what = "not strictly increasing" if flat[j, i] else "not concave"
         raise ConstructionError(f"row {i}: knot values are {what}")
-    grid = np.repeat(np.arange(n + 1)[None] / n, n, axis=0)
-    return MusielakSystem.from_conjugate_knots(v, grid, (1.0 / n) / inc[:, -1])
+    grid = np.minimum(np.arange(entries.shape[2] + 1) / n[:, None, None], 1.0)
+    with np.errstate(divide="ignore"):  # a padded row's last increment is 0: bound +inf
+        bounds = (1.0 / n)[:, None] / inc[np.arange(len(n)), :, n - 1]
+    return v, np.where(rows[:, :, None], grid, 0.0), bounds
 
 
 # ---------------------------------------------------------------------------

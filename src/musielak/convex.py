@@ -8,14 +8,16 @@ coordinate, as arrays, all of one of two kinds:
   M_i(s) = max_k (s t_ik - v_ik) up to the domain bound b_i (the last
   slope of M_i*) and +inf beyond.  The matrix-built systems
   (``construct.functions_from_matrix`` and ``perms.prefix_sum_system``)
-  come as such knot data;
+  come as such knot data, and ``construct.functions_from_matrices`` and
+  ``perms.prefix_sum_systems`` build the stack of many matrices' systems
+  at once, each the one-matrix builder's code on zero-padded entries;
 * powers (``MusielakSystem.powers``): M_i(s) = scale_i s^p_i with p_i > 1.
   ``construct.power_system`` builds the normalized ones of the power family.
 
 ``MusielakSystem.stack`` joins systems of one kind into one system per
 vector of a batch, so that the vectors of many systems take one solve;
-``stacked_passes`` groups (system, batch) pairs into such stacks of a
-bounded size.
+``stacked_passes`` groups (system, batch) pairs, or (matrix, batch) pairs
+and one of those builders, into such stacks of a bounded size.
 
 ``luxemburg_norm`` evaluates the norm
 
@@ -70,23 +72,31 @@ class MusielakSystem:
     knots = values = bounds = p = scale = vectors = None
 
     @classmethod
-    def from_conjugate_knots(cls, knots, values, bounds) -> "MusielakSystem":
+    def from_conjugate_knots(cls, knots, values, bounds, counts=None) -> "MusielakSystem":
         """The piecewise-affine system whose conjugates M_i* pass through (knots[i, k], values[i, k]).
 
         ``bounds[i]`` is the last slope of M_i*, past its last knot: the
         domain bound of M_i.  The knots of a row increase from 0, and
         ``values`` start at 0.  The data are taken as they are: the
-        builders check them and name the bad row.
+        builders check them and name the bad row.  With ``counts``, the
+        arrays hold J systems along a leading axis, padded as ``stack``
+        pads them, and the result is their stack: system j for the next
+        ``counts[j]`` vectors.
         """
         self = cls.__new__(cls)
-        self.knots, self.values = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
-        self.bounds = np.asarray(bounds, dtype=float)
-        self.n = len(self.knots)
+        knots, values, bounds = (np.asarray(a, dtype=float) for a in (knots, values, bounds))
         # M(s) <= 1 up to the first crossing s t_k - v_k = 1, and up to the domain bound
-        crossing = np.full(self.knots.shape, np.inf)
-        np.divide(1.0 + self.values, self.knots, out=crossing, where=self.knots > 0)
-        self.unit_inverse = np.minimum(self.bounds, crossing.min(axis=1))
-        self._zero = bool(np.isinf(self.unit_inverse).any())  # some M_i is 0 everywhere: luxemburg_norm looks for it
+        crossing = np.full(knots.shape, np.inf)
+        np.divide(1.0 + values, knots, out=crossing, where=knots > 0)
+        unit_inverse = np.minimum(bounds, crossing.min(axis=-1))
+        if counts is not None:  # (J, n, ...) arrays to (n, V, ...): system j's data once per vector
+            knots, values, bounds, unit_inverse = (
+                np.repeat(np.swapaxes(a, 0, 1), counts, axis=1) for a in (knots, values, bounds, unit_inverse)
+            )
+            self.vectors = knots.shape[1]
+        self.knots, self.values, self.bounds, self.unit_inverse = knots, values, bounds, unit_inverse
+        self.n = len(knots)
+        self._zero = bool(np.isinf(unit_inverse).any())  # some M_i is 0 everywhere: luxemburg_norm looks for it
         return self
 
     @classmethod
@@ -134,29 +144,28 @@ class MusielakSystem:
         """
         if len({s.p is None for s in systems}) != 1 or any(s.vectors is not None for s in systems):
             raise ValueError("stack needs systems of one kind, none of them stacked")
-        n, total = max(s.n for s in systems), sum(counts)
+        n = max(s.n for s in systems)
+        if systems[0].p is None:
+            width = max(s.knots.shape[1] for s in systems)
+            knots, values = np.zeros((2, len(systems), n, width))
+            bounds = np.full((len(systems), n), np.inf)
+            for j, s in enumerate(systems):
+                k = s.knots.shape[1]
+                for padded, own in ((knots, s.knots), (values, s.values)):
+                    padded[j, : s.n, :k], padded[j, : s.n, k:] = own, own[:, -1:]
+                bounds[j, : s.n] = s.bounds
+            return cls.from_conjugate_knots(knots, values, bounds, counts)
+        total = sum(counts)
         self = cls.__new__(cls)
         self.n, self.vectors = n, total
         self.unit_inverse = np.full((n, total), np.inf)
-        if systems[0].p is not None:
-            self.p, self.scale = np.full((n, total), 2.0), np.zeros((n, total))
-        else:
-            width = max(s.knots.shape[1] for s in systems)
-            self.knots, self.values = np.zeros((n, total, width)), np.zeros((n, total, width))
-            self.bounds = np.full((n, total), np.inf)
+        self.p, self.scale = np.full((n, total), 2.0), np.zeros((n, total))
         start = 0
         for s, count in zip(systems, counts, strict=True):
             at = np.s_[: s.n, start : start + count]
             start += count
             self.unit_inverse[at] = s.unit_inverse[:, None]
-            if s.p is not None:
-                self.p[at], self.scale[at] = s.p[:, None], s.scale[:, None]
-                continue
-            self.bounds[at] = s.bounds[:, None]
-            k = s.knots.shape[1]
-            for stacked, own in ((self.knots, s.knots), (self.values, s.values)):
-                stacked[at][..., :k] = own[:, None]
-                stacked[at][..., k:] = own[:, None, -1:]
+            self.p[at], self.scale[at] = s.p[:, None], s.scale[:, None]
         self._zero = bool(np.isinf(self.unit_inverse).any())
         return self
 
@@ -219,7 +228,7 @@ def luxemburg_norm(system: MusielakSystem, xs) -> np.ndarray:
     an M_i that is 0 everywhere raises ``DegenerateTailError`` when it
     meets a nonzero x_i.
     """
-    absx = np.abs(_batch(system, xs))
+    absx = np.abs(_batch(xs, system.n, system.vectors))
     e = np.frexp(absx.max(axis=1, initial=0.0))[1]
     # (n, V), each column's largest entry in [1/2, 1); copied to C order, so that the arrays of
     # each Newton step are contiguous (piecewise-affine steps on 8 rows run 10-20% faster)
@@ -243,51 +252,57 @@ def luxemburg_norm(system: MusielakSystem, xs) -> np.ndarray:
             np.copyto(s, step, where=moving)
 
 
-def _batch(system: MusielakSystem, xs) -> np.ndarray:
-    """``xs`` as a float (V, n) batch of finite vectors for ``system``, or ValueError saying what is wrong."""
+def _batch(xs, n: int, vectors=None) -> np.ndarray:
+    """``xs`` as a float (V, n) batch of finite vectors (V = ``vectors`` if given), or ValueError saying what is wrong."""
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != system.n or system.vectors not in (None, len(xs)):
-        rows = "V" if system.vectors is None else system.vectors
-        raise ValueError(f"xs must be a ({rows}, {system.n}) batch of vectors, got shape {xs.shape}")
+    if xs.ndim != 2 or xs.shape[1] != n or vectors not in (None, len(xs)):
+        rows = "V" if vectors is None else vectors
+        raise ValueError(f"xs must be a ({rows}, {n}) batch of vectors, got shape {xs.shape}")
     if not np.isfinite(xs).all():
         raise ValueError(f"xs: row {int(np.argmin(np.isfinite(xs).all(axis=1)))} has a non-finite entry")
     return xs
 
 
-def stacked_passes(problems):
-    """Group ``(system, xs, item)`` triples into passes of one stacked Luxemburg solve each.
+def stacked_passes(problems, build=None):
+    """Group ``(source, xs, item)`` triples into passes of one stacked Luxemburg solve each.
 
     Yields ``(system, xs, items)`` per pass, where ``luxemburg_norm(system,
     xs)[rows]`` are the norms of the rows of the ``xs`` given with ``item``,
-    for each ``(item, rows)`` of ``items``.  A pass takes the next triples
-    while its stack, n x V x K padded elements (K = 1 for powers), stays
-    within ``PASS_ELEMENTS``; a pass of one triple keeps its own system
-    and batch.  ``problems`` is read as the passes are made, so one pass is
-    held at a time.  Each norm has the bits of the triple's own
-    ``luxemburg_norm(system, xs)`` (see ``MusielakSystem.stack``).
+    for each ``(item, rows)`` of ``items``.  A source is a system, or with
+    ``build`` an n x N matrix: ``build(matrices, counts)`` makes the stack
+    of a pass's systems in one call (``construct.functions_from_matrices``,
+    ``perms.prefix_sum_systems``), with N + 1 knots per row.  A pass takes
+    the next triples while its stack, n x V x K padded elements (K = 1 for
+    powers), stays within ``PASS_ELEMENTS``; a pass of one system keeps
+    that system and its batch.  ``problems`` is read as the passes are
+    made, so one pass is held at a time.  Each norm has the bits of the
+    triple's own ``luxemburg_norm(system, xs)`` (see ``MusielakSystem.stack``).
     """
     batch, shape = [], (0, 0, 0)
-    for system, xs, item in problems:
-        xs = _batch(system, xs)
-        width = 1 if system.knots is None else system.knots.shape[-1]
-        grown = (max(shape[0], system.n), shape[1] + len(xs), max(shape[2], width))
+    for source, xs, item in problems:
+        xs = _batch(xs, source.n)
+        if build is not None:
+            width = source.ncols + 1
+        else:
+            width = 1 if source.knots is None else source.knots.shape[-1]
+        grown = (max(shape[0], source.n), shape[1] + len(xs), max(shape[2], width))
         if batch and math.prod(grown) > PASS_ELEMENTS:
-            yield _stacked(batch)
-            batch, grown = [], (system.n, len(xs), width)
-        batch.append((system, xs, item))
+            yield _stacked(batch, build)
+            batch, grown = [], (source.n, len(xs), width)
+        batch.append((source, xs, item))
         shape = grown
     if batch:
-        yield _stacked(batch)
+        yield _stacked(batch, build)
 
 
-def _stacked(batch):
+def _stacked(batch, build):
     """One pass of ``stacked_passes``: the stack of the triples' systems and their zero-padded vectors."""
-    systems, batches, items = zip(*batch)
+    sources, batches, items = zip(*batch)
     counts = [len(xs) for xs in batches]
     rows = [slice(end - count, end) for count, end in zip(counts, itertools.accumulate(counts))]
-    if len(batch) == 1:
-        return systems[0], batches[0], [(items[0], rows[0])]
-    system = MusielakSystem.stack(systems, counts)
+    if len(batch) == 1 and build is None:
+        return sources[0], batches[0], [(items[0], rows[0])]
+    system = (build or MusielakSystem.stack)(sources, counts)
     padded = np.zeros((system.vectors, system.n))
     for xs, at in zip(batches, rows):
         padded[at, : xs.shape[1]] = xs

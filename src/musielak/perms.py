@@ -44,6 +44,7 @@ __all__ = [
     "dra_sum_bound",
     "matrix_norm_a",
     "prefix_sum_system",
+    "prefix_sum_systems",
     "lemma_matrixnorm_check",
     "build_b_vector",
     "ave_max_vector",
@@ -99,6 +100,15 @@ class WeightMatrix:
     @property
     def is_square(self) -> bool:
         return self.n == self.ncols
+
+    @staticmethod
+    def padded(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of ``matrices`` in one (J, n, N) array, zero-padded to the largest n and N, and each one's own n and N."""
+        shapes = np.array([a.entries.shape for a in matrices])
+        entries = np.zeros((len(matrices), *shapes.max(axis=0)))
+        for j, a in enumerate(matrices):
+            entries[j, : a.n, : a.ncols] = a.entries
+        return entries, shapes[:, 0], shapes[:, 1]
 
 
 class PermutationSampler:
@@ -425,13 +435,37 @@ def prefix_sum_system(a: WeightMatrix) -> MusielakSystem:
     these knots, and M_i is their exact conjugate.  This is the minimal
     interpolant satisfying the sandwich hypothesis.
     """
-    N = a.ncols
-    prefix = np.concatenate([np.zeros((a.n, 1)), np.cumsum(a.entries, axis=1)], axis=1)
-    bad = (prefix[:, 1:] <= prefix[:, :-1]).any(axis=1)
+    return MusielakSystem.from_conjugate_knots(*(data[0] for data in _prefix_sum_knots([a])))
+
+
+def prefix_sum_systems(matrices, counts) -> MusielakSystem:
+    """The stack of each matrix's ``prefix_sum_system``, ``matrices[j]`` for the next ``counts[j]`` vectors.
+
+    Built in one pass over the zero-padded entries of all matrices, with
+    the bits of ``MusielakSystem.stack`` of the systems built one by one.
+    """
+    return MusielakSystem.from_conjugate_knots(*_prefix_sum_knots(matrices), counts)
+
+
+def _prefix_sum_knots(matrices):
+    """The knots, values and bounds of each matrix's prefix-sum system, padded as ``MusielakSystem.stack`` pads.
+
+    The entries are zero-padded at their far ends, so each real prefix sum
+    keeps its bits and a row repeats its last past its own N; the values
+    are the grid min(m/N, 1).  A padded row is an M_i = 0: zero knots and
+    values, and bound +inf.
+    """
+    entries, n, N = WeightMatrix.padded(matrices)
+    prefix = np.concatenate([np.zeros((*entries.shape[:2], 1)), np.cumsum(entries, axis=2)], axis=2)
+    rows = np.arange(entries.shape[1]) < n[:, None]
+    steps = np.arange(entries.shape[2]) < N[:, None, None]
+    bad = ((prefix[:, :, 1:] <= prefix[:, :, :-1]) & steps).any(axis=2) & rows
     if bad.any():
-        raise ValueError(f"row {np.argmax(bad)}: prefix sums are not strictly increasing")
-    grid = np.repeat(np.arange(N + 1)[None] / N, a.n, axis=0)
-    return MusielakSystem.from_conjugate_knots(prefix, grid, (1.0 / N) / a.entries[:, -1])
+        raise ValueError(f"row {np.argmax(bad[bad.any(axis=1)][0])}: prefix sums are not strictly increasing")
+    grid = np.minimum(np.arange(entries.shape[2] + 1) / N[:, None, None], 1.0)
+    with np.errstate(divide="ignore"):  # a padded row's last entry is 0: bound +inf
+        bounds = (1.0 / N)[:, None] / entries[np.arange(len(N)), :, N - 1]
+    return prefix, np.where(rows[:, :, None], grid, 0.0), bounds
 
 
 @dataclass
@@ -451,17 +485,13 @@ def lemma_matrixnorm_check(instances) -> list:
 
     One ``SandwichReport`` per ``(a, x)`` of ``instances``, in order.  The
     Luxemburg norms of all instances are solved in the stacked passes of
-    ``convex.stacked_passes``, each with the bits of its own solve;
+    ``convex.stacked_passes``, each with the bits of its own solve, and
+    each pass's systems are built in one ``prefix_sum_systems`` call;
     ``instances`` is read as the passes are made.
     """
-
-    def problems():
-        for a, x in instances:
-            na = matrix_norm_a(a, x)
-            yield prefix_sum_system(a), [x], na
-
+    problems = ((a, [x], matrix_norm_a(a, x)) for a, x in instances)
     reports = []
-    for system, xs, items in stacked_passes(problems()):
+    for system, xs, items in stacked_passes(problems, prefix_sum_systems):
         norms = luxemburg_norm(system, xs)
         for na, rows in items:
             (nl,) = norms[rows].tolist()

@@ -3,13 +3,17 @@ import dataclasses
 import inspect
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from musielak import campaigns, cli, construct, embed, perms
 from musielak.cli import main
@@ -63,6 +67,37 @@ def test_commands_pass_and_write_reports(tmp_path, command):
         assert rows and list(rows[0]) == ["instance_id", "n", "lhs", "rhs", "ratio"]
         ids = [r["instance_id"] for r in rows]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
+
+
+def cell_by_cell_csv(rows) -> str:
+    """Reference CSV: each cell formatted on its own, a float with 17 significant digits and anything else by ``str``."""
+
+    def cell(x):
+        return format(x, ".17g") if isinstance(x, float) else str(x)
+
+    lines = [cli.CSV_COLUMNS] + [[cell(r[c]) for c in cli.CSV_COLUMNS] for r in sorted(rows, key=lambda r: r["instance_id"])]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+NUMBERS = st.one_of(st.floats(), st.floats().map(np.float64), st.integers(-(10**15), 10**15))
+CSV_ROWS = st.lists(
+    st.fixed_dictionaries(
+        {"instance_id": st.text("lnxi0123456789-", min_size=1), "n": st.integers(0, 10**30)}
+        | dict.fromkeys(("lhs", "rhs", "ratio"), NUMBERS)
+    ),
+    max_size=6,
+)
+TRICKY = (0.1, 1 / 3, -0.0, math.inf, -math.nan, 5e-324, 1e300, np.float64(2.0) / 3, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=CSV_ROWS)
+@example(rows=[{"instance_id": f"n2-i{k}", "n": 2, "lhs": v, "rhs": -v, "ratio": v} for k, v in enumerate(TRICKY)])
+def test_csv_has_the_bytes_of_cell_by_cell_formatting(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        cli.write_csv(path, rows)
+        assert path.read_text() == cell_by_cell_csv(rows)
 
 
 def test_same_seed_reproducible(tmp_path):

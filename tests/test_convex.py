@@ -1,21 +1,27 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from orlicz import PiecewiseAffineConvex, PowerFunction, system_of
 
-from musielak.construct import ConstructionError, conjugate_inverse_knots, functions_from_matrix
+from musielak import convex
+from musielak.construct import (
+    ConstructionError,
+    conjugate_inverse_knots,
+    functions_from_matrices,
+    functions_from_matrix,
+)
 from musielak.convex import (
-    PASS_ELEMENTS,
     DegenerateTailError,
     EquivalenceReport,
     MusielakSystem,
     luxemburg_norm,
     stacked_passes,
 )
-from musielak.perms import WeightMatrix, prefix_sum_system
+from musielak.perms import WeightMatrix, prefix_sum_system, prefix_sum_systems
 
 rng = np.random.default_rng(20240817)
 
@@ -485,6 +491,11 @@ def _stacked_norms(pairs):
     return [rho for _, rho in norms], passes
 
 
+# passes of this many elements in the test below: its big batch then has tens of rows, not thousands,
+# so a failing example shrinks in seconds
+SMALL_PASS = 256
+
+
 @pytest.mark.parametrize("kind", sorted(STACKS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -495,12 +506,13 @@ def test_stacked_rows_keep_their_own_bits(kind, data):
     # a batch that fills more than one pass by itself, among the others
     system, _ = data.draw(_stack_pair(STACKS[kind]))
     draws = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    big = draws.normal(size=(PASS_ELEMENTS // (system.n * _width(system)) + 1, system.n))
+    big = draws.normal(size=(SMALL_PASS // (system.n * _width(system)) + 1, system.n))
     pairs.insert(data.draw(st.integers(0, len(pairs))), (system, big))
     if kind == "pwa":  # last, a vector on the coordinate of a bounded M = 0 alone: its norm is |x_0| / b_0
         bounded = system_of((data.draw(bounded_zeros), *data.draw(st.lists(STACKS[kind], max_size=3))))
         pairs.append((bounded, [[2.5] + [0.0] * (bounded.n - 1)]))
-    norms, passes = _stacked_norms(pairs)
+    with mock.patch.object(convex, "PASS_ELEMENTS", SMALL_PASS):
+        norms, passes = _stacked_norms(pairs)
     assert passes >= 2
     for (system, xs), rho in zip(pairs, norms):
         assert rho.tobytes() == luxemburg_norm(system, np.reshape(xs, (-1, system.n))).tobytes()
@@ -624,6 +636,57 @@ def test_builders_match_row_loop_on_random_matrices(n):
         a = WeightMatrix(np.sort(draws.uniform(0.05, 1.0, (n, n)), axis=1)[:, ::-1])
         assert_same_bits(functions_from_matrix(a), loop_functions_from_matrix(a))
         assert_same_bits(prefix_sum_system(a), loop_prefix_sum_system(a))
+
+
+def check_stacked_build(build, build_stack, cases):
+    """``build_stack`` of ``(matrix, count)`` cases has the bits of ``MusielakSystem.stack`` of one-matrix builds."""
+    matrices, counts = zip(*cases)
+    try:
+        want = MusielakSystem.stack([build(a) for a in matrices], counts)
+    except ValueError as exc:  # the first matrix whose rows build no system
+        with pytest.raises(type(exc)) as got:
+            build_stack(matrices, counts)
+        assert str(got.value) == str(exc)
+        return
+    got = build_stack(matrices, counts)
+    assert (got.n, got.vectors, got.p, got._zero) == (want.n, want.vectors, None, want._zero)
+    for name in ("knots", "values", "bounds", "unit_inverse"):
+        assert getattr(got, name).shape == getattr(want, name).shape, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+# n = 1 next to a tie of leading entries, each for two vectors
+ONE_AND_A_TIE = [(WeightMatrix([[0.7]]), 2), (WeightMatrix([[1.0, 1.0, 0.5], [0.9, 0.9, 0.9], [1.0, 0.2, 0.1]]), 2)]
+
+
+def stack_cases(square=True):
+    return st.lists(st.tuples(tied_matrices(square), st.integers(1, 3)), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases=stack_cases())
+@example(cases=ONE_AND_A_TIE)
+def test_functions_from_matrices_has_the_bits_of_one_matrix_builds(cases):
+    check_stacked_build(functions_from_matrix, functions_from_matrices, cases)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases=stack_cases(square=False))
+@example(cases=ONE_AND_A_TIE)
+def test_prefix_sum_systems_has_the_bits_of_one_matrix_builds(cases):
+    check_stacked_build(prefix_sum_system, prefix_sum_systems, cases)
+
+
+@pytest.mark.parametrize(
+    "build, build_stack", [(functions_from_matrix, functions_from_matrices), (prefix_sum_system, prefix_sum_systems)]
+)
+def test_stacked_build_names_the_bad_row_as_one_matrix_build(build, build_stack):
+    good, bad = WeightMatrix(np.ones((3, 3))), WeightMatrix([[1.0, 0.5], [1e20, 1.0]])  # row 1 sums to its lead
+    with pytest.raises(ValueError, match="^row 1: ") as alone:
+        build(bad)
+    with pytest.raises(type(alone.value)) as stacked:
+        build_stack([good, bad, good], [1, 2, 1])
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_unit_inverse_matches_each_function():
