@@ -7,7 +7,9 @@ declared bound.  All randomness flows from a single seed through
 per-instance derived samplers, so a campaign is reproducible instance by
 instance: instance k of dimension n draws from spawn key
 n * INSTANCE_KEYS + k (``_per_instance``), an instance per dimension from
-key n (``_per_dim``), the matrix first and then the vectors.  So
+key n (``_per_dim``), the matrix first and then the vectors.  A spawn key
+is folded into the Philox key of the seed's root sampler, with no hash
+(``PermutationSampler.spawn``), so every key is an independent stream.  So
 Lemma 2.1 and Lemma 2.2 instance k of dimension n spawn the same key, each
 from a fresh root sampler, and their draws start from the same state:
 Lemma 2.1 draws its cube of normals, Lemma 2.2 its matrix of uniforms and

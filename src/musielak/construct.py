@@ -118,25 +118,17 @@ def functions_from_matrix(a: WeightMatrix) -> MusielakSystem:
     ``ConstructionError`` if the knot values of some row are not increasing
     and concave (no convex conjugate would interpolate them).
     """
-    return MusielakSystem.from_conjugate_knots(*(data[0] for data in _conjugate_knots([a])))
+    return functions_from_matrices([a])
 
 
-def functions_from_matrices(matrices, counts) -> MusielakSystem:
+def functions_from_matrices(matrices, counts=None) -> MusielakSystem:
     """The stack of each matrix's ``functions_from_matrix``, ``matrices[j]`` for the next ``counts[j]`` vectors.
 
-    Built in one pass over the zero-padded entries of all matrices, with
-    the bits of ``MusielakSystem.stack`` of the systems built one by one;
-    the first matrix whose rows build no system raises as it would alone.
-    """
-    return MusielakSystem.from_conjugate_knots(*_conjugate_knots(matrices), counts)
-
-
-def _conjugate_knots(matrices):
-    """The knots, values and bounds of each square matrix's system, padded as ``MusielakSystem.stack`` pads.
-
-    The knot values come from ``_knot_values`` of the zero-padded entries,
-    the values are the grid min(l/n, 1), and a padded row is an M_i = 0:
-    zero knots and values, and bound +inf.
+    Built in one pass over the entries of all matrices, zero-padded at
+    their far ends (see ``_knot_values``), with the bits of
+    ``MusielakSystem.stack`` of the systems built one by one; the first
+    matrix whose rows build no system raises as it would alone.  Without
+    ``counts``, the system of the one matrix given.
     """
     entries, n, ncols = WeightMatrix.padded(matrices)
     if (n != ncols).any():
@@ -145,17 +137,14 @@ def _conjugate_knots(matrices):
     inc = v[:, :, 1:] - v[:, :, :-1]
     # past its own n a row's increments are 0: the flat test skips them, and they bend down, never up
     flat = ((inc <= 0) & (np.arange(inc.shape[2]) < n[:, None, None])).any(axis=2)
-    rows = np.arange(entries.shape[1]) < n[:, None]
-    bad = (flat | (inc[:, :, 1:] - inc[:, :, :-1] > 1e-12 * v[:, :, -1:]).any(axis=2)) & rows
+    bends = (inc[:, :, 1:] - inc[:, :, :-1] > 1e-12 * v[:, :, -1:]).any(axis=2)
+    bad = (flat | bends) & (np.arange(entries.shape[1]) < n[:, None])  # padded rows are 0, so flat
     if bad.any():
         j = int(np.argmax(bad.any(axis=1)))
         i = int(np.argmax(bad[j]))
         what = "not strictly increasing" if flat[j, i] else "not concave"
         raise ConstructionError(f"row {i}: knot values are {what}")
-    grid = np.minimum(np.arange(entries.shape[2] + 1) / n[:, None, None], 1.0)
-    with np.errstate(divide="ignore"):  # a padded row's last increment is 0: bound +inf
-        bounds = (1.0 / n)[:, None] / inc[np.arange(len(n)), :, n - 1]
-    return v, np.where(rows[:, :, None], grid, 0.0), bounds
+    return MusielakSystem.from_grid_knots(v, n, n, inc[np.arange(len(n)), :, n - 1], counts)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,27 @@ class MusielakSystem:
         return self
 
     @classmethod
+    def from_grid_knots(cls, knots, n, N, last, counts=None) -> "MusielakSystem":
+        """The matrix-built systems: M_j,i* through (knots[j, i, l], l / N_j), then of slope (1 / N_j) / last[j, i].
+
+        ``knots`` is a (J, n, K) array of J systems, zero-padded past each
+        one's own ``n[j]`` rows and repeating each row's last knot past
+        l = ``N[j]``; ``last`` is (J, n), 0 in the padded rows.  The values
+        are the grid min(l / N_j, 1), so they repeat where the knots do,
+        and a padded row is an M_i = 0: zero knots and values, bound +inf.
+        Without ``counts``, J is 1 and the result is that one system; with
+        them, the stack of all J (see ``from_conjugate_knots``).
+        """
+        rows = np.arange(knots.shape[1]) < n[:, None]
+        grid = np.minimum(np.arange(knots.shape[2]) / N[:, None, None], 1.0)
+        values = np.where(rows[:, :, None], grid, 0.0)
+        with np.errstate(divide="ignore"):  # a padded row's last is 0: bound +inf
+            bounds = (1.0 / N)[:, None] / last
+        if counts is None:
+            return cls.from_conjugate_knots(knots[0], values[0], bounds[0])
+        return cls.from_conjugate_knots(knots, values, bounds, counts)
+
+    @classmethod
     def powers(cls, p, scale) -> "MusielakSystem":
         """The power system M_i(s) = scale[i] s^p[i].
 
@@ -253,7 +274,7 @@ def luxemburg_norm(system: MusielakSystem, xs) -> np.ndarray:
 
 
 def _batch(xs, n: int, vectors=None) -> np.ndarray:
-    """``xs`` as a float (V, n) batch of finite vectors (V = ``vectors`` if given), or ValueError saying what is wrong."""
+    """``xs`` as a float (V, n) batch of finite vectors (V = ``vectors`` if given), or ValueError saying why not."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != n or vectors not in (None, len(xs)):
         rows = "V" if vectors is None else vectors

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .convex import MusielakSystem, luxemburg_norm, stacked_passes
 
@@ -103,7 +104,7 @@ class WeightMatrix:
 
     @staticmethod
     def padded(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries of ``matrices`` in one (J, n, N) array, zero-padded to the largest n and N, and each one's own n and N."""
+        """The entries of ``matrices`` zero-padded into one (J, n, N) array, and their own n and N as (J,) arrays."""
         shapes = np.array([a.entries.shape for a in matrices])
         entries = np.zeros((len(matrices), *shapes.max(axis=0)))
         for j, a in enumerate(matrices):
@@ -111,22 +112,53 @@ class WeightMatrix:
         return entries, shapes[:, 0], shapes[:, 1]
 
 
+class _PhiloxKey(ISeedSequence):
+    """Seeds a ``Philox`` with the key ``words`` (two uint64) as they are, with no hash and no OS entropy."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:  # Philox asks for its key as two uint64 words
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
 class PermutationSampler:
     """Reproducible uniform permutation/sign sampler.
 
     Built on a counter-based Philox stream so that identical seeds yield
     identical draws on every platform.  A permutation is the stable argsort
-    of n uniforms from the stream.
+    of n uniforms from the stream.  ``PermutationSampler(seed)`` draws from
+    ``Philox(seed)``, whose 128-bit key K comes from ``SeedSequence(seed)``.
+    ``spawn(key)`` gives the sampler of ``Philox(key=K ^ SPAWN_MASK ^ key)``:
+    the root's key with ``key`` in its low word and its high word inverted,
+    so no child replays the root or a sibling (different Philox keys give
+    independent streams), and no spawn pays for a hash.  A spawned sampler
+    does not spawn: its children's keys would be its siblings'.
     """
+
+    # flips the high word of the root's key: spawn(0) is not the root
+    SPAWN_MASK = (2**64 - 1) << 64
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._rng = np.random.Generator(np.random.Philox(self.seed))
+        key = self._rng.bit_generator.state["state"]["key"]
+        self._key = int(key[0]) | int(key[1]) << 64
 
     def spawn(self, key: int) -> "PermutationSampler":
-        """Independent sampler with a seed derived from (seed, key)."""
-        derived = np.random.SeedSequence([self.seed, int(key)]).generate_state(1, np.uint64)[0]
-        return PermutationSampler(int(derived))
+        """The sampler of child stream ``key``, an int in [0, 2**64): independent of the root and of other keys."""
+        if self._key is None:
+            raise ValueError("a spawned sampler does not spawn")
+        if not isinstance(key, (int, np.integer)) or isinstance(key, bool) or not 0 <= key < 2**64:
+            raise ValueError(f"key must be an int in [0, 2**64), got {key!r}")
+        child = self._key ^ self.SPAWN_MASK ^ int(key)
+        words = np.array([child & (2**64 - 1), child >> 64], dtype=np.uint64)
+        sampler = object.__new__(PermutationSampler)
+        sampler.seed, sampler._key = None, None
+        sampler._rng = np.random.Generator(np.random.Philox(_PhiloxKey(words)))
+        return sampler
 
     def permutations(self, n: int, count: int) -> np.ndarray:
         """(count, n) array of independent uniform permutations: the draws of a Monte Carlo average."""
@@ -435,37 +467,26 @@ def prefix_sum_system(a: WeightMatrix) -> MusielakSystem:
     these knots, and M_i is their exact conjugate.  This is the minimal
     interpolant satisfying the sandwich hypothesis.
     """
-    return MusielakSystem.from_conjugate_knots(*(data[0] for data in _prefix_sum_knots([a])))
+    return prefix_sum_systems([a])
 
 
-def prefix_sum_systems(matrices, counts) -> MusielakSystem:
+def prefix_sum_systems(matrices, counts=None) -> MusielakSystem:
     """The stack of each matrix's ``prefix_sum_system``, ``matrices[j]`` for the next ``counts[j]`` vectors.
 
-    Built in one pass over the zero-padded entries of all matrices, with
-    the bits of ``MusielakSystem.stack`` of the systems built one by one.
-    """
-    return MusielakSystem.from_conjugate_knots(*_prefix_sum_knots(matrices), counts)
-
-
-def _prefix_sum_knots(matrices):
-    """The knots, values and bounds of each matrix's prefix-sum system, padded as ``MusielakSystem.stack`` pads.
-
-    The entries are zero-padded at their far ends, so each real prefix sum
-    keeps its bits and a row repeats its last past its own N; the values
-    are the grid min(m/N, 1).  A padded row is an M_i = 0: zero knots and
-    values, and bound +inf.
+    Built in one pass over the entries of all matrices, zero-padded at
+    their far ends: each real prefix sum keeps its bits, and a row repeats
+    its last past its own N.  So the stack has the bits of
+    ``MusielakSystem.stack`` of the systems built one by one.  Without
+    ``counts``, the system of the one matrix given.
     """
     entries, n, N = WeightMatrix.padded(matrices)
     prefix = np.concatenate([np.zeros((*entries.shape[:2], 1)), np.cumsum(entries, axis=2)], axis=2)
-    rows = np.arange(entries.shape[1]) < n[:, None]
-    steps = np.arange(entries.shape[2]) < N[:, None, None]
-    bad = ((prefix[:, :, 1:] <= prefix[:, :, :-1]) & steps).any(axis=2) & rows
+    steps = np.arange(entries.shape[2]) < N[:, None, None]  # past its own N a row's prefix sums stay put
+    flat = ((prefix[:, :, 1:] <= prefix[:, :, :-1]) & steps).any(axis=2)
+    bad = flat & (np.arange(entries.shape[1]) < n[:, None])  # padded rows are 0, so flat
     if bad.any():
         raise ValueError(f"row {np.argmax(bad[bad.any(axis=1)][0])}: prefix sums are not strictly increasing")
-    grid = np.minimum(np.arange(entries.shape[2] + 1) / N[:, None, None], 1.0)
-    with np.errstate(divide="ignore"):  # a padded row's last entry is 0: bound +inf
-        bounds = (1.0 / N)[:, None] / entries[np.arange(len(N)), :, N - 1]
-    return prefix, np.where(rows[:, :, None], grid, 0.0), bounds
+    return MusielakSystem.from_grid_knots(prefix, n, N, entries[np.arange(len(N)), :, N - 1], counts)
 
 
 @dataclass

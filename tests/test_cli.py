@@ -70,12 +70,13 @@ def test_commands_pass_and_write_reports(tmp_path, command):
 
 
 def cell_by_cell_csv(rows) -> str:
-    """Reference CSV: each cell formatted on its own, a float with 17 significant digits and anything else by ``str``."""
+    """Reference CSV: each cell formatted on its own, a float to 17 significant digits and anything else by ``str``."""
 
     def cell(x):
         return format(x, ".17g") if isinstance(x, float) else str(x)
 
-    lines = [cli.CSV_COLUMNS] + [[cell(r[c]) for c in cli.CSV_COLUMNS] for r in sorted(rows, key=lambda r: r["instance_id"])]
+    ordered = sorted(rows, key=lambda r: r["instance_id"])
+    lines = [cli.CSV_COLUMNS] + [[cell(r[c]) for c in cli.CSV_COLUMNS] for r in ordered]
     return "".join(",".join(line) + "\n" for line in lines)
 
 

@@ -92,6 +92,46 @@ class TestSampler:
         assert np.any(a != b)
         np.testing.assert_array_equal(a, PermutationSampler(7).spawn(1).permutations(5, 10))
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_streams_are_the_documented_philox_streams(self, seed):
+        def assert_same(sampler, rng):
+            """The sampler's draws, draw for draw, are those of ``rng``."""
+            got = [sampler.permutations(5, 3), sampler.normals((2, 3))]
+            got += [sampler.uniform(0.05, 1.0, 4), sampler.signs(4, 2)]
+            want = [
+                np.argsort(rng.random((3, 5)), axis=1, kind="stable"),
+                rng.standard_normal((2, 3)),
+                rng.uniform(0.05, 1.0, 4),
+                rng.integers(0, 2, size=(2, 4)) * 2 - 1,
+            ]
+            for g, w in zip(got, want, strict=True):
+                assert g.tobytes() == w.tobytes()
+
+        root = PermutationSampler(seed)
+        assert_same(PermutationSampler(seed), np.random.Generator(np.random.Philox(seed)))
+        words = np.random.Philox(seed).state["state"]["key"]
+        root_key = int(words[0]) + (int(words[1]) << 64)
+        for key in (0, 1, 30_002, 2**64 - 1):
+            child_key = root_key ^ (((2**64 - 1) << 64) | key)  # the high word inverted, the key in the low word
+            assert_same(root.spawn(key), np.random.Generator(np.random.Philox(key=child_key)))
+
+    def test_distinct_keys_give_distinct_streams(self):
+        root = PermutationSampler(7)
+        keys = [0, 1, 2, 5, 20_003, 2**63, 2**64 - 1]
+        streams = {root.spawn(k).normals(4).tobytes() for k in keys}
+        streams.add(PermutationSampler(7).normals(4).tobytes())  # and none replays the root
+        assert len(streams) == len(keys) + 1
+
+    @pytest.mark.parametrize("key", [-1, 2**64, 1.0, "3", True, None])
+    def test_spawn_rejects_a_bad_key(self, key):
+        with pytest.raises(ValueError, match=r"key must be an int in \[0, 2\*\*64\)"):
+            PermutationSampler(7).spawn(key)
+
+    def test_a_spawned_sampler_does_not_spawn(self):
+        child = PermutationSampler(7).spawn(3)
+        with pytest.raises(ValueError, match="a spawned sampler does not spawn"):
+            child.spawn(4)
+
 
 def tree_order_table(n) -> np.ndarray:
     """(n!, n) table of all permutations, row t the leaf t of ``_prefix_tree(n)``.
