@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .convex import MusielakSystem, luxemburg_norm, stacked_passes
 
@@ -112,16 +111,25 @@ class WeightMatrix:
         return entries, shapes[:, 0], shapes[:, 1]
 
 
-class _PhiloxKey(ISeedSequence):
-    """Seeds a ``Philox`` with the key ``words`` (two uint64) as they are, with no hash and no OS entropy."""
+@functools.cache
+def _philox_key() -> type:
+    """The seed sequence that hands ``Philox`` a key as it is: no hash, no OS entropy.
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    Made on first use, because its base class lives in ``numpy.random``,
+    which numpy loads only when it is first used.
+    """
+    from numpy.random.bit_generator import ISeedSequence
 
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != 2 or np.dtype(dtype) != np.uint64:  # Philox asks for its key as two uint64 words
-            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
-        return self.words
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words  # the key as two uint64 words, low word first
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:  # Philox asks for its key as two uint64 words
+                raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
+            return self.words
+
+    return PhiloxKey
 
 
 class PermutationSampler:
@@ -157,7 +165,7 @@ class PermutationSampler:
         words = np.array([child & (2**64 - 1), child >> 64], dtype=np.uint64)
         sampler = object.__new__(PermutationSampler)
         sampler.seed, sampler._key = None, None
-        sampler._rng = np.random.Generator(np.random.Philox(_PhiloxKey(words)))
+        sampler._rng = np.random.Generator(np.random.Philox(_philox_key()(words)))
         return sampler
 
     def permutations(self, n: int, count: int) -> np.ndarray:
