@@ -493,7 +493,7 @@ def _stacked_norms(pairs):
 
 # Passes of this many elements in the test below: its big batch then has tens of rows, not thousands.
 # Its failures skip hypothesis's explain phase, which reruns a failing example hundreds of times to
-# comment on it.  With both, a broken stack is reported after about 35 s, not after 5 minutes.
+# comment on it.  With both, a broken stack is reported in well under a minute, not after 5 minutes.
 SMALL_PASS = 256
 
 
