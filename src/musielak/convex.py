@@ -317,7 +317,7 @@ def stacked_passes(problems, build=None):
 
 
 def _stacked(batch, build):
-    """One pass of ``stacked_passes``: the stack of the triples' systems (or ``build``'s) and their zero-padded vectors."""
+    """One pass of ``stacked_passes``: the stack of the triples' systems, or ``build``'s, and their padded vectors."""
     sources, batches, items = zip(*batch)
     counts = [len(xs) for xs in batches]
     rows = [slice(end - count, end) for count, end in zip(counts, itertools.accumulate(counts))]
