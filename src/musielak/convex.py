@@ -338,9 +338,9 @@ class EquivalenceReport:
     c_high: float
 
     def __post_init__(self):
-        if self.c_low <= 0:
+        if not self.c_low > 0:  # nan fails both checks
             raise ValueError("c_low must be positive")
-        if self.c_high < self.c_low:
+        if not self.c_high >= self.c_low:
             raise ValueError("c_high must be at least c_low")
 
     @property

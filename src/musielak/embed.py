@@ -112,7 +112,10 @@ def distortion_estimate(a: WeightMatrix, directions, norms) -> EquivalenceReport
             f"need (V, {a.n}) directions and V norms for a matrix with {a.n} rows, "
             f"got shapes {directions.shape} and {norms.shape}"
         )
-    if (norms == 0.0).any():
-        raise ValueError("zero-norm direction")
+    bad = ~((norms > 0) & (norms < np.inf))  # nan, zero, negative or infinite
+    if bad.any():
+        i = int(np.argmax(bad))
+        kind = "a zero-norm direction" if norms[i] == 0 else "not finite and positive"
+        raise ValueError(f"norms: row {i} is {norms[i]}, {kind}")
     ratios = psi_image_norm(a, directions).value / norms
     return EquivalenceReport(float(ratios.min()), float(ratios.max()))

@@ -15,8 +15,8 @@ of its two half sums.  Sampled, each is ``monte_carlo_average`` over one
 draw of permutations (and signs) that the whole batch shares.  Both paths
 check the batch at the same boundary, and give a row alone and in a batch
 the same bits.  The exact max averages, over pairs of permutations
-(``ave_max_two``) and over one (``ave_max_vector``), walk the prefix tree of
-S_n (``_prefix_tree``) with ``np.maximum``.  The module also provides the
+(``ave_max_two``) and over one (``ave_max_vector``), read the same split
+and sort its half maxima (``_max_average``).  The module also provides the
 decreasing-rearrangement bound that the pair average is equivalent to, the
 matrix norm ||x||_a (greedy top-N selection), and the
 piecewise-affine system whose Luxemburg norm sandwiches ||x||_a within
@@ -207,10 +207,8 @@ class AverageResult:
             raise ValueError("exact results have zero standard error")
 
     @classmethod
-    def mean_of(cls, values: np.ndarray, exact: bool) -> AverageResult:
-        """The mean of ``values``: over every permutation (or pair) if ``exact``, else over Monte Carlo draws."""
-        if exact:
-            return cls(float(values.mean()), "exact", values.size)
+    def mean_of(cls, values: np.ndarray) -> AverageResult:
+        """The Monte Carlo mean of ``values``, one per draw, with its standard error."""
         stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
         return cls(float(values.mean()), "monte-carlo", values.size, stderr)
 
@@ -226,32 +224,6 @@ def dra(values) -> np.ndarray:
         raise ValueError("need a nonempty list")
     order = np.argsort(-v, kind="stable")
     return v[order]
-
-
-@functools.cache
-def _prefix_tree(n: int) -> tuple[np.ndarray, ...]:
-    """The prefix tree of S_n, which the exact max averages walk: a read-only ``uint8`` level per k.
-
-    ``levels[k]`` holds pi(k) at each of the n!/(n-k-1)! prefixes of length
-    k + 1, laid out child-slot-major: with P = n!/(n-k)! prefixes of length
-    k, child j of prefix p (its j-th smallest unused value) sits at j * P + p.
-    """
-    unused = np.arange(n, dtype=np.uint8)[:, None]  # (rank, prefix): each prefix's unused values, increasing
-    levels = []
-    for m in range(n, 0, -1):  # m = n - k unused values per prefix of length k
-        level = unused.ravel()  # child j of prefix p at j * P + p
-        level.flags.writeable = False
-        levels.append(level)
-        rest = np.arange(m - 1)  # child j keeps the ranks other than j
-        unused = unused[rest + (rest >= np.arange(m)[:, None])].transpose(1, 0, 2).reshape(m - 1, unused.size)
-    return tuple(levels)
-
-
-def _exact_levels(n: int, limit: int) -> tuple[np.ndarray, ...]:
-    """The levels of ``_prefix_tree(n)`` for an exact average, or a ValueError past its ``limit``."""
-    if n > limit:
-        raise ValueError(f"exact mode limited to n <= {limit}")
-    return _prefix_tree(n)
 
 
 def _check_batch(a: WeightMatrix, xs) -> np.ndarray:
@@ -369,7 +341,7 @@ def monte_carlo_average(
         np.multiply(x[0], terms[0], out=acc)
         for i in range(1, n):
             acc += np.multiply(x[i], terms[i], out=term)
-        row = AverageResult.mean_of(finish(acc, out=acc), exact=False)
+        row = AverageResult.mean_of(finish(acc, out=acc))
         value[v], stderr[v] = row.value, row.stderr
     return AverageResult(value, "monte-carlo", samples, stderr)
 
@@ -417,6 +389,45 @@ def _check_vector(v, name: str) -> np.ndarray:
     return v
 
 
+@functools.cache
+def _max_layout(n: int, pairs: bool) -> tuple[np.ndarray, int, np.ndarray]:
+    """The split's blocks for ``_max_average``: (read-only index, |A|, each leaf value's rank in its own half).
+
+    A block is one subset T, or a pair (T_pi, T_sigma) if ``pairs``.  ``index[i, block]`` holds the heads' i * n + pi(i)
+    (or (i * n + pi(i)) * n + sigma(i)), then the tails'; the head's missing rows point at a 0 put after the values.
+    """
+    subsets = math.comb(n, n // 2)
+    head, tail = (f.reshape(len(f), f.shape[1] // subsets, subsets).transpose(0, 2, 1) for f in _split_layout(n))
+    if pairs:  # (i, T_pi, T_sigma, pi's ordering, sigma's ordering), blocks and orderings each flattened
+        head, tail = (
+            (h[:, :, None, :, None] * n + h[:, None, :, None, :] % n).reshape(len(h), subsets**2, h.shape[2] ** 2)
+            for h in (head, tail)
+        )
+    pad = np.full((len(tail) - len(head), *head.shape[1:]), n ** (2 + pairs))
+    index = np.concatenate([np.concatenate([head, pad]), tail], axis=2)
+    index.flags.writeable = False
+    return index, head.shape[2], np.concatenate([np.arange(head.shape[2]), np.arange(tail.shape[2])]).astype(float)
+
+
+def _max_average(values: np.ndarray, n: int, limit: int, pairs: bool) -> AverageResult:
+    """The exact mean of max_i values[index_i] over the leaves of ``_max_layout``, or a ValueError past ``limit``.
+
+    ``values`` are >= 0.  In a block, each head maximum a in A and tail maximum b in B meet in one leaf, and the sum of
+    max(a, b) is P(A u B) - P(A) - P(B), with P(S) = sum_k k s_(k) over S sorted ascending.  Elementwise (no BLAS).
+    """
+    if n > limit:
+        raise ValueError(f"exact mode limited to n <= {limit}")
+    index, heads, own = _max_layout(n, pairs)
+    both = np.append(values, 0.0).take(index).max(axis=0)  # A, then B, in each block
+    both[:, :heads].sort(axis=1)
+    both[:, heads:].sort(axis=1)
+    halves = both * own  # the terms of P(A) and P(B)
+    both.sort(axis=1)
+    both *= np.arange(both.shape[1], dtype=float)  # the terms of P(A u B)
+    count = len(both) * heads * (both.shape[1] - heads)  # leaves: blocks * |A| * |B|
+    return AverageResult(float(np.add.reduce((both - halves).ravel()) / count), "exact", count)
+
+
 def ave_max_two(
     a3,
     sampler: PermutationSampler | None = None,
@@ -424,24 +435,16 @@ def ave_max_two(
 ) -> AverageResult:
     """Ave over pairs (pi, sigma) of max_i |a(i, pi(i), sigma(i))|.
 
-    Exact: a walk down ``_prefix_tree(n)`` on two axes at once.  Level k is
-    the (node, node) matrix of |a(k, pi(k), sigma(k))|, folded by
-    ``np.maximum`` into its parent pair of prefixes; the leaves come out in
-    (pi, sigma) tree order.  Sampled: pi is drawn before sigma.
+    Exact: ``_max_average`` over the split of each of pi and sigma, with
+    (n!)^2 leaves.  Sampled: pi is drawn before sigma.
     """
     a3 = _check_cube(a3)
     n = a3.shape[0]
     if sampler is not None:
         pis, sigmas = sampler.permutations(n, samples), sampler.permutations(n, samples)
         vals = np.abs(a3[np.arange(n)[None, :], pis, sigmas]).max(axis=1)
-        return AverageResult.mean_of(vals, exact=False)
-    acc = np.zeros((1, 1))  # the empty pair of prefixes
-    for k, level in enumerate(_exact_levels(n, N_EXACT_PAIRS)):
-        m = np.abs(a3[k]).take(level, 0).take(level, 1)  # child slot j of prefix p at j * P + p, on both axes
-        pairs = m.reshape(n - k, len(acc), n - k, len(acc))
-        np.maximum(pairs, acc[None, :, None, :], out=pairs)
-        acc = m
-    return AverageResult.mean_of(acc.ravel(), exact=True)
+        return AverageResult.mean_of(vals)
+    return _max_average(np.abs(a3), n, N_EXACT_PAIRS, pairs=True)
 
 
 def dra_sum_bound(a3) -> float:
@@ -544,18 +547,12 @@ def ave_max_vector(
 ) -> AverageResult:
     """Ave_sigma max_k |y_k b_{sigma(k)}| over uniform permutations.
 
-    Exact, it is ``ave_max_two``'s walk on one axis, with |y_k b_j| at level k.
+    Exact, ``_max_average`` of |y_k b_j| over the split's n! leaves.
     """
     b, y = _check_vector(b, "b"), _check_vector(y, "y")
     if b.shape != y.shape:
         raise ValueError("need two vectors of equal length")
     if sampler is not None:
         vals = np.abs(y * b[sampler.permutations(b.size, samples)]).max(axis=1)
-        return AverageResult.mean_of(vals, exact=False)
-    acc = np.zeros(1)  # the empty prefix
-    for k, level in enumerate(_exact_levels(b.size, N_EXACT)):
-        m = np.abs(y[k] * b.take(level))
-        nodes = m.reshape(-1, len(acc))  # child slot j of prefix p at j * P + p
-        np.maximum(nodes, acc, out=nodes)
-        acc = m
-    return AverageResult.mean_of(acc, exact=True)
+        return AverageResult.mean_of(vals)
+    return _max_average(np.abs(np.multiply.outer(y, b)), b.size, N_EXACT, pairs=False)

@@ -272,20 +272,19 @@ def test_report_echoes_the_values_used(tmp_path):
     assert doc["band"]["samples"] == 100
 
 
-_LOADED_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-
-
-def _scipy_modules_after(code: str) -> str:
+def _modules_after(code: str, packages=("scipy",)) -> str:
+    """The sorted list of the modules of ``packages`` that a fresh interpreter has loaded after ``code``."""
     src = str(Path(campaigns.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    argv = [sys.executable, "-c", f"{code}; {_LOADED_SCIPY}"]
+    loaded = f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {packages!r})))"
+    argv = [sys.executable, "-c", f"{code}; {loaded}"]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
 
 
 def test_import_leaves_scipy_quadrature_unloaded():
-    # numpy is the only runtime dependency
-    loaded = _scipy_modules_after("import sys, musielak.cli")
+    # numpy is the only runtime dependency, and numpy.random loads on first use: importing the CLI pays for neither
+    loaded = _modules_after("import sys, musielak.cli", ("scipy", "numpy.random"))
     assert loaded == "[]", loaded
 
 
@@ -293,7 +292,7 @@ def test_roundtrip_leaves_scipy_quadrature_unloaded(tmp_path):
     # fitted profiles are fitted and integrated by the package's own numpy code
     argv = ["roundtrip", "--out", str(tmp_path), "--seed", "7", "--config", str(tmp_path / "cfg.json")]
     (tmp_path / "cfg.json").write_text(json.dumps(SMALL["roundtrip"]))
-    loaded = _scipy_modules_after(f"import sys; from musielak.cli import main; assert main({argv!r}) == 0")
+    loaded = _modules_after(f"import sys; from musielak.cli import main; assert main({argv!r}) == 0")
     assert loaded == "[]", loaded
 
 

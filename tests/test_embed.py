@@ -187,6 +187,10 @@ class TestDistortion:
             EquivalenceReport(2.0, 1.0)
         with pytest.raises(ValueError, match="c_low must be positive"):
             EquivalenceReport(0.0, 1.0)
+        with pytest.raises(ValueError, match="c_low must be positive"):
+            EquivalenceReport(np.nan, 1.0)
+        with pytest.raises(ValueError, match="c_high must be at least c_low"):
+            EquivalenceReport(1.0, np.nan)
         assert EquivalenceReport(0.5, 1.5).spread == pytest.approx(3.0)
 
     def test_dimension_mismatch(self):
@@ -197,3 +201,9 @@ class TestDistortion:
             distortion_estimate(a, np.ones((2, 3)), [1.0])
         with pytest.raises(ValueError, match="zero-norm direction"):
             distortion_estimate(a, np.ones((2, 3)), [1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_norms_rejected_by_row(self, bad):
+        a = random_matrix(3)
+        with pytest.raises(ValueError, match=r"^norms: row 1 is .*, not finite and positive$"):
+            distortion_estimate(a, np.ones((3, 3)), [1.0, bad, 0.0])

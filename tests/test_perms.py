@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from orlicz import PiecewiseAffineConvex
 from scipy.stats import chisquare
 
+import musielak.perms
 from musielak.convex import luxemburg_norm
 from musielak.embed import N_EXACT_PSI, psi_image_norm
 from musielak.perms import (
@@ -16,7 +17,7 @@ from musielak.perms import (
     AverageResult,
     PermutationSampler,
     WeightMatrix,
-    _prefix_tree,
+    _max_layout,
     _split_layout,
     ave_l2,
     ave_max_two,
@@ -133,32 +134,34 @@ class TestSampler:
             child.spawn(4)
 
 
-def tree_order_table(n) -> np.ndarray:
-    """(n!, n) table of all permutations, row t the leaf t of ``_prefix_tree(n)``.
-
-    The level-k ancestor of leaf t is node t mod (size of level k), so
-    column k is level k repeated.  The exact walks' leaves come out in this
-    order, so the bit-exact oracles below read it.
-    """
-    return np.stack([np.resize(level, math.factorial(n)) for level in _prefix_tree(n)], axis=1)
-
-
 class TestAllPermutations:
-    """S_n's one enumeration: the prefix tree, and the tree-order table of its leaves that the oracles read."""
+    """S_n's one enumeration, the split, as the exact max averages read it (``_max_layout``)."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_itertools(self, n):
-        table = tree_order_table(n)
-        assert table.shape == (math.factorial(n), n)
-        assert {tuple(row) for row in table.tolist()} == set(itertools.permutations(range(n)))
+        perms = list(itertools.permutations(range(n)))
+        for pairs in (False, True)[: 1 + (n <= N_EXACT_PAIRS)]:
+            index, heads, own = _max_layout(n, pairs)
+            size, h = n ** (1 + pairs), n // 2
+            np.testing.assert_array_equal(own, np.r_[: heads, : index.shape[2] - heads])
+            assert (index[h:, :, :heads] == n * size).all()  # the head's missing rows point past the values
+            # a leaf is a head ordering and a tail ordering of one block, its coordinates the head's then the tail's
+            table = np.empty((n, index.shape[1], heads, index.shape[2] - heads), dtype=np.intp)
+            table[:h], table[h:] = index[:h, :, :heads, None], index[:, :, None, heads:]
+            leaves = table.reshape(n, -1).T
+            np.testing.assert_array_equal(leaves // size, np.broadcast_to(np.arange(n), leaves.shape))
+            if pairs:  # (i * n + pi(i)) * n + sigma(i)
+                rebuilt = zip(map(tuple, (leaves // n % n).tolist()), map(tuple, (leaves % n).tolist()))
+                assert sorted(rebuilt) == list(itertools.product(perms, perms))  # each pair once
+            else:  # i * n + pi(i)
+                assert sorted(map(tuple, (leaves % n).tolist())) == perms  # each permutation once
 
     def test_cached_and_read_only(self):
-        levels = _prefix_tree(6)
-        assert _prefix_tree(6) is levels
-        for level in levels:
-            assert not level.flags.writeable
+        assert _split_layout(5) is _split_layout(5) and _max_layout(5, True) is _max_layout(5, True)
+        for index in (*_split_layout(5), _max_layout(5, False)[0], _max_layout(5, True)[0]):
+            assert not index.flags.writeable
             with pytest.raises(ValueError):
-                level[0] = 1
+                index.flat[0] = 1
 
 
 def brute_ave_l2(a: WeightMatrix, x) -> float:
@@ -353,13 +356,19 @@ def brute_ave_max_vector(b, y) -> float:
     return math.fsum(max(abs(y[k] * b[p[k]]) for k in range(len(b))) for p in perms) / len(perms)
 
 
+def hard_max_inputs(draws, shape, draw):
+    """Normal entries (draw 0), small integers with ties and zeros (1, 2), or entries spanning 1e-100..1e100 (3)."""
+    x = draws.normal(size=shape)
+    if draw == 3:
+        return x * 10.0 ** draws.uniform(-100, 100, shape)
+    return np.round((2.0, 0.5)[draw - 1] * x) if draw else x
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_max_averages_match_brute_force(n):
     draws = np.random.default_rng(50 + n)
-    for draw in range(3):
-        a3, b, y = draws.normal(size=(n, n, n)), draws.normal(size=n), draws.normal(size=n)
-        if draw == 1:  # small integers: ties, zeros and negative entries
-            a3, b, y = np.round(2 * a3), np.round(2 * b), np.round(2 * y)
+    for draw in range(4):
+        a3, b, y = (hard_max_inputs(draws, shape, draw) for shape in ((n, n, n), n, n))
         if n <= 4:
             assert ave_max_two(a3).value == pytest.approx(brute_ave_max_two(a3), rel=1e-14)
         assert ave_max_vector(b, y).value == pytest.approx(brute_ave_max_vector(b, y), rel=1e-14)
@@ -368,9 +377,9 @@ def test_max_averages_match_brute_force(n):
 
 
 def fancy_index_ave_max_two(a3) -> float:
-    """The exact pair average as one (n!, n!, n) fancy index: the oracle for the per-coordinate gathers."""
+    """The exact pair average as one (n!, n!, n) fancy index over itertools' permutations."""
     n = a3.shape[0]
-    idx, pis = np.arange(n), tree_order_table(n)
+    idx, pis = np.arange(n), np.array(list(itertools.permutations(range(n))))
     vals = np.abs(a3[idx[None, None, :], pis[:, None, :], pis[None, :, :]])
     return float(vals.max(axis=2).ravel().mean())
 
@@ -378,12 +387,11 @@ def fancy_index_ave_max_two(a3) -> float:
 class TestAveMaxTwo:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_same_bits_as_fancy_index(self, n):
+        # the split sums in another order than the fancy index: equal up to rounding
         cubes = np.random.default_rng(n)
-        for draw in range(4):
-            a3 = cubes.normal(size=(n, n, n))
-            if draw % 2:  # small integers: ties, zeros and negative entries
-                a3 = np.round(2 * a3)
-            assert ave_max_two(a3).value == fancy_index_ave_max_two(a3)
+        for draw in range(8):
+            a3 = hard_max_inputs(cubes, (n, n, n), draw % 4)
+            assert ave_max_two(a3).value == pytest.approx(fancy_index_ave_max_two(a3), rel=1e-14)
 
     def test_empty_cube_rejected(self):
         with pytest.raises(ValueError, match="cubic"):
@@ -634,7 +642,7 @@ def _flat_ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 9))
 @np.errstate(over="ignore")
-def test_prefix_tree_kernel_has_the_flat_kernels_bits(n):
+def test_split_kernel_has_the_flat_kernels_bits(n):
     a = random_matrix(n)
     xs = np.vstack([np.zeros(n), rng.normal(size=(15, n))])  # several passes at n = 7 and 8
     for scale in (1e-170, 1e-150, 1.0, 1e150, 1e170):
@@ -644,18 +652,6 @@ def test_prefix_tree_kernel_has_the_flat_kernels_bits(n):
     # squares underflow to 0 and overflow to inf at the extreme scales
     assert (ave_l2(a, 1e-170 * xs).value == 0.0).all()
     assert np.isinf(ave_l2(a, 1e170 * xs[1:]).value).all()
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_prefix_tree_leaves_rebuild_the_table(n):
-    levels = _prefix_tree(n)
-    assert [len(level) for level in levels] == [math.perm(n, k + 1) for k in range(n)]
-    # child-slot-major: child j of prefix p, at j * P + p, takes p's j-th smallest unused value
-    assert all((np.diff(level.reshape(n - k, -1).astype(int), axis=0) > 0).all() for k, level in enumerate(levels))
-    # the ancestor at level k of leaf t is node t mod (size of level k)
-    leaves = np.arange(math.factorial(n))
-    rebuilt = np.stack([level[leaves % len(level)] for level in levels], axis=1)
-    assert sorted(map(tuple, rebuilt.tolist())) == list(itertools.permutations(range(n)))  # each once
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -671,11 +667,11 @@ def test_split_layout_covers_every_permutation_once(n):
 
 
 def test_exact_averages_walk_one_tree():
-    # ave_l2 and psi share one split layout per n, the two max walks one prefix tree, and nothing else enumerates S_n
-    for cache in (_prefix_tree, _split_layout):
-        cache.cache_clear()
+    # all four exact averages read one split layout per n, and nothing else enumerates S_n
+    _split_layout.cache_clear()
+    _max_layout.cache_clear()
     a, x, a3 = average_inputs(5)
     for average, _ in AVERAGES.values():
         average(a, x, a3)
-    for cache in (_prefix_tree, _split_layout):
-        assert (cache.cache_info().misses, cache.cache_info().currsize) == (1, 1)
+    assert (_split_layout.cache_info().misses, _split_layout.cache_info().currsize) == (1, 1)
+    assert not hasattr(musielak.perms, "_prefix_tree")
