@@ -33,7 +33,7 @@ system = functions_from_matrix(a)
 print("matrix-built system sizes:", system.n, "members, piecewise affine")
 
 # Inverse: system -> matrix.  Power functions have an analytic profile, so
-# the tanh-sinh quadrature of FProfile can be checked in closed form.
+# the Gauss-Legendre quadrature of FProfile can be checked in closed form.
 prof = power_profile(1.5)
 for t in [0.05, 0.25, 1.0]:
     num, exact = prof.value(t), float(power_profile_value(1.5, t))

@@ -25,9 +25,10 @@ Luxemburg norm of the campaign in stacked passes
 sizes, each row with the bits of its own instance's solve.  Theorem 1
 and Lemma 2.2 draw matrices, not systems: each pass builds the systems
 of all its matrices in one call (``construct.functions_from_matrices``,
-``perms.prefix_sum_systems``).  Lemma 2.1,
-Khintchine and the round trip check instance by instance.  The draws are
-read as the check goes, so a check holds one pass of instances at a time.
+``perms.prefix_sum_systems``).  The round trip fits and integrates all its
+matrices in one call (``construct.roundtrip_checks``); Lemma 2.1 and
+Khintchine check instance by instance.  The draws are read as the check
+goes, so a check holds one pass of instances at a time.
 
 Each CLI command runs one campaign, whose parameters are the config keys
 of the command, without defaults (``cli.COMMANDS`` holds those).
@@ -299,8 +300,9 @@ def roundtrip_campaign(dims, seed: int, family: str, exponents) -> dict:
         return tag, n, make_matrix(family, n, s, exponents)
 
     def check(drawn):
-        constants = ((tag, n, construct.roundtrip_check(a)) for tag, n, a in drawn)
-        return [_row(tag, n, rep.c_low, rep.c_high, rep.spread) for tag, n, rep in constants]
+        drawn = list(drawn)
+        reports = construct.roundtrip_checks([a for _, _, a in drawn])
+        return [_row(tag, n, rep.c_low, rep.c_high, rep.spread) for (tag, n, _), rep in zip(drawn, reports)]
 
     return _run(seed, _per_dim(dims, "rt-"), draw, check, ROUNDTRIP_RANGE, _constants)
 

@@ -194,8 +194,7 @@ def main(argv=None) -> int:
     report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if args.format in ("json", "both"):
         with open(outdir / f"{args.command}.json", "w") as fh:
-            json.dump(report, fh, indent=2, default=str)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2, default=str) + "\n")
     if args.format in ("csv", "both") and rows is not None:
         write_csv(outdir / f"{args.command}.csv", rows)
     print(f"{args.command}: {'pass' if report['passed'] else 'FAIL'}")

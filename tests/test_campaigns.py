@@ -79,6 +79,7 @@ STACKED = {
     "thm1": lambda dims, instances: campaigns.thm1_campaign(dims, SEED, instances, 3, "random-decreasing"),
     "lemma22": lambda dims, instances: campaigns.lemma22_campaign(dims, SEED, instances),
     "distortion": lambda dims, instances: campaigns.distortion_campaign(dims, SEED, 5, (1.3, 1.7)),
+    "roundtrip": lambda dims, instances: campaigns.roundtrip_campaign(dims, SEED, "power-family", (1.3, 1.7)),
 }
 
 
@@ -92,3 +93,10 @@ def test_stacked_rows_are_the_rows_of_one_instance_calls(campaign, monkeypatch):
     rows = run(MIXED, 3)["rows"]
     monkeypatch.setattr(convex, "PASS_ELEMENTS", 0)
     assert rows == run(MIXED, 3)["rows"]
+
+
+def test_roundtrip_fits_every_matrix_in_one_call(monkeypatch):
+    sizes, checks = [], construct.roundtrip_checks
+    monkeypatch.setattr(construct, "roundtrip_checks", lambda matrices: sizes.append(len(matrices)) or checks(matrices))
+    rows = campaigns.roundtrip_campaign(MIXED, SEED, "power-family", (1.3, 1.7))["rows"]
+    assert sizes == [len(MIXED)] and [r["n"] for r in rows] == MIXED

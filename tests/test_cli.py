@@ -283,16 +283,18 @@ def _modules_after(code: str, packages=("scipy",)) -> str:
 
 
 def test_import_leaves_scipy_quadrature_unloaded():
-    # numpy is the only runtime dependency, and numpy.random loads on first use: importing the CLI pays for neither
-    loaded = _modules_after("import sys, musielak.cli", ("scipy", "numpy.random"))
+    # numpy is the only runtime dependency, and numpy.random and numpy.polynomial load on first use: importing the CLI
+    # pays for none of them
+    loaded = _modules_after("import sys, musielak.cli", ("scipy", "numpy.random", "numpy.polynomial"))
     assert loaded == "[]", loaded
 
 
 def test_roundtrip_leaves_scipy_quadrature_unloaded(tmp_path):
-    # fitted profiles are fitted and integrated by the package's own numpy code
+    # fitted profiles are fitted and integrated by the package's own numpy code, its quadrature rule included
     argv = ["roundtrip", "--out", str(tmp_path), "--seed", "7", "--config", str(tmp_path / "cfg.json")]
     (tmp_path / "cfg.json").write_text(json.dumps(SMALL["roundtrip"]))
-    loaded = _modules_after(f"import sys; from musielak.cli import main; assert main({argv!r}) == 0")
+    code = f"import sys; from musielak.cli import main; assert main({argv!r}) == 0"
+    loaded = _modules_after(code, ("scipy", "numpy.polynomial"))
     assert loaded == "[]", loaded
 
 
@@ -404,7 +406,7 @@ def _break_roundtrip(monkeypatch):
     from musielak.convex import EquivalenceReport
 
     report = EquivalenceReport(0.1, 1.0)
-    monkeypatch.setattr(construct, "roundtrip_check", lambda a: report)
+    monkeypatch.setattr(construct, "roundtrip_checks", lambda matrices: [report for _ in matrices])
 
 
 def _break_construct(monkeypatch):

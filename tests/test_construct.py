@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from musielak.construct import (
     FProfile,
     _interval_averages,
     _Pchip,
-    _power_sum,
     conjugate_inverse_knots,
     fit_concave_profile,
     functions_from_matrix,
@@ -25,6 +25,7 @@ from musielak.construct import (
     power_profile_value,
     power_system,
     roundtrip_check,
+    roundtrip_checks,
     rows_from_knots,
 )
 from musielak.convex import MusielakSystem
@@ -204,7 +205,7 @@ class TestPchip:
         assert np.max(np.abs(self.d2(fit, rng.uniform(0.0, 1.0, 40)))) < 1e-12
 
     def test_curvature_on_a_grid_matches_pointwise(self):
-        # the grid path finds each piece's segment once; scipy and ``_power_sum`` search for every node
+        # the grid path finds each piece's segment once; scipy and the pointwise sums search for every node
         fitted = conjugate_inverse_knots(power_matrix(np.linspace(1.1, 1.9, 7))) ** 2
         for y in [fitted, np.random.default_rng(6).normal(size=(5, 7))]:
             x = np.arange(y.shape[1]) / (y.shape[1] - 1)
@@ -217,7 +218,9 @@ class TestPchip:
             k = np.searchsorted(x[1:-1], inner, side="right")
             ref = PchipInterpolator(x, y, axis=1).derivative(2)
             np.testing.assert_allclose(d2[:, :, 1:-1], ref(inner), rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(rad[:, :, 1:-1], _power_sum(fit.radicand, k, inner - x[k]), rtol=1e-13)
+            r0, r1, r2, r3 = fit.radicand[:, :, k]
+            u = inner - x[k]
+            np.testing.assert_allclose(rad[:, :, 1:-1], r3 + r2 * u + r1 * u**2 + r0 * u**3, rtol=1e-13)
 
     def test_two_points_linear(self):
         fit = self.check(np.array([[0.0, 1.0], [1.0, 3.0]]))
@@ -303,9 +306,9 @@ class TestFProfile:
 
     def test_guard_inside_the_piece_next_to_zero(self):
         # H - s H' <= 0 only on (0, 0.1) of row 1, inside the first piece [0, 1/4] of the averages
-        def curvature(s):
+        def curvature(s):  # on a (rows, pieces, nodes) grid
             d2, rad = -0.25 * s**-1.5, 0.5 * np.sqrt(s)
-            return np.stack([d2, d2]), np.stack([rad, np.where(s < 0.1, -rad, rad)])
+            return d2, np.stack([rad[0], np.where(s[1] < 0.1, -rad[1], rad[1])])
 
         prof = FProfile(lambda s: np.stack([np.sqrt(s)] * 2), [1.0 - math.sqrt(0.5)] * 2, curvature)
         assert np.all(prof.value(0.2) > 0)  # the pieces from 0.2 on pass
@@ -502,7 +505,11 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize(
         "n,constants",
-        [(4, (0.9986862922197929, 1.0)), (6, (0.9986805625715297, 0.9999999999999999)), (8, (0.9986774024123394, 1.0))],
+        [
+            (4, (0.9986862922197925, 1.0)),
+            (6, (0.9986805625715295, 0.9999999999999999)),
+            (8, (0.9986774024123392, 0.9999999999999999)),
+        ],
     )
     def test_power_constants_are_pinned(self, n, constants):
         # the exponents cycle over the rows, as in the roundtrip command
@@ -514,6 +521,55 @@ class TestRoundtrip:
         rep = roundtrip_check(a)
         assert 0.25 <= rep.c_low <= rep.c_high <= 4.0
         assert rep.spread == rep.c_high / rep.c_low
+
+
+class TestStackedRoundtrip:
+    """``roundtrip_checks`` fits and integrates every row of every matrix in one padded pass."""
+
+    def test_stack_has_the_bits_of_one_matrix_calls(self):
+        # unsorted sizes with n = 1, n = 12 and a repeated n: every row keeps its own grid and pieces
+        draw = np.random.default_rng(32)
+        matrices = [power_matrix(draw.uniform(1.05, 1.95, n)) for n in (5, 1, 12, 3, 5, 8)]
+        matrices += [WeightMatrix(np.ones((1, 1))), WeightMatrix(np.ones((4, 4)))]
+        stacked = [(rep.c_low, rep.c_high) for rep in roundtrip_checks(matrices)]
+        assert stacked == [(rep.c_low, rep.c_high) for rep in map(roundtrip_check, matrices)]
+        assert roundtrip_checks(iter(matrices[:1]))[0] == roundtrip_check(matrices[0])
+        assert roundtrip_checks([]) == []
+
+    def test_first_failing_matrix_raises_its_own_error(self):
+        good = [power_matrix([1.2, 1.5, 1.8]), WeightMatrix(np.ones((2, 2)))]
+        # the fit of [1, 1, 0.5] fails the concavity guard: in row 1 of one matrix, row 0 of the other
+        row1 = WeightMatrix(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.5], [1.0, 1.0, 0.5]]))
+        row0 = WeightMatrix(np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]))
+        wide = WeightMatrix(np.ones((2, 3)))
+        stacks = [([good[0], row1, good[1], row0], row1), ([good[1], row0, row1], row0), ([row0, wide], row0)]
+        for stack, culprit in stacks + [([good[0], wide, row1], wide)]:
+            with pytest.raises(ValueError) as alone:
+                roundtrip_check(culprit)
+            with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+                roundtrip_checks(stack)
+        with pytest.raises(ConstructionError, match=r"^row 1: H\(s\) - s H'\(s\) <= 0 at s = "):
+            roundtrip_check(row1)
+
+    @pytest.mark.parametrize("kind", ["near-tie", "log-uniform"])
+    def test_fitted_rows_match_scalar_quadrature(self, kind):
+        # beside the hypothesis test: entries within 10% of each other, and entries spread over three decades
+        draw = np.random.default_rng(9)
+        compared = 0
+        for n in range(2, 9):
+            for _ in range(3):
+                if kind == "near-tie":
+                    entries = draw.uniform(0.9, 1.0, (n, n))
+                else:
+                    entries = 10.0 ** draw.uniform(-3.0, 0.0, (n, n))
+                for v in conjugate_inverse_knots(WeightMatrix(np.sort(entries, axis=1)[:, ::-1])):
+                    try:
+                        row = matrix_from_profiles(fit_concave_profile(v)[0], n).entries[0]
+                    except ValueError:  # most random rows fail a guard of the fit, as in the hypothesis test
+                        continue
+                    np.testing.assert_allclose(row, quad_fitted_row(v), rtol=1e-10)
+                    compared += 1
+        assert compared >= 20
 
 
 class TestBatchedFit:
