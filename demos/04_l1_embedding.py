@@ -32,7 +32,7 @@ res = psi_image_norm(a, [x, 2.0 * x])
 print(f"||Psi(x)||_1 = {res.value[0]:.8f}, ||Psi(2x)||_1 = {res.value[1]:.8f}  ({res.samples} table entries)")
 
 # Khintchine sandwich: (1/sqrt 2) Ave <= ||Psi(x)|| <= Ave, exactly.
-rep = khintchine_sandwich_check(a, x)
+(rep,) = khintchine_sandwich_check([(a, x)])
 print(f"sandwich: {rep.lower:.6f} <= {rep.value:.6f} <= {rep.upper:.6f}  passed = {rep.passed}")
 
 # Distortion witness: band of ||Psi(x)|| / ||x|| over basis vectors, the

@@ -26,9 +26,11 @@ sizes, each row with the bits of its own instance's solve.  Theorem 1
 and Lemma 2.2 draw matrices, not systems: each pass builds the systems
 of all its matrices in one call (``construct.functions_from_matrices``,
 ``perms.prefix_sum_systems``).  The round trip fits and integrates all its
-matrices in one call (``construct.roundtrip_checks``); Lemma 2.1 and
-Khintchine check instance by instance.  The draws are read as the check
-goes, so a check holds one pass of instances at a time.
+matrices in one call (``construct.roundtrip_checks``), and Khintchine
+checks all its instances in one call (``embed.khintchine_sandwich_check``:
+one l2 and one psi call per n, one matrix per vector); Lemma 2.1 checks
+instance by instance.  The draws are read as the check goes, so a check
+holds one pass of instances at a time; Khintchine holds all of its own.
 
 Each CLI command runs one campaign, whose parameters are the config keys
 of the command, without defaults (``cli.COMMANDS`` holds those).
@@ -282,11 +284,11 @@ def lemma22_campaign(dims, seed: int, instances: int) -> dict:
 
 
 def khintchine_campaign(dims, seed: int, instances: int) -> dict:
-    """Exact Khintchine sandwich of the embedded L1 norm, per instance."""
+    """Exact Khintchine sandwich of the embedded L1 norm, all instances in one check."""
     listed = _per_instance(dims, instances, "kh-")
 
     def check(drawn):
-        return _sandwich_rows(listed, (embed.khintchine_sandwich_check(a, x) for a, x in drawn))
+        return _sandwich_rows(listed, embed.khintchine_sandwich_check(drawn))
 
     return _run(seed, listed, _matrix_and_vector, check, SANDWICH_FAILURES_MAX, _failures)
 

@@ -73,6 +73,16 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+# the C encoder, which ``json.dumps`` uses only without an indent
+_ENCODER = json.JSONEncoder(default=str)
+
+
+def write_json(path: Path, report: dict) -> None:
+    """The report with one top-level key per line: ``{``, then ``"key": <compact JSON>,`` per key, then ``}``."""
+    with open(path, "w") as fh:
+        fh.write("{\n" + ",\n".join(f"{_ENCODER.encode(k)}: {_ENCODER.encode(v)}" for k, v in report.items()) + "\n}\n")
+
+
 def write_csv(path: Path, rows) -> None:
     """The rows in ``CSV_COLUMNS`` order, sorted by instance id; floats with 17 digits, which read back exactly."""
     with open(path, "w") as fh:
@@ -193,8 +203,7 @@ def main(argv=None) -> int:
     report["version"] = __version__
     report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if args.format in ("json", "both"):
-        with open(outdir / f"{args.command}.json", "w") as fh:
-            fh.write(json.dumps(report, indent=2, default=str) + "\n")
+        write_json(outdir / f"{args.command}.json", report)
     if args.format in ("csv", "both") and rows is not None:
         write_csv(outdir / f"{args.command}.csv", rows)
     print(f"{args.command}: {'pass' if report['passed'] else 'FAIL'}")

@@ -12,14 +12,16 @@ image subspace.
 
 ``psi_image_norm`` computes the norm of a (V, n) batch of vectors.  Exact,
 it is ``perms.split_average`` over the signs +-1, each permutation split
-into a head and a tail whose signed sums meet in closed form; with a
-sampler, ``perms.monte_carlo_average`` over one draw of (sign pattern,
-permutation) pairs shared by the batch.
+into a head and a tail whose signed sums meet in closed form, for one
+matrix or one per vector; with a sampler, ``perms.monte_carlo_average``
+over one draw of (sign pattern, permutation) pairs shared by the batch.
+``khintchine_sandwich_check`` checks (matrix, vector) pairs, those of one
+n in one l2 and one psi call.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -51,7 +53,7 @@ KHINTCHINE_TOL = 1e-12
 
 
 def psi_image_norm(
-    a: WeightMatrix,
+    a: WeightMatrix | Sequence[WeightMatrix],
     xs,
     sampler: PermutationSampler | None = None,
     samples: int = DEFAULT_SAMPLES,
@@ -64,9 +66,10 @@ def psi_image_norm(
     tail coordinate h = n // 2 to +1 in the tail sum B.  The exact identity
     |A + B| + |A - B| = 2 max(|A|, |B|) folds eps_h, so the norm is the
     mean of max(|A|, |B|) over n! 2^(n-2) leaves (one, with A = 0, for
-    n = 1).  With a sampler, the mean over ``samples`` uniform pairs by
-    ``monte_carlo_average``, with its standard error.  A vector alone and in
-    a batch give the same bits.
+    n = 1).  ``a`` is one matrix for the batch, or exact only, a sequence of
+    V matrices of one n, ``a[v]`` for ``xs[v]``.  With a sampler, the mean
+    over ``samples`` uniform pairs by ``monte_carlo_average``, with its
+    standard error.  A vector alone and in a batch give the same bits.
     """
     if sampler is not None:
         return monte_carlo_average(a, xs, (1.0, -1.0), 1, np.abs, sampler, samples)
@@ -75,17 +78,37 @@ def psi_image_norm(
         np.copyto(out, np.abs(tail, out=tail))  # the broadcast over the head is one long copy, then the max in place
         np.maximum(out, np.abs(head, out=head), out=out)
 
-    value = split_average(a, xs, N_EXACT_PSI, (1.0, -1.0), 1, leaf)
-    return AverageResult(value, "exact", 2**a.n * math.factorial(a.n), np.zeros(value.shape))
+    return split_average(a, xs, N_EXACT_PSI, (1.0, -1.0), 1, leaf)
 
 
-def khintchine_sandwich_check(a: WeightMatrix, x) -> SandwichReport:
-    """Exact check of (1/sqrt 2) Ave <= ||Psi(x)|| <= Ave, within ``KHINTCHINE_TOL``."""
-    xs = _check_vector(x, "x")[None, :]
-    ave = float(ave_l2(a, xs).value[0])
-    psi = float(psi_image_norm(a, xs).value[0])
-    passed = ave / np.sqrt(2.0) - KHINTCHINE_TOL <= psi <= ave + KHINTCHINE_TOL
-    return SandwichReport(ave / np.sqrt(2.0), psi, ave, passed)
+def _khintchine_instance(a: WeightMatrix, x) -> tuple[WeightMatrix, np.ndarray]:
+    x = _check_vector(x, "x")
+    if x.shape != (a.n,):
+        raise ValueError("vector length must match matrix dimension")
+    return a, x
+
+
+def khintchine_sandwich_check(instances) -> list:
+    """Exact checks of (1/sqrt 2) Ave <= ||Psi(x)|| <= Ave, within ``KHINTCHINE_TOL``.
+
+    One ``SandwichReport`` per ``(a, x)`` of ``instances``, in order.  The
+    instances of one shape make one ``ave_l2`` call and one
+    ``psi_image_norm`` call, each vector with its own matrix (one instance
+    passes its matrix as it is), so each report has the bits of its
+    instance checked alone.
+    """
+    pairs = [_khintchine_instance(a, x) for a, x in instances]
+    groups = {}  # shape -> the indices of its instances
+    for k, (a, _) in enumerate(pairs):
+        groups.setdefault(a.entries.shape, []).append(k)
+    reports = [None] * len(pairs)
+    for ks in groups.values():
+        a = pairs[ks[0]][0] if len(ks) == 1 else [pairs[k][0] for k in ks]
+        xs = np.array([pairs[k][1] for k in ks])
+        for k, ave, psi in zip(ks, ave_l2(a, xs).value.tolist(), psi_image_norm(a, xs).value.tolist()):
+            lower = ave / np.sqrt(2.0)
+            reports[k] = SandwichReport(lower, psi, ave, lower - KHINTCHINE_TOL <= psi <= ave + KHINTCHINE_TOL)
+    return reports
 
 
 def distortion_directions(n: int, sampler: PermutationSampler, samples: int) -> np.ndarray:

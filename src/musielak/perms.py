@@ -10,17 +10,19 @@ Carlo estimate over ``samples`` draws of the ``PermutationSampler`` it is
 given.  ``ave_l2`` and ``embed.psi_image_norm`` take a (V, n) batch of
 vectors.  Exact, each is ``split_average``: a meet-in-the-middle split of
 S_n (``_split_layout``) sums the head and the tail of every permutation
-once per subset and ordering, and each permutation's value is a closed form
-of its two half sums.  Sampled, each is ``monte_carlo_average`` over one
-draw of permutations (and signs) that the whole batch shares.  Both paths
-check the batch at the same boundary, and give a row alone and in a batch
-the same bits.  The exact max averages, over pairs of permutations
-(``ave_max_two``) and over one (``ave_max_vector``), read the same split
-and sort its half maxima (``_max_average``).  The module also provides the
+once per sign pattern, subset and ordering, one contraction per half, and
+each permutation's value is a closed form of its two half sums; the batch
+shares one matrix, or gives each vector its own.  Sampled, each is
+``monte_carlo_average`` over one draw of permutations (and signs) that the
+whole batch and its one matrix share.  Both paths check the batch at the
+same boundary, and give a row alone and in a batch the same bits.  The
+exact max averages, over pairs of permutations (``ave_max_two``) and over
+one (``ave_max_vector``), read the same split and sort its half maxima
+(``_max_average``).  The module also provides the
 decreasing-rearrangement bound that the pair average is equivalent to, the
-matrix norm ||x||_a (greedy top-N selection), and the
-piecewise-affine system whose Luxemburg norm sandwiches ||x||_a within
-exact factors 1/2 and 2.
+matrix norm ||x||_a (greedy top-N selection), and the piecewise-affine
+system whose Luxemburg norm sandwiches ||x||_a within exact factors 1/2
+and 2.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,55 +262,104 @@ def _split_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(halves)
 
 
+@functools.cache
+def _signed_halves(n: int, signs: tuple[float, ...]) -> tuple:
+    """The head and the tail of ``_split_layout(n)``, each as (its first i, its sign table, its flat indices).
+
+    A half of m coordinates has the read-only (sign pattern, i) table of
+    eps_0 = +1 and eps_1 .. eps_{m-1} in ``signs``, read as the digits of
+    the pattern, eps_{m-1} the most significant; (1, 0) for the empty head
+    of n = 1.
+    """
+    halves = []
+    for first, flat in zip((0, n // 2), _split_layout(n)):
+        m = len(flat)
+        table = np.array([(1.0, *p[::-1]) for p in itertools.product(signs, repeat=max(m - 1, 0))])[:, :m]
+        table.flags.writeable = False
+        halves.append((first, table, flat))
+    return tuple(halves)
+
+
+def _exact_batch(a: WeightMatrix | Sequence[WeightMatrix], xs, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` as a checked (V, n) batch, and the entries of ``a`` to the ``power``, each matrix flattened.
+
+    ``a`` is one square ``WeightMatrix``, whose powers are one (n * n,)
+    array, or a sequence of V of them of one n, one per vector, whose
+    powers are a (V, n * n) array; anything else is a ValueError that
+    names ``a``.
+    """
+    if isinstance(a, WeightMatrix):
+        return _check_batch(a, xs), (a.entries**power).ravel()
+    if not (isinstance(a, Sequence) and a and all(isinstance(m, WeightMatrix) for m in a)):
+        raise ValueError("a must be a WeightMatrix or a nonempty sequence of them")
+    if len({m.entries.shape for m in a}) != 1:
+        raise ValueError("a: the matrices must all have one shape")
+    xs = _check_batch(a[0], xs)
+    if len(a) != len(xs):
+        raise ValueError(f"a: {len(a)} matrices for {len(xs)} vectors, need one per vector")
+    return xs, np.stack([m.entries.ravel() for m in a]) ** power
+
+
 # leaves in one pass of ``split_average``
 _BATCH_ELEMENTS = 1 << 16
 
 
-def split_average(a: WeightMatrix, xs, limit: int, signs: tuple[float, ...], power: int, leaf) -> np.ndarray:
+def split_average(
+    a: WeightMatrix | Sequence[WeightMatrix], xs, limit: int, signs: tuple[float, ...], power: int, leaf
+) -> AverageResult:
     """Exact means of ``leaf`` over the split of S_n (``_split_layout``), for each row of the (V, n) batch ``xs``.
 
-    The exact paths of ``ave_l2`` and ``embed.psi_image_norm``.  The head
-    sums A = sum_{i<h} eps_i x_i^power a_{i,pi(i)}^power and the tail sums
-    B (over i >= h) are formed once per (sign pattern, subset, ordering),
-    each in i order, with eps_0 = eps_h = +1 and every other eps_i in
-    ``signs``, which starts with +1.  ``leaf(head, tail, out)`` writes the
-    leaves of a pass, laid out (vectors, head, tail, subset), into ``out``
-    from the broadcasts of A and B, which it may overwrite; the result is
-    their mean.  A pass holds at most ``_BATCH_ELEMENTS`` leaves and a block
-    of passes shares its half sums.  All is elementwise (no BLAS) and each
-    row is reduced alone, so row v has the same bits as a batch of ``xs[v]``.
+    The exact paths of ``ave_l2`` and ``embed.psi_image_norm``.  ``a`` is
+    one ``WeightMatrix`` for the whole batch or a sequence of V, one per
+    vector (``_exact_batch``).  The head sums
+    A = sum_{i<h} eps_i x_i^power a_{i,pi(i)}^power and the tail sums B
+    (over i >= h) are formed once per (sign pattern, subset, ordering),
+    with eps_0 = eps_h = +1 and every other eps_i in ``signs``, which
+    starts with +1: each half is one contraction of its ``_signed_halves``
+    times x_i^power with the gathered a_{i,pi(i)}^power, accumulated in
+    i order.  ``leaf(head, tail, out)`` writes the leaves of a pass, laid
+    out (vectors, head, tail, subset), into ``out`` from the broadcasts of
+    A and B, which it may overwrite; the result is their mean, over
+    |signs|^n n! (sign pattern, permutation) pairs.  A pass holds at most
+    ``_BATCH_ELEMENTS`` leaves and a block of passes shares its half sums.
+    All is elementwise (no BLAS) and each row is reduced alone, so row v
+    has the same bits as a call with ``xs[v]`` and its own matrix alone.
     """
-    xs = _check_batch(a, xs)
-    n = a.n
+    xs, ap = _exact_batch(a, xs, power)
+    n = xs.shape[1]
     if n > limit:
         raise ValueError(f"exact mode limited to n <= {limit}")
+    halves = _signed_halves(n, signs)
     subsets = math.comb(n, n // 2)
-    ap = (a.entries**power).ravel()
-    # the head and the tail: each one's first i, and a_{i,pi(i)}^power by (i, ordering * subset)
-    halves = [(first, ap.take(flat)) for first, flat in zip((0, n // 2), _split_layout(n))]
     count = math.factorial(n) * len(signs) ** max(n - 2, 0)  # leaves per vector
     step = max(1, _BATCH_ELEMENTS // count)  # vectors per pass
-    larger = len(signs) ** (n - n // 2 - 1) * halves[1][1].shape[1]  # sums per vector of the tail, the larger half
+    larger = len(halves[1][1]) * halves[1][2].shape[1]  # sums per vector of the tail, the larger half
     block = step * max(1, _BATCH_ELEMENTS // (step * larger))  # vectors per block, a whole number of passes
-    buffer = np.empty(min(step, len(xs)) * count)
-    signed = np.multiply.outer(xs**power, signs)[..., None]  # (vectors, i, eps_i, 1)
+    if ap.ndim == 1:  # one matrix: a_{i,pi(i)}^power by (i, ordering * subset), gathered once
+        halves = [(first, table, ap.take(flat)) for first, table, flat in halves]
+    buffer = np.empty((min(step, len(xs)), count))
+    powers = xs**power
     out = np.empty(len(xs))
     for start in range(0, len(xs), block):
-        x = signed[start : start + block]
+        x = powers[start : start + block]
         sums = []
-        for first, terms in halves:  # the head, then the tail
-            # (vectors, sign pattern, ordering * subset) from the half's first i, signed +1; n = 1 has no head
-            acc = x[:, first, :1] * terms[0] if len(terms) else np.zeros((len(x), 1, 1))
-            for i in range(1, len(terms)):
-                acc = (x[:, first + i, :, None] * terms[i] + acc[:, None]).reshape(len(x), -1, terms.shape[1])
+        for first, table, terms in halves:  # the head, then the tail
+            if ap.ndim == 2:  # one matrix per vector: each vector's own terms
+                terms = ap[start : start + block][:, terms]
+            signed = x[:, None, first : first + table.shape[1]]  # (vectors, sign pattern, i)
+            if len(table) > 1:  # a table of one pattern is all +1
+                signed = signed * table
+            # (vectors, sign pattern, ordering * subset); optimize=False keeps einsum off BLAS and in i order
+            acc = np.einsum("vpi,il->vpl" if terms.ndim == 2 else "vpi,vil->vpl", signed, terms, optimize=False)
             sums.append(acc.reshape(len(x), -1, subsets))
         head, tail = sums[0][:, :, None], sums[1][:, None]
         for lo in range(0, len(x), step):
             hi = min(lo + step, len(x))
-            leaves = buffer[: (hi - lo) * count].reshape(hi - lo, head.shape[1], tail.shape[2], subsets)
-            leaf(head[lo:hi], tail[lo:hi], leaves)
-            np.add.reduce(leaves.reshape(hi - lo, count), axis=1, out=out[start + lo : start + hi])
-    return np.divide(out, count, out=out)
+            leaves = buffer[: hi - lo]
+            leaf(head[lo:hi], tail[lo:hi], leaves.reshape(hi - lo, head.shape[1], tail.shape[2], subsets))
+            np.add.reduce(leaves, axis=1, out=out[start + lo : start + hi])
+    np.divide(out, count, out=out)
+    return AverageResult(out, "exact", math.factorial(n) * len(signs) ** n, np.zeros(len(xs)))
 
 
 def monte_carlo_average(
@@ -328,8 +380,11 @@ def monte_carlo_average(
     terms in i order, elementwise (no BLAS), applies ``finish`` (a ufunc)
     and is reduced to its mean and standard error before the next row, so
     memory is O(samples), and row v has the same bits as a batch of
-    ``xs[v]`` alone.
+    ``xs[v]`` alone.  ``a`` is one ``WeightMatrix``: a sequence of them is
+    a ValueError.
     """
+    if not isinstance(a, WeightMatrix):
+        raise ValueError("a: a sampled average takes one WeightMatrix, shared by the batch")
     xs = _check_batch(a, xs)
     n = a.n
     terms = (a.entries**power)[np.arange(n)[:, None], sampler.permutations(n, samples).T]  # (n, samples)
@@ -347,7 +402,7 @@ def monte_carlo_average(
 
 
 def ave_l2(
-    a: WeightMatrix,
+    a: WeightMatrix | Sequence[WeightMatrix],
     xs,
     sampler: PermutationSampler | None = None,
     samples: int = DEFAULT_SAMPLES,
@@ -358,8 +413,9 @@ def ave_l2(
     over each half of every permutation once, and each leaf is
     sqrt(A + B), so row v has the same bits as a batch of ``xs[v]`` alone,
     and as the flat sum over the permutations in the split's leaf order,
-    head and tail each in i order.  With a sampler,
-    ``monte_carlo_average`` over ``samples`` permutations.
+    head and tail each in i order.  ``a`` is one matrix for the batch, or
+    exact only, a sequence of V matrices of one n, ``a[v]`` for ``xs[v]``.
+    With a sampler, ``monte_carlo_average`` over ``samples`` permutations.
     """
     if sampler is not None:
         return monte_carlo_average(a, xs, (1.0,), 2, np.sqrt, sampler, samples)
@@ -369,8 +425,7 @@ def ave_l2(
         np.add(out, head, out=out)
         np.sqrt(out, out=out)
 
-    value = split_average(a, xs, N_EXACT, (1.0,), 2, leaf)
-    return AverageResult(value, "exact", math.factorial(a.n), np.zeros(value.shape))
+    return split_average(a, xs, N_EXACT, (1.0,), 2, leaf)
 
 
 def _check_cube(a3) -> np.ndarray:

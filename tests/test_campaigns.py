@@ -70,7 +70,7 @@ def test_khintchine_row_replays_from_instance_key():
     row = _row(campaigns.khintchine_campaign([n], SEED, instances=3), f"kh-n{n}-i{k}")
     s = PermutationSampler(SEED).spawn(n * 10_000 + k)
     a = _decreasing(s, n)
-    rep = embed.khintchine_sandwich_check(a, s.normals(n))
+    (rep,) = embed.khintchine_sandwich_check([(a, s.normals(n))])
     assert (row["lhs"], row["rhs"], row["passed"]) == (rep.lower, rep.value, rep.passed)
 
 
@@ -78,6 +78,7 @@ MIXED = [5, 2, 4]  # unsorted, so that each stack pads vectors of a smaller n be
 STACKED = {
     "thm1": lambda dims, instances: campaigns.thm1_campaign(dims, SEED, instances, 3, "random-decreasing"),
     "lemma22": lambda dims, instances: campaigns.lemma22_campaign(dims, SEED, instances),
+    "khintchine": lambda dims, instances: campaigns.khintchine_campaign(dims, SEED, instances),
     "distortion": lambda dims, instances: campaigns.distortion_campaign(dims, SEED, 5, (1.3, 1.7)),
     "roundtrip": lambda dims, instances: campaigns.roundtrip_campaign(dims, SEED, "power-family", (1.3, 1.7)),
 }

@@ -111,6 +111,30 @@ def test_same_seed_reproducible(tmp_path):
     assert (d1 / "verify-thm1.csv").read_text() == (d2 / "verify-thm1.csv").read_text()
 
 
+@pytest.mark.parametrize("command", sorted(SMALL))
+def test_report_has_one_top_level_key_per_line(tmp_path, command):
+    assert run(tmp_path, command, SMALL[command]) == 0
+    lines = (tmp_path / f"{command}.json").read_text().splitlines()
+    doc = load_json(tmp_path, command)
+    assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(doc) + 2
+    # the timestamp alone on its line, so that dropping that line compares every other key
+    assert [line for line in lines if '"timestamp"' in line] == [f'"timestamp": {json.dumps(doc["timestamp"])}']
+
+
+def test_report_parses_to_its_indented_form(tmp_path):
+    report = {
+        "gate": {"bound": (0.25, 4.0), "worst": None, "margin": np.float64(0.5)},
+        "per_n": {2: {"c_low": math.inf, "samples": 3}, 10: {}},
+        "config": {"dims": [], "out": Path("a\nb"), "family": "é"},
+        "passed": False,
+        "timestamp": "2026-01-01T00:00:00+00:00",
+    }
+    cli.write_json(tmp_path / "report.json", report)
+    text = (tmp_path / "report.json").read_text()
+    assert json.loads(text) == json.loads(json.dumps(report, indent=2, default=str))
+    assert text.count("\n") == len(report) + 2
+
+
 def test_json_only_format(tmp_path):
     assert run(tmp_path, "roundtrip", SMALL["roundtrip"], extra=["--format", "json"]) == 0
     assert (tmp_path / "roundtrip.json").exists()

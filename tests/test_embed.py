@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from musielak import embed
 from musielak.construct import functions_from_matrix, matrix_from_functions, power_system
 from musielak.convex import EquivalenceReport, luxemburg_norm
 from musielak.embed import (
@@ -108,6 +109,18 @@ class TestPsiExact:
         single = [psi_image_norm(a, [x]).value[0] for x in xs]
         assert np.array_equal(psi_image_norm(a, xs).value, single)
 
+    @pytest.mark.parametrize("n", range(1, N_EXACT_PSI + 1))
+    def test_matrices_per_vector_have_the_bits_of_single_calls(self, n):
+        # one matrix per vector: each row has the bits of its own call, the zero row included;
+        # 40 vectors take several passes at n = 6
+        draws = np.random.default_rng(700 + n)
+        matrices = [WeightMatrix(np.sort(draws.uniform(0.05, 1, (n, n)), axis=1)[:, ::-1]) for _ in range(40)]
+        xs = np.vstack([np.zeros(n), draws.normal(size=(39, n))])
+        for scale in (1e-170, 1e-150, 1.0, 1e150, 1e170):
+            stacked = psi_image_norm(matrices, scale * xs).value
+            single = [psi_image_norm(a, [scale * x]).value[0] for a, x in zip(matrices, xs)]
+            assert np.array_equal(stacked, single) and stacked[0] == 0.0
+
     def test_coordinate_sign_flip(self):
         a = random_matrix(5)
         x = rng.normal(size=5)
@@ -129,9 +142,27 @@ class TestKhintchine:
     def test_random_instances(self):
         for _ in range(50):
             n = int(rng.integers(1, 6))
-            rep = khintchine_sandwich_check(random_matrix(n), rng.normal(size=n))
+            (rep,) = khintchine_sandwich_check([(random_matrix(n), rng.normal(size=n))])
             assert rep.passed
             assert rep.lower == pytest.approx(rep.upper / math.sqrt(2.0))
+
+    def test_batch_has_the_bits_of_one_pair_checks(self, monkeypatch):
+        # mixed n in mixed order: one ave_l2 and one psi call per n, and each report as if checked alone
+        draws = np.random.default_rng(41)
+        dims = [3, 1, 5, 3, 2, 5, 5, 1, 4, 3]
+        matrices = [WeightMatrix(np.sort(draws.uniform(0.05, 1, (n, n)), axis=1)[:, ::-1]) for n in dims]
+        instances = [(a, draws.normal(size=a.n)) for a in matrices]
+        alone = [khintchine_sandwich_check([pair]) for pair in instances]
+        calls = []
+        for name in ("ave_l2", "psi_image_norm"):
+            kernel = getattr(embed, name)
+            monkeypatch.setattr(
+                embed, name, lambda a, xs, kernel=kernel, name=name: calls.append(name) or kernel(a, xs)
+            )
+        reports = khintchine_sandwich_check(iter(instances))
+        assert [vars(r) for r in reports] == [vars(r) for (r,) in alone]
+        assert sorted(calls) == sorted(["ave_l2", "psi_image_norm"] * len(set(dims)))
+        assert khintchine_sandwich_check([]) == []
 
     def test_psi_below_l2_average(self):
         # the upper half of the sandwich separately (Jensen)
@@ -144,13 +175,13 @@ class TestKhintchine:
         a = random_matrix(3)
         for bad in (1.0, [[1.0, 2.0, 3.0]], [], [1.0, np.nan, 0.0], [np.inf, 1.0, 0.0]):
             with pytest.raises(ValueError, match="^x must be a nonempty finite vector$"):
-                khintchine_sandwich_check(a, bad)
+                khintchine_sandwich_check([(a, bad)])
         with pytest.raises(ValueError, match="^vector length must match matrix dimension$"):
-            khintchine_sandwich_check(a, [1.0, 2.0])
+            khintchine_sandwich_check([(a, [1.0, 2.0])])
 
     def test_lower_bound_tight_for_n1(self):
         # n = 1: |x a| on both sides, so value == upper exactly
-        rep = khintchine_sandwich_check(WeightMatrix(np.array([[0.9]])), [1.4])
+        (rep,) = khintchine_sandwich_check([(WeightMatrix(np.array([[0.9]])), [1.4])])
         assert rep.value == pytest.approx(rep.upper)
 
 

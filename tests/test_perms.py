@@ -326,6 +326,49 @@ def test_exact_kernels_check_their_input(name):
 
 
 @pytest.mark.parametrize("name", sorted(BATCHED))
+def test_matrices_per_vector_are_checked(name):
+    average, limit = BATCHED[name]
+    a, _, _ = average_inputs(3)
+    b, _, _ = average_inputs(2)
+    xs = np.ones((2, 3))
+    with pytest.raises(ValueError, match="^a: a sampled average takes one WeightMatrix"):
+        average([a, a], xs, PermutationSampler(7), 10)
+    for bad, message in (
+        ([a], "^a: 1 matrices for 2 vectors, need one per vector$"),
+        ([a, b], "^a: the matrices must all have one shape$"),
+        ([], "^a must be a WeightMatrix or a nonempty sequence of them$"),
+        ([a, a.entries], "^a must be a WeightMatrix or a nonempty sequence of them$"),
+        (np.stack([a.entries, a.entries]), "^a must be a WeightMatrix or a nonempty sequence of them$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            average(bad, xs)
+    wide = WeightMatrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        average([wide, wide], np.ones((2, 2)))
+    with pytest.raises(ValueError, match="xs: row 1 has a non-finite entry"):
+        average([a, a], [[1.0, 2.0, 3.0], [1.0, np.nan, 0.0]])
+    past, _, _ = average_inputs(limit + 1)
+    with pytest.raises(ValueError, match=f"limited to n <= {limit}"):
+        average([past], np.ones((1, limit + 1)))
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_blocks_and_passes_keep_each_rows_bits(name, monkeypatch):
+    # small passes split every batch into several blocks of several passes, one matrix or one per vector
+    average, limit = BATCHED[name]
+    for n in range(1, min(limit, 6) + 1):
+        draws = np.random.default_rng(300 + n)
+        matrices = [WeightMatrix(np.sort(draws.uniform(0.05, 1, (n, n)), axis=1)[:, ::-1]) for _ in range(9)]
+        xs = draws.normal(size=(9, n))
+        shared = [average(matrices[0], [x]).value[0] for x in xs]
+        own = [average(a, [x]).value[0] for a, x in zip(matrices, xs)]
+        monkeypatch.setattr(musielak.perms, "_BATCH_ELEMENTS", 2 * math.factorial(n))
+        assert average(matrices[0], xs).value.tolist() == shared
+        assert average(matrices, xs).value.tolist() == own
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
 def test_monte_carlo_batch_contract(name):
     average, limit = BATCHED[name]
     a, _, _ = average_inputs(4)
@@ -645,10 +688,17 @@ def _flat_ave_l2_exact(a: WeightMatrix, xs) -> np.ndarray:
 def test_split_kernel_has_the_flat_kernels_bits(n):
     a = random_matrix(n)
     xs = np.vstack([np.zeros(n), rng.normal(size=(15, n))])  # several passes at n = 7 and 8
+    draws = np.random.default_rng(900 + n)
+    matrices = [WeightMatrix(np.sort(draws.uniform(0.05, 1, (n, n)), axis=1)[:, ::-1]) for _ in xs]
     for scale in (1e-170, 1e-150, 1.0, 1e150, 1e170):
         values = ave_l2(a, scale * xs).value
         np.testing.assert_array_equal(values, _flat_ave_l2_exact(a, scale * xs))
         assert values[0] == 0.0
+        # one matrix per vector: each row is the flat kernel of its own matrix
+        stacked = ave_l2(matrices, scale * xs).value
+        own = [_flat_ave_l2_exact(m, scale * x[None])[0] for m, x in zip(matrices, xs)]
+        np.testing.assert_array_equal(stacked, own)
+        assert stacked[0] == 0.0
     # squares underflow to 0 and overflow to inf at the extreme scales
     assert (ave_l2(a, 1e-170 * xs).value == 0.0).all()
     assert np.isinf(ave_l2(a, 1e170 * xs[1:]).value).all()
