@@ -18,14 +18,17 @@ H = (M^{*-1})^2 the profile
 is nonnegative and nonincreasing, and the matrix entries are its interval
 averages a_{i,j} = n * int_{(j-1)/n}^{j/n} f_i.  For power functions these
 integrals are taken in closed form.  Otherwise one ``FProfile`` holds the
-profiles of every row: H, f(1) and the curvature terms H'' and H - s H'.
+profiles of every row, through H and H - s H' alone: by the reconstruction
+identity H(t) = (int_0^t f)^2 + t int_t^1 f^2, sqrt(H - t H') = F - t f
+with F(t) = int_0^t f, so (F/t)' = -sqrt(H - t H')/t^2 and
+
+    F(t) = t (sqrt(H(1)) + int_t^1 sqrt(H(s) - s H'(s)) / s^2 ds).
+
 All averages of all rows then come from one pass of a fixed Gauss-Legendre
-rule over a (rows, pieces, nodes) grid of each row's own pieces, and two sums
-per piece; round trips fit each row's H by PCHIP on its own grid, every row
-of every matrix of a campaign in one pass (``roundtrip_checks``).
-(Note the minus sign on the integral term: it is forced by the
-reconstruction identity H(t) = (int_0^t f)^2 + t int_t^1 f^2, since
-H'' = 2 f' (F - t f) and sqrt(H - t H') = F - t f with F(t) = int_0^t f.)
+rule over a (rows, pieces, nodes) grid of each row's own pieces, one sum per
+piece; round trips fit each row's H by PCHIP on its own grid, every row of
+every matrix of a campaign in one pass (``roundtrip_checks``).  (Note the
+minus sign on the integral term of f: it is forced by H'' = 2 f' (F - t f).)
 """
 
 from __future__ import annotations
@@ -154,18 +157,18 @@ def functions_from_matrices(matrices, counts=None) -> MusielakSystem:
 # the profile f attached to H = (M^{*-1})^2
 
 
-# Gauss-Legendre rule on [0, 1]: g blows up only next to 0, on the one piece
-# that is not integrated.  Against scalar adaptive quadrature, on 779 fitted
-# rows of random matrices (entries uniform, in [0.9, 1] and log-uniform, n = 2..10),
-# 48 nodes were off by at most 1.0e-13, 32 by 3.5e-9; 64 were no better than 48.
+# Gauss-Legendre rule on [0, 1]: R/s^2 is integrated on every piece but the
+# one from 0.  Against 40-digit quadrature of the same fits, on 270 fitted
+# rows of random matrices (entries uniform, in [0.9, 1] and log-uniform,
+# n = 2..10), 48 nodes were off by at most 1.1e-13, 32 by 3.6e-13, 64 by 3.8e-14.
 # Newton's method on the Legendre recurrence gives weights within 1.4e-13 of
 # 40-digit ones (numpy's ``leggauss``, which loads LAPACK, within 1.3e-12).
 RULE_NODES = 48
 
 
 @functools.cache
-def _rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nodes on [0, 1], then 1 (a piece's right end), and the weights of g and of s g there (0 at the 1)."""
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes on [0, 1], then 1 (a piece's right end), and their weights (0 at the 1)."""
     x = np.cos(np.pi * (np.arange(RULE_NODES, 0, -1) - 0.25) / (RULE_NODES + 0.5))
     for _ in range(6):
         p0, p1 = np.ones_like(x), x  # P_{j-1} and P_j at x
@@ -173,8 +176,7 @@ def _rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
         slope = RULE_NODES * (x * p1 - p0) / (x * x - 1.0)
         x = x - p1 / slope
-    nodes, w = np.append((x + 1.0) / 2.0, 1.0), np.append(1.0 / ((1.0 - x * x) * slope * slope), 0.0)
-    return nodes, w, w * nodes
+    return np.append((x + 1.0) / 2.0, 1.0), np.append(1.0 / ((1.0 - x * x) * slope * slope), 0.0)
 
 
 def _at(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -214,21 +216,21 @@ def _concavity_root(rad):
 
 
 class FProfile:
-    """The profiles f of the rows of concave increasing H on [0, 1] with H(0) = 0.
+    """The profiles f of the rows of concave increasing H on [0, 1] with H(0) = 0 and H(1) = 1.
 
-    ``h`` is H of an array s, one row per H along a leading axis; ``boundary``
-    is f(1) = sqrt(H(1)) - sqrt(H(1) - H'(1)) per row.  ``curvature`` returns
-    H''(s) and H(s) - s H'(s), formed without cancellation, on a (rows,
-    pieces, nodes) grid s, each of that shape or broadcast to it.  ``knots``
-    are the points of (0, 1) where the pieces must split (such as the knots
-    of a piecewise cubic and the zeros of its H''), shared or a row per row
-    padded with 1.  With g = H''/sqrt(H - s H'), f(t) = f(1) - (1/2) int_t^1 g.
+    ``h`` is H of an array s, one row per H along a leading axis (so H(1)
+    has one entry per row).  ``radicand`` returns H(s) - s H'(s), formed
+    without cancellation, and H(s) on a (rows, pieces, nodes) grid s, each
+    of that shape or broadcast to it.  ``knots`` are the points of (0, 1)
+    where the pieces must split (such as the knots of a piecewise cubic and
+    the zeros of its H''), shared or a row per row padded with 1.  With
+    R = sqrt(H - s H') and I(t) = int_t^1 R(s)/s^2 ds, the integral of f
+    from 0 is F(t) = t (1 + I(t)), and f(t) = 1 + I(t) - R(t)/t.
     """
 
-    def __init__(self, h, boundary, curvature, knots=()):
-        self.h, self.curvature, self.knots = h, curvature, np.array(knots, dtype=float, ndmin=2)
-        self.boundary = np.array(boundary, dtype=float, ndmin=1)
-        self.rows = self.boundary.size
+    def __init__(self, h, radicand, knots=()):
+        self.h, self.radicand, self.knots = h, radicand, np.array(knots, dtype=float, ndmin=2)
+        self.rows = np.size(h(1.0))
 
     def value(self, t):
         """f(t) for t in (0, 1], a number or a nonempty array; nonnegative and nonincreasing.
@@ -239,74 +241,71 @@ class FProfile:
         if t.size == 0 or not np.all((t > 0) & (t <= 1)):
             raise ValueError("t must be nonempty and lie in (0, 1]")
         breaks = _breaks(self, t.ravel())
-        f = _at(_curvature_sums(self, breaks)[2], np.array([np.searchsorted(b, t) for b in breaks]))
+        f = _at(_tails(self, breaks)[1], np.array([np.searchsorted(b, t) for b in breaks]))
         return (f[0] if self.rows == 1 else f)[()]
 
 
-def _curvature_sums(profile: FProfile, breaks: np.ndarray):
-    """int g and int (s - lo) g on each piece [lo, hi] between a row's breaks, and f at the breaks, per row.
+def _roots(profile: FProfile, s: np.ndarray) -> np.ndarray:
+    """R = sqrt(H - s H') of every row on a (rows, pieces, nodes) grid s.
 
-    ``breaks`` (see ``_breaks``) start at 0 in every row or in none; a piece of width 0
-    adds 0.  H'' and H - s H' come on one (rows, pieces, nodes) grid of ``_rule``, each
-    sum over one row's nodes, so a row has the same bits whatever rows share the pass.
-    |H''| <= 1e-8 (e.g. for an interpolant of collinear data) counts as zero rather
-    than tripping the concavity guard, which holds at every node and names the first failing row.
-    On a piece [0, c] g may blow up like a power of s at 0, so only its
-    int s g = -2 sqrt(H(c) - c H'(c)) is taken, at the end node c (0 where H'' counts
-    as zero there or at every node of the piece).  Raises ``ConstructionError``,
-    naming the first such row, where some f_i falls below -1e-7 (an invalid H).
+    As in ``rows_from_knots``, H - s H' <= 1e-14 H counts as 0 (a linear H
+    gives 0 up to rounding).  Where H - s H' < -1e-10 H, H is not concave:
+    ``ConstructionError`` names the first such row.
     """
-    nodes, *weights = _rule()
-    width = np.diff(breaks, axis=1)
-    s = breaks[:, :-1, None] + width[..., None] * nodes  # as hi <= 2 lo or lo = 0, a piece's end node is hi
-    d2, rad = (np.broadcast_to(np.asarray(x, dtype=float), s.shape) for x in profile.curvature(s))
-    keep = np.abs(d2) > 1e-8  # a fitted row has a knot where this changes inside a segment: g jumps in no piece
-    neg = rad <= 0.0
-    if neg.any():
-        if (keep & neg).any():
-            i, k, j = np.argwhere(keep & neg)[0]
-            raise ConstructionError(
-                f"row {i}: H(s) - s H'(s) <= 0 at s = {s[i, k, j]}: concavity hypothesis fails"
-            )
-        rad = np.where(neg, np.inf, rad)  # H'' counts as zero there, and g = H'' / inf does too
-    g = np.where(keep, d2, 0.0) / np.sqrt(rad)
-    whole, moment = ((g * w).sum(axis=2) * width**power for w, power in zip(weights, (1, 2)))
+    rad, h = (np.broadcast_to(np.asarray(x, dtype=float), s.shape) for x in profile.radicand(s))
+    convex = rad < -1e-10 * h
+    if convex.any():
+        i, k, j = np.argwhere(convex)[0]
+        raise ConstructionError(f"row {i}: H(s) - s H'(s) <= 0 at s = {s[i, k, j]}: concavity hypothesis fails")
+    return np.sqrt(np.where(rad > 1e-14 * h, rad, 0.0))
+
+
+def _tails(profile: FProfile, breaks: np.ndarray):
+    """I(b) = int_b^1 R(s)/s^2 ds and f(b) = 1 + I(b) - R(b)/b at each of a row's breaks, per row.
+
+    ``breaks`` (see ``_breaks``) start at 0 in every row or in none.  Each
+    break is the right end of a piece, the last node of ``_rule``: of the
+    piece before it or, for a first break above 0, of the empty piece there.
+    R is checked (``_roots``) at every node, and R/s^2 summed over each
+    row's nodes of every piece but the first, so a row has the same bits
+    whatever rows share the pass.  The piece from 0, where R/s^2 need not be
+    integrable, is never summed, as F(0) = 0: at a break at 0, I and f read
+    0.  Raises ``ConstructionError``, naming the first such row, where some
+    f_i falls below -1e-7 (an invalid H).
+    """
+    nodes, weights = _rule()
     start = int(breaks[0, 0] == 0.0)
-    if start:
-        whole[:, 0] = 0.0
-        moment[:, 0] = np.where(keep[:, 0].any(axis=1) & ~neg[:, 0, -1], -2.0 * np.sqrt(rad[:, 0, -1]), 0.0)
-    tails = np.cumsum(np.hstack([whole, np.zeros((profile.rows, 1))])[:, ::-1], axis=1)[:, ::-1]  # int_{b_k}^1 g
-    f = profile.boundary[:, None] - 0.5 * tails
-    low = f[:, start:] < -1e-7
+    hi = breaks[:, start:]
+    lo = breaks[:, :-1] if start else np.hstack([breaks[:, :1], breaks[:, :-1]])
+    width = (hi - lo)[..., None]
+    s = lo[..., None] + width * nodes
+    root = _roots(profile, s)
+    pieces = (root[:, 1:] / (s[:, 1:] * s[:, 1:]) * weights).sum(axis=2) * width[:, 1:, 0]
+    tails = np.cumsum(np.hstack([pieces, np.zeros((profile.rows, 1))])[:, ::-1], axis=1)[:, ::-1]
+    f = 1.0 + tails - root[:, :, -1] / hi
+    low = f < -1e-7
     if low.any():
         i, k = np.argwhere(low)[0]
-        raise ConstructionError(f"row {i}: profile negative at t = {breaks[i, k + start]}: invalid H")
-    return whole, moment, np.maximum(f, 0.0)
+        raise ConstructionError(f"row {i}: profile negative at t = {hi[i, k]}: invalid H")
+    zero = np.zeros((profile.rows, start))
+    return np.hstack([zero, tails]), np.hstack([zero, np.maximum(f, 0.0)])
 
 
 def _interval_averages(profile: FProfile, edges) -> np.ndarray:
     """The average of every row f_i over each [a, b] between increasing edges in [0, 1].
 
     The edges are shared, or a row per row that may repeat its last edge
-    (averages 0 there).  Integrating f(t) = f(b) - (1/2) int_t^b g by parts gives
-        int_a^b f = (b - a) f(b) - (1/2) int_a^b g(s) (s - a) ds,
-    and on each piece [lo, hi] of [a, b] the last integral is
-    int (s - lo) g + (lo - a) int g, two sums per piece; pieces past the
-    last edge only enter f(b).  The constant part of every average is
-    exactly f(b), so where a profile is flat the averages tie exactly,
-    whatever the rounding of the interval widths.
+    (averages 0 there).  With F(t) = t (1 + I(t)) (see ``FProfile``), the
+    average (F(b) - F(a)) / (b - a) is 1 + I(b) - a (I(a) - I(b)) / (b - a),
+    from I at the two edges; an interval from 0 reads I at b alone.  Where R
+    counts as 0 everywhere (a linear H), every average is exactly 1.
     """
     edges = np.atleast_2d(np.asarray(edges, dtype=float))
     breaks = _breaks(profile, edges)
-    whole, moment, f = _curvature_sums(profile, breaks)
-    ends = (breaks[:, None, :] < edges[..., None]).sum(axis=2)  # the index of each edge, which is a break
-    left = _at(np.broadcast_to(edges, ends.shape), (edges[:, None, 1:-1] <= breaks[:, :-1, None]).sum(axis=2))
-    # one flat sum per interval, of its own pieces; those from a row's last edge on go to a sum left unread
-    terms = np.hstack([moment + (breaks[:, :-1] - left) * whole, np.zeros((len(moment), 1))])
-    starts = ends + terms.shape[1] * np.arange(len(terms))[:, None]
-    inner = np.add.reduceat(terms.ravel(), starts.ravel()).reshape(starts.shape)[:, :-1]
-    width = np.diff(edges, axis=1)
-    return np.where(width > 0, _at(f, ends[:, 1:]) - 0.5 * inner / np.where(width > 0, width, 1.0), 0.0)
+    tails = _at(_tails(profile, breaks)[0], (breaks[:, None, :] < edges[..., None]).sum(axis=2))  # I at each edge
+    a, width = edges[:, :-1], np.diff(edges, axis=1)
+    inner = a * (tails[:, :-1] - tails[:, 1:]) / np.where(width > 0, width, 1.0)
+    return np.where(width > 0, 1.0 + tails[:, 1:] - inner, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +341,8 @@ def power_profile(p: float) -> FProfile:
     """
     _check_exponent(p)
     alpha = 2.0 / (p / (p - 1.0))
-    r = _concavity_root(1.0 - alpha)
-    curvature = lambda s: (alpha * (alpha - 1.0) * s ** (alpha - 2.0), (1.0 - alpha) * s**alpha)
-    return FProfile(lambda t: t**alpha, 1.0 - r, curvature)
+    _concavity_root(1.0 - alpha)
+    return FProfile(lambda t: t**alpha, lambda s: ((1.0 - alpha) * s**alpha, s**alpha))
 
 
 def _power_profile_coefficients(p):
@@ -410,7 +408,7 @@ def h_reconstruct_check(profile: FProfile) -> float:
     edges = np.append(0.0, t)
     heads = np.cumsum(np.diff(edges) * _interval_averages(profile, edges)[0])
     breaks = _breaks(profile, t)[0]
-    nodes, weights, _ = _rule()
+    nodes, weights = _rule()
     width = np.diff(breaks)
     pieces = width * (profile.value(breaks[:-1, None] + width[:, None] * nodes) ** 2 @ weights)
     tails = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)[np.searchsorted(breaks, t)]
@@ -441,7 +439,7 @@ class _Pchip:
     c_0 u^3 + c_1 u^2 + c_2 u + c_3 with u = s - x_k, summed from the constant term up.
     ``table`` holds its (terms, rows, segments) coefficients, and ``radicand`` those of
     H - s H', formed so that it does not cancel: on the first segment it is
-    -c_1 u^2 - 2 c_0 u^3.  ``ends`` are H and H' of every row at its last x.
+    -c_1 u^2 - 2 c_0 u^3.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, n=None):
@@ -463,14 +461,9 @@ class _Pchip:
         t = (d[:, :-1] + d[:, 1:] - 2.0 * mk) / hk
         c0, c1, c2, c3 = t / hk, (mk - d[:, :-1]) / hk - t, d[:, :-1], y[:, :-1]
         x0 = x[:, :-1]
-        self.table = np.array([c0, c1, c2, c3])
-        self.radicand = np.array([-2.0 * c0, -c1 - 3.0 * x0 * c0, -2.0 * x0 * c1, c3 - x0 * c2])
-        # per row and segment, the coefficients of u and 1 in H'', then of u^3, u^2, u and 1 in H - s H'
-        self._curvatures = np.array([6.0 * c0, 2.0 * c1, *self.radicand])
-        # summed in that order for the bits of the reference PCHIP: where H is nearly linear,
-        # f(1) = sqrt(H(1)) - sqrt(H(1) - H'(1)) takes the root of a difference at rounding level
-        (e0, e1, e2, e3), u = self.table[:, r, n - 1], hk[r, n - 1]
-        self.ends = (e3 + e2 * u + e1 * (u * u) + e0 * (u * u * u), e2 + (2.0 * e1) * u + (3.0 * e0) * (u * u))
+        # per row and segment, the coefficients of u^3, u^2, u and 1 in H - s H', then in H
+        self._terms = np.array([-2.0 * c0, -c1 - 3.0 * x0 * c0, -2.0 * x0 * c1, c3 - x0 * c2, c0, c1, c2, c3])
+        self.radicand, self.table = self._terms[:4], self._terms[4:]
 
     def _segments(self, s: np.ndarray) -> np.ndarray:
         """The segment of its row that holds each s, for s with a leading row axis (or one of length 1)."""
@@ -485,8 +478,8 @@ class _Pchip:
         c0, c1, c2, c3 = (_at(c, k) for c in self.table)
         return c3 + c2 * u + c1 * (u * u) + c0 * (u * u * u)
 
-    def curvature(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """H''(s) and H(s) - s H'(s) of every row on a (rows, pieces, nodes) grid s, or a (pieces, nodes) one for all.
+    def on_grid(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H(s) - s H'(s) and H(s) of every row on a (rows, pieces, nodes) grid s, or a (pieces, nodes) one for all.
 
         Each piece must lie in one segment of its row, which is found once, from the piece's middle node.
         """
@@ -494,8 +487,8 @@ class _Pchip:
         k = self._segments(s[..., s.shape[-1] // 2])
         u = s - _at(self.x, k)[..., None]
         uu = u * u
-        a, b, r0, r1, r2, r3 = self._curvatures[:, np.arange(len(k))[:, None], k][..., None]
-        return a * u + b, r3 + r2 * u + r1 * uu + r0 * (uu * u)
+        r0, r1, r2, r3, c0, c1, c2, c3 = self._terms[:, np.arange(len(k))[:, None], k][..., None]
+        return r3 + r2 * u + r1 * uu + r0 * (uu * u), c3 + c2 * u + c1 * uu + c0 * (uu * u)
 
 
 def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, np.ndarray]:
@@ -526,17 +519,15 @@ def _fit(v: np.ndarray, n: np.ndarray) -> tuple[FProfile, np.ndarray]:
     grid = np.minimum(np.arange(v.shape[1]) / n[:, None], 1.0)
     hvals = v**2
     fit = _Pchip(grid, hvals / hvals[:, -1:], n)
+    _concavity_root(1.0 - fit.slopes[np.arange(len(v)), n])  # H(1) - H'(1), as H(1) = 1
     # H'' is linear on each segment.  Where it turns from + to -, H - s H' (whose derivative is -s H'') has a minimum,
-    # possibly close to 0, and g a narrow bump there that a fixed rule resolves only at the end of a piece: so each zero
-    # of H'' is a knot, or, where the band around it in which ``_curvature_sums`` drops |H''| <= 1e-8 is wider than
-    # 1e-6 of the zero's distance to the segment's ends, both ends of that band are, so that g jumps inside no piece.
+    # possibly close to 0, and R = sqrt(H - s H') a narrow dip there that a fixed rule resolves only at the end of a
+    # piece: so each zero of H'' is a knot.
     c0, c1 = fit.table[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u, off, h = -c1 / (3.0 * c0), 1e-8 / np.abs(6.0 * c0), np.diff(grid, axis=1)
-        zero, xi, off = (u > 0) & (u < h), grid[:, :-1] + u, np.where(off > 1e-6 * np.minimum(u, h - u), off, 0.0)
-        knots = np.hstack([grid[:, 1:-1]] + [np.where(zero, np.clip(xi + d, 0.0, 1.0), 1.0) for d in (-off, off)])
-    h1, dh1 = fit.ends
-    return FProfile(fit, np.sqrt(h1) - _concavity_root(h1 - dh1), fit.curvature, knots), np.sqrt(hvals[:, -1])
+        u = -c1 / (3.0 * c0)
+    knots = np.hstack([grid[:, 1:-1], np.where((u > 0) & (u < np.diff(grid, axis=1)), grid[:, :-1] + u, 1.0)])
+    return FProfile(fit, fit.on_grid, knots), np.sqrt(hvals[:, -1])
 
 
 def roundtrip_check(a: WeightMatrix) -> EquivalenceReport:

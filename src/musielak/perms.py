@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import MusielakSystem, luxemburg_norm, stacked_passes
+from .convex import MusielakSystem, _batch, luxemburg_norm, stacked_passes
 
 __all__ = [
     "WeightMatrix",
@@ -233,12 +233,7 @@ def _check_batch(a: WeightMatrix, xs) -> np.ndarray:
     """``xs`` as a (V, n) float batch of finite vectors for the square matrix ``a``, or a ValueError."""
     if not a.is_square:
         raise ValueError("needs a square matrix")
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != a.n:
-        raise ValueError("vector length must match matrix dimension")
-    if not np.isfinite(xs).all():
-        raise ValueError(f"xs: row {int(np.argmin(np.isfinite(xs).all(axis=1)))} has a non-finite entry")
-    return xs
+    return _batch(xs, a.n)
 
 
 @functools.cache

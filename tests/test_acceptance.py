@@ -99,7 +99,7 @@ def test_04_system_to_matrix_equivalence_band():
 
 
 def test_05_profile_reconstruction_identity():
-    degenerate = construct.FProfile(lambda t: t, 1.0, lambda s: (0.0, 0.0))
+    degenerate = construct.FProfile(lambda t: t, lambda s: (0.0, s))
     worst_deg = construct.h_reconstruct_check(degenerate)
     worst_pow = max(
         construct.h_reconstruct_check(construct.power_profile(p)) for p in (1.2, 1.5, 1.8)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from orlicz import PiecewiseAffineConvex, PowerFunction
@@ -66,7 +66,10 @@ def quad_fitted_row(knot_values):
     Scalar adaptive quadrature of
         int_a^b f = (b - a) f(1) - (1/2) int_a^1 g(s) (min(s, b) - a) ds,
     g = H''/sqrt(H - s H'), with a break at every knot; H is normalized to
-    H(1) = 1 as in ``fit_concave_profile``, and f(1) = sqrt(H(1)) - sqrt(H(1) - H'(1)).
+    H(1) = 1 as in ``fit_concave_profile``, and f(1) = sqrt(H(1)) - sqrt(H(1) - H'(1)),
+    the root taken as 0 where H(1) - H'(1) <= 1e-14 H(1) (a linear H, up to rounding).
+    Its own cutoff |H''| <= 1e-8 makes it about 1e-4 off where leading entries
+    nearly tie (ratios 1 - 1e-9 to 1 - 1e-3), where g is a narrow bump.
     """
     n = len(knot_values) - 1
     grid = np.arange(n + 1) / n
@@ -86,7 +89,8 @@ def quad_fitted_row(knot_values):
         return curvature / math.sqrt(float(fit(s)) - s * float(d1(s)))
 
     h1 = float(fit(1.0))
-    f1 = math.sqrt(h1) - math.sqrt(max(h1 - float(d1(1.0)), 0.0))
+    rad1 = h1 - float(d1(1.0))
+    f1 = math.sqrt(h1) - (math.sqrt(rad1) if rad1 > 1e-14 * h1 else 0.0)
     row = []
     for a, b in zip(grid[:-1], grid[1:]):
         knots = [x for x in grid if a < x < 1] or None
@@ -113,10 +117,7 @@ def scipy_fit_concave_profile(knot_values):
     with np.errstate(divide="ignore", invalid="ignore"):
         u = -c[1] / (3.0 * c[0])
     knots = np.union1d(grid[1:-1], (x + u)[(u > 0) & (u < np.diff(fit.x))])
-    d2 = fit.derivative(2)
-    h1 = float(fit(1.0))
-    f1 = math.sqrt(h1) - math.sqrt(max(h1 - float(fit.derivative()(1.0)), 0.0))
-    prof = FProfile(fit, f1, lambda s: (d2(s), radicand(s)), knots)
+    prof = FProfile(fit, lambda s: (radicand(s), fit(s)), knots)
     return prof, math.sqrt(hvals[-1])
 
 
@@ -174,12 +175,15 @@ class TestPchip:
 
     @staticmethod
     def d2(fit, s):
-        """H'' of every row at each s, from the grid path with one node per piece."""
-        return fit.curvature(np.asarray(s, dtype=float)[:, None])[0][..., 0]
+        """H'' of every row at each s, from the coefficients of its segment."""
+        s = np.asarray(s, dtype=float)[None]
+        k = fit._segments(s)
+        c0, c1 = (np.take_along_axis(c, k, axis=1) for c in fit.table[:2])
+        return 6.0 * c0 * (s - np.take_along_axis(fit.x, k, axis=1)) + 2.0 * c1
 
     @classmethod
     def check(cls, y):
-        """H, H'' and the ends H and H' at x[-1], against scipy."""
+        """The slopes, H and H'' against scipy, H and H' at x[-1] included."""
         x = np.arange(y.shape[1]) / (y.shape[1] - 1)
         fit = _Pchip(x, y)
         ref = PchipInterpolator(x, y, axis=1)
@@ -187,8 +191,6 @@ class TestPchip:
         np.testing.assert_allclose(fit.slopes, ref.derivative()(x), rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(fit(s), ref(s), rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(cls.d2(fit, s), ref.derivative(2)(s), rtol=1e-13, atol=1e-13)
-        for nu, end in enumerate(fit.ends):
-            np.testing.assert_allclose(end, ref.derivative(nu)(1.0), rtol=1e-13, atol=1e-13)
         return fit
 
     @pytest.mark.parametrize("points", range(2, 18))
@@ -212,12 +214,12 @@ class TestPchip:
             fit = _Pchip(x, y)
             breaks = np.union1d(x, [0.03, 0.3, 0.61])
             s = breaks[:-1, None] + np.diff(breaks)[:, None] * np.linspace(0.0, 1.0, 41)
-            d2, rad = fit.curvature(s)
-            assert d2.shape == rad.shape == (len(y), *s.shape)
+            rad, h = fit.on_grid(s)
+            assert rad.shape == h.shape == (len(y), *s.shape)
             inner = s[:, 1:-1]  # the ends of a piece may be evaluated from the next segment
             k = np.searchsorted(x[1:-1], inner, side="right")
-            ref = PchipInterpolator(x, y, axis=1).derivative(2)
-            np.testing.assert_allclose(d2[:, :, 1:-1], ref(inner), rtol=1e-13, atol=1e-13)
+            ref = PchipInterpolator(x, y, axis=1)
+            np.testing.assert_allclose(h[:, :, 1:-1], ref(inner), rtol=1e-13, atol=1e-13)
             r0, r1, r2, r3 = fit.radicand[:, :, k]
             u = inner - x[k]
             np.testing.assert_allclose(rad[:, :, 1:-1], r3 + r2 * u + r1 * u**2 + r0 * u**3, rtol=1e-13)
@@ -253,7 +255,7 @@ class TestFunctionsFromMatrix:
 
 class TestFProfile:
     def test_degenerate_linear(self):
-        prof = FProfile(lambda t: t, 1.0, lambda s: (0.0, 0.0))
+        prof = FProfile(lambda t: t, lambda s: (0.0, s))
         for t in [0.01, 0.3, 1.0]:
             assert prof.value(t) == pytest.approx(1.0, abs=1e-12)
 
@@ -306,11 +308,11 @@ class TestFProfile:
 
     def test_guard_inside_the_piece_next_to_zero(self):
         # H - s H' <= 0 only on (0, 0.1) of row 1, inside the first piece [0, 1/4] of the averages
-        def curvature(s):  # on a (rows, pieces, nodes) grid
-            d2, rad = -0.25 * s**-1.5, 0.5 * np.sqrt(s)
-            return d2, np.stack([rad[0], np.where(s[1] < 0.1, -rad[1], rad[1])])
+        def radicand(s):  # on a (rows, pieces, nodes) grid
+            rad = 0.5 * np.sqrt(s)
+            return np.stack([rad[0], np.where(s[1] < 0.1, -rad[1], rad[1])]), np.sqrt(s)
 
-        prof = FProfile(lambda s: np.stack([np.sqrt(s)] * 2), [1.0 - math.sqrt(0.5)] * 2, curvature)
+        prof = FProfile(lambda s: np.stack([np.sqrt(s)] * 2), radicand)
         assert np.all(prof.value(0.2) > 0)  # the pieces from 0.2 on pass
         with pytest.raises(ConstructionError, match=r"^row 1: H\(s\) - s H'\(s\) <= 0 at s = "):
             matrix_from_profiles(prof, 4)
@@ -325,8 +327,8 @@ class TestFProfile:
             power_profile(2.5)
 
     def test_interior_convexity_violation_detected(self):
-        # H = s^2, with f(1) as if H'(1) were 0.5: H - s H' = -s^2 < 0 inside
-        prof = FProfile(lambda s: s * s, 1.0 - math.sqrt(0.5), lambda s: (2.0, -s * s))
+        # H = s^2: H - s H' = -s^2 < 0 inside
+        prof = FProfile(lambda s: s * s, lambda s: (-s * s, s * s))
         with pytest.raises(ConstructionError):
             prof.value(0.5)
 
@@ -411,7 +413,7 @@ class TestMatrixFromFunctions:
 
 class TestReconstructionIdentity:
     def test_degenerate_exact(self):
-        prof = FProfile(lambda t: t, 1.0, lambda s: (0.0, 0.0))
+        prof = FProfile(lambda t: t, lambda s: (0.0, s))
         assert h_reconstruct_check(prof) <= 1e-12
 
     def test_power_family(self):
@@ -487,18 +489,16 @@ class TestPowerOrlicz:
 
 
 class TestRoundtrip:
-    def test_constant_fixed_point(self):
-        # linear H: g vanishes, so every average is f(1)
-        rep = roundtrip_check(WeightMatrix(np.ones((4, 4))))
-        assert rep.c_low == pytest.approx(1.0, abs=1e-12)
-        assert rep.c_high == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_constant_fixed_point(self, n):
+        # linear H: H - s H' is 0 up to rounding and counts as 0, so every average is exactly 1
+        rep = roundtrip_check(WeightMatrix(np.ones((n, n))))
+        assert rep.c_low == rep.c_high == 1.0
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_constant_rows_tie_exactly(self, n):
         # the refitted rows of a constant matrix must still be nonincreasing
-        # although the interval widths of arange(n + 1) / n differ by rounding;
-        # the constants sit within the rounding of H'(1), amplified by the
-        # square root in f(1)
+        # although the interval widths of arange(n + 1) / n differ by rounding
         rep = roundtrip_check(WeightMatrix(np.ones((n, n))))
         assert rep.c_low == pytest.approx(1.0, abs=1e-7)
         assert rep.c_high == pytest.approx(1.0, abs=1e-7)
@@ -507,8 +507,8 @@ class TestRoundtrip:
         "n,constants",
         [
             (4, (0.9986862922197925, 1.0)),
-            (6, (0.9986805625715295, 0.9999999999999999)),
-            (8, (0.9986774024123392, 0.9999999999999999)),
+            (6, (0.9986805625715295, 1.0)),
+            (8, (0.9986774024123389, 1.0)),
         ],
     )
     def test_power_constants_are_pinned(self, n, constants):
@@ -647,9 +647,11 @@ class TestConfig:
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 8), data=st.data())
-def test_fitted_rows_match_scalar_quadrature(n, data):
-    entries = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n))
+@given(entries=st.integers(2, 8).flatmap(lambda n: st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n)))
+# four rows of 1.0 and a last row whose entry 0 was 1.18e-10 off when the fit's H'' was integrated
+@example(entries=[1.0] * 20 + [1.0, 0.78125, 0.5224183196105076, 0.140625, 0.0625])
+def test_fitted_rows_match_scalar_quadrature(entries):
+    n = math.isqrt(len(entries))
     a = WeightMatrix(np.sort(np.reshape(entries, (n, n)), axis=1)[:, ::-1])
     knots = conjugate_inverse_knots(a)
     # most fits of random rows fail the concavity guards for n >= 3; compare

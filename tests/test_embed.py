@@ -134,7 +134,7 @@ class TestPsiExact:
             psi_image_norm(random_matrix(n), np.ones((1, n)))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="vector length"):
+        with pytest.raises(ValueError, match=r"^xs must be a \(V, 3\) batch of vectors, got shape \(2, 4\)$"):
             psi_image_norm(random_matrix(3), np.ones((2, 4)))
 
 
