@@ -103,14 +103,18 @@ def make_matrix(
         rows = np.sort(sampler.uniform(0.05, 1.0, (n, n)), axis=1)[:, ::-1]
         return WeightMatrix(rows)
     if family == "power-family":
-        return construct.matrix_from_functions(make_power_system(n, exponents))
+        return construct.power_matrix(_cycled(n, exponents))
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
 def make_power_system(n: int, exponents=DEFAULT_EXPONENTS) -> MusielakSystem:
     """Normalized power system cycling through the exponent list."""
-    ps = list(itertools.islice(itertools.cycle(exponents), n))
-    return construct.power_system(ps)
+    return construct.power_system(_cycled(n, exponents))
+
+
+def _cycled(n: int, exponents) -> list:
+    """The first n exponents of the list repeated."""
+    return list(itertools.islice(itertools.cycle(exponents), n))
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,14 @@ class Command(NamedTuple):
     campaign: str  # a function of ``campaigns``, looked up when the command runs
     config: dict  # the keys it reads, named like the campaign's parameters, with defaults
     max_dim: float = float("inf")  # the largest n in dims; a larger n is a config error
+    csv: bool = True  # whether the report has rows for a CSV; without them --format csv is a usage error
 
 
 COMMANDS = {
     "construct": Command(
         "construct_campaign",
         dict(seed=0, dims=[2, 3, 4], family="random-decreasing", exponents=_EXPONENTS, matrix=None),
+        csv=False,
     ),
     "verify-thm1": Command(
         "thm1_campaign",
@@ -187,6 +189,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    if args.format == "csv" and not COMMANDS[args.command].csv:
+        print(f"error: --format csv: {args.command} writes no CSV, only its JSON report", file=sys.stderr)
+        return 1
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -27,8 +27,11 @@ with F(t) = int_0^t f, so (F/t)' = -sqrt(H - t H')/t^2 and
 All averages of all rows then come from one pass of a fixed Gauss-Legendre
 rule over a (rows, pieces, nodes) grid of each row's own pieces, one sum per
 piece; round trips fit each row's H by PCHIP on its own grid, every row of
-every matrix of a campaign in one pass (``roundtrip_checks``).  (Note the
-minus sign on the integral term of f: it is forced by H'' = 2 f' (F - t f).)
+every matrix of a campaign in one pass (``roundtrip_checks``), which checks
+all the rebuilt matrices at once.  The grid arithmetic runs in place, in the
+order the formulas are written, so each value has the bits of the formula.
+(Note the minus sign on the integral term of f: it is forced by
+H'' = 2 f' (F - t f).)
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "power_profile",
     "power_profile_value",
     "power_system",
+    "power_matrix",
     "matrix_from_profiles",
     "matrix_from_functions",
     "h_reconstruct_check",
@@ -79,17 +83,23 @@ def _knot_values(rows: np.ndarray, n=None) -> np.ndarray:
     """``conjugate_inverse_knots`` of an (n, n) array, which need not be a valid ``WeightMatrix``.
 
     Or of a (J, m, m) stack of such arrays, zero-padded at their far ends,
-    with their own sizes ``n`` ((J,)): the tail sums add their padding
-    first, as +0.0, so each real knot value keeps its bits; a row repeats
-    its last past its own n, and a padded row is 0.
+    with their own sizes ``n`` ((J,)), or of (R, m) rows zero-padded past
+    their own sizes ``n`` ((R,)): the tail sums add their padding first, as
+    +0.0, so each real knot value keeps its bits; a row repeats its last
+    past its own n, and a padded row is 0.
     """
     m = rows.shape[-1]
-    n = m if n is None else np.reshape(n, (-1, 1, 1))
-    zero = np.zeros((*rows.shape[:-1], 1))
-    prefix = np.concatenate([zero, np.cumsum(rows, axis=-1)], axis=-1) / n
-    sq_tail = np.concatenate([np.cumsum((rows**2)[..., ::-1], axis=-1)[..., ::-1] / n, zero], axis=-1)
-    ell = np.arange(m + 1) / n  # past its own n a row's tail sum is 0
-    return np.sqrt(prefix**2 + ell * sq_tail)
+    n = m if n is None else np.reshape(n, (-1, *[1] * (rows.ndim - 1)))
+    v = np.zeros((*rows.shape[:-1], m + 1))
+    tail = np.zeros_like(v)
+    rows.cumsum(axis=-1, out=v[..., 1:])
+    v /= n
+    v *= v  # the squared prefix sums
+    (rows * rows)[..., ::-1].cumsum(axis=-1, out=tail[..., -2::-1])
+    tail /= n
+    tail *= np.arange(m + 1) / n  # past its own n a row's tail sum is 0
+    v += tail
+    return np.sqrt(v, out=v)
 
 
 def rows_from_knots(knot_values: np.ndarray) -> np.ndarray:
@@ -191,17 +201,24 @@ def _breaks(profile, points) -> np.ndarray:
     1.  A piece [a, b] with 0 < a and b > 2a is split at the powers of 2
     inside it: no piece but one from 0 is longer than its distance from 0.
     """
-    points, rows = np.atleast_2d(points), profile.rows
-    cuts = np.hstack([np.broadcast_to(c, (rows, c.shape[1])) for c in (points, profile.knots, np.ones((1, 1)))])
-    cuts = np.sort(np.where(cuts >= points.min(axis=1, keepdims=True), cuts, 1.0), axis=1)
+    points, knots = np.atleast_2d(points), profile.knots
+    cuts = np.ones((profile.rows, points.shape[1] + knots.shape[1] + 1))
+    cuts[:, : points.shape[1]] = points
+    cuts[:, points.shape[1] : -1] = knots
+    cuts = np.where(cuts >= points.min(axis=1, keepdims=True), cuts, 1.0)
+    cuts.sort(axis=1)
     a, b = cuts[:, :-1, None], cuts[:, 1:, None]
     wide = (b > 2.0 * a) & (a > 0)
     if wide.any():
         powers = 2.0 ** -np.arange(math.floor(-math.log2(a[wide].min())) + 1)
         inside = (wide & (a < powers) & (powers < b)).any(axis=1)
-        cuts = np.sort(np.hstack([cuts, np.where(inside, powers, 1.0)]), axis=1)
-    repeat = np.hstack([np.zeros((rows, 1), dtype=bool), cuts[:, 1:] == cuts[:, :-1]])
-    return np.minimum(np.sort(np.where(repeat, 2.0, cuts), axis=1)[:, : (~repeat).sum(axis=1).max()], 1.0)
+        cuts = np.concatenate([cuts, np.where(inside, powers, 1.0)], axis=1)
+        cuts.sort(axis=1)
+    repeat = np.zeros(cuts.shape, dtype=bool)
+    np.equal(cuts[:, 1:], cuts[:, :-1], out=repeat[:, 1:])
+    cuts[repeat] = 2.0  # sorted past the distinct cuts, then read as 1
+    cuts.sort(axis=1)
+    return np.minimum(cuts[:, : cuts.shape[1] - repeat.sum(axis=1).min()], 1.0)
 
 
 def _concavity_root(rad):
@@ -225,12 +242,13 @@ class FProfile:
     where the pieces must split (such as the knots of a piecewise cubic and
     the zeros of its H''), shared or a row per row padded with 1.  With
     R = sqrt(H - s H') and I(t) = int_t^1 R(s)/s^2 ds, the integral of f
-    from 0 is F(t) = t (1 + I(t)), and f(t) = 1 + I(t) - R(t)/t.
+    from 0 is F(t) = t (1 + I(t)), and f(t) = 1 + I(t) - R(t)/t.  There
+    are as many rows as rows of knots or, for shared knots, entries of H(1).
     """
 
     def __init__(self, h, radicand, knots=()):
         self.h, self.radicand, self.knots = h, radicand, np.array(knots, dtype=float, ndmin=2)
-        self.rows = np.size(h(1.0))
+        self.rows = len(self.knots) if len(self.knots) > 1 else np.size(h(1.0))
 
     def value(self, t):
         """f(t) for t in (0, 1], a number or a nonempty array; nonnegative and nonincreasing.
@@ -252,12 +270,15 @@ def _roots(profile: FProfile, s: np.ndarray) -> np.ndarray:
     gives 0 up to rounding).  Where H - s H' < -1e-10 H, H is not concave:
     ``ConstructionError`` names the first such row.
     """
-    rad, h = (np.broadcast_to(np.asarray(x, dtype=float), s.shape) for x in profile.radicand(s))
-    convex = rad < -1e-10 * h
+    rad, h = (x if np.shape(x) == s.shape else np.broadcast_to(x, s.shape) for x in profile.radicand(s))
+    bound = h * -1e-10
+    convex = rad < bound
     if convex.any():
         i, k, j = np.argwhere(convex)[0]
         raise ConstructionError(f"row {i}: H(s) - s H'(s) <= 0 at s = {s[i, k, j]}: concavity hypothesis fails")
-    return np.sqrt(np.where(rad > 1e-14 * h, rad, 0.0))
+    np.multiply(h, 1e-14, out=bound)
+    root = np.where(rad > bound, rad, 0.0)
+    return np.sqrt(root, out=root)
 
 
 def _tails(profile: FProfile, breaks: np.ndarray):
@@ -276,19 +297,27 @@ def _tails(profile: FProfile, breaks: np.ndarray):
     nodes, weights = _rule()
     start = int(breaks[0, 0] == 0.0)
     hi = breaks[:, start:]
-    lo = breaks[:, :-1] if start else np.hstack([breaks[:, :1], breaks[:, :-1]])
-    width = (hi - lo)[..., None]
-    s = lo[..., None] + width * nodes
+    lo = breaks[:, :-1] if start else np.concatenate([breaks[:, :1], breaks[:, :-1]], axis=1)
+    width = hi - lo
+    s = width[..., None] * nodes
+    s += lo[..., None]
     root = _roots(profile, s)
-    pieces = (root[:, 1:] / (s[:, 1:] * s[:, 1:]) * weights).sum(axis=2) * width[:, 1:, 0]
-    tails = np.cumsum(np.hstack([pieces, np.zeros((profile.rows, 1))])[:, ::-1], axis=1)[:, ::-1]
-    f = 1.0 + tails - root[:, :, -1] / hi
-    low = f < -1e-7
+    grid = s[:, 1:]  # R/s^2 times the weights, in place of s
+    grid *= grid
+    np.divide(root[:, 1:], grid, out=grid)
+    grid *= weights
+    tails, f = np.zeros((2, len(breaks), breaks.shape[1]))
+    pieces = tails[:, start:]
+    np.multiply(grid.sum(axis=2), width[:, 1:], out=pieces[:, :-1])
+    pieces[:, ::-1].cumsum(axis=1, out=pieces[:, ::-1])
+    last = np.divide(root[:, :, -1], hi)
+    np.subtract(1.0 + pieces, last, out=last)  # f at the breaks
+    low = last < -1e-7
     if low.any():
         i, k = np.argwhere(low)[0]
         raise ConstructionError(f"row {i}: profile negative at t = {hi[i, k]}: invalid H")
-    zero = np.zeros((profile.rows, start))
-    return np.hstack([zero, tails]), np.hstack([zero, np.maximum(f, 0.0)])
+    np.maximum(last, 0.0, out=f[:, start:])
+    return tails, f
 
 
 def _interval_averages(profile: FProfile, edges) -> np.ndarray:
@@ -303,7 +332,7 @@ def _interval_averages(profile: FProfile, edges) -> np.ndarray:
     edges = np.atleast_2d(np.asarray(edges, dtype=float))
     breaks = _breaks(profile, edges)
     tails = _at(_tails(profile, breaks)[0], (breaks[:, None, :] < edges[..., None]).sum(axis=2))  # I at each edge
-    a, width = edges[:, :-1], np.diff(edges, axis=1)
+    a, width = edges[:, :-1], edges[:, 1:] - edges[:, :-1]
     inner = a * (tails[:, :-1] - tails[:, 1:]) / np.where(width > 0, width, 1.0)
     return np.where(width > 0, 1.0 + tails[:, 1:] - inner, 0.0)
 
@@ -319,12 +348,29 @@ def power_system(exponents) -> MusielakSystem:
     conjugate is exactly x^q.  Every p must lie in (1, 2), where M is
     strictly 2-concave; ``ValueError`` names the first that does not.
     """
+    ps = _power_exponents(exponents)
+    # in Python floats: numpy's vectorized pow can differ from the scalar one in the last bit
+    return MusielakSystem.powers(ps, [(p / (p - 1.0)) ** (1.0 - p) / p for p in ps])
+
+
+def power_matrix(exponents) -> WeightMatrix:
+    """``matrix_from_functions(power_system(exponents))``, from the exponents alone: no scale enters the matrix.
+
+    The exponents are checked as in ``power_system``, and must not be empty.
+    """
+    ps = _power_exponents(exponents)
+    if not ps:
+        raise ValueError("exponents must not be empty")
+    return _power_matrix(np.array(ps))
+
+
+def _power_exponents(exponents) -> list[float]:
+    """The exponents as floats; ``ValueError`` names the first outside (1, 2)."""
     ps = [float(p) for p in exponents]
     for i, p in enumerate(ps):
         if not 1 < p < 2:
             raise ValueError(f"exponents[{i}] = {p} must lie in (1, 2) for the strictly 2-concave pipeline")
-    # in Python floats: numpy's vectorized pow can differ from the scalar one in the last bit
-    return MusielakSystem.powers(ps, [(p / (p - 1.0)) ** (1.0 - p) / p for p in ps])
+    return ps
 
 
 def _check_exponent(p: float) -> None:
@@ -391,9 +437,15 @@ def matrix_from_functions(system: MusielakSystem) -> WeightMatrix:
             "matrix_from_functions needs power functions; "
             "fit piecewise-affine systems with fit_concave_profile first"
         )
-    n = system.n
-    A, B, beta = (x[:, None] for x in _power_profile_coefficients(system.p))
-    return WeightMatrix((A - B) + (n * B / beta) * np.diff((np.arange(n + 1) / n) ** beta, axis=1))
+    return _power_matrix(system.p)
+
+
+def _power_matrix(p: np.ndarray) -> WeightMatrix:
+    """``matrix_from_functions`` of the power system of the exponents p ((n,)), which it does not build."""
+    n = len(p)
+    A, B, beta = (x[:, None] for x in _power_profile_coefficients(p))
+    grid = (np.arange(n + 1) / n) ** beta
+    return WeightMatrix((A - B) + (n * B / beta) * (grid[:, 1:] - grid[:, :-1]))
 
 
 def h_reconstruct_check(profile: FProfile) -> float:
@@ -444,19 +496,23 @@ class _Pchip:
 
     def __init__(self, x: np.ndarray, y: np.ndarray, n=None):
         r, m = np.arange(len(y)), y.shape[1] - 1
-        self.x, self.n = x, n = np.broadcast_to(x, y.shape), np.full(len(y), m) if n is None else n
-        hk = np.diff(x, axis=1)
+        self.x = x = x if np.shape(x) == y.shape else np.broadcast_to(x, y.shape)
+        self.n = n = np.full(len(y), m) if n is None else n
+        hk = x[:, 1:] - x[:, :-1]
         hk = np.where(hk > 0, hk, 1.0)  # past a row's own segments, where its secants are 0
-        mk = np.diff(y, axis=1) / hk
+        mk = y[:, 1:] - y[:, :-1]
+        mk /= hk
         sign = np.sign(mk)
         flat = sign[:, 1:] * sign[:, :-1] <= 0  # the secants change sign or one vanishes
         w1, w2 = 2.0 * hk[:, 1:] + hk[:, :-1], hk[:, 1:] + 2.0 * hk[:, :-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             inner = np.where(flat, 0.0, 1.0 / ((w1 / mk[:, :-1] + w2 / mk[:, 1:]) / (w1 + w2)))
-        near, far = np.stack([0 * n, n - 1], axis=1), np.minimum(np.stack([0 * n + 1, n - 2], axis=1), m - 1)
-        ends = _end_slope(_at(hk, near), _at(hk, far), _at(mk, near), _at(mk, far))
+        near = np.zeros((len(y), 2), dtype=int)
+        near[:, 1] = n - 1
+        far, rows = np.minimum(near + (1, -1), m - 1), r[:, None]
+        ends = _end_slope(hk[rows, near], hk[rows, far], mk[rows, near], mk[rows, far])
         ends = np.where(n[:, None] > 1, ends, mk[:, :1])  # two points: the line
-        self.slopes = d = np.hstack([ends[:, :1], inner, ends[:, 1:]])
+        self.slopes = d = np.concatenate([ends[:, :1], inner, ends[:, 1:]], axis=1)
         d[r, n] = ends[:, 1]
         t = (d[:, :-1] + d[:, 1:] - 2.0 * mk) / hk
         c0, c1, c2, c3 = t / hk, (mk - d[:, :-1]) / hk - t, d[:, :-1], y[:, :-1]
@@ -486,9 +542,20 @@ class _Pchip:
         s = s if s.ndim == 3 else s[None]
         k = self._segments(s[..., s.shape[-1] // 2])
         u = s - _at(self.x, k)[..., None]
-        uu = u * u
         r0, r1, r2, r3, c0, c1, c2, c3 = self._terms[:, np.arange(len(k))[:, None], k][..., None]
-        return r3 + r2 * u + r1 * uu + r0 * (uu * u), c3 + c2 * u + c1 * uu + c0 * (uu * u)
+        uu = u * u
+        uuu = uu * u
+        # each sum from the constant term up, in place: r3 + r2 u + r1 u^2 + r0 u^3, then H over u, uu and uuu
+        rad = r2 * u
+        rad += r3
+        term = r1 * uu
+        rad += term
+        rad += np.multiply(r0, uuu, out=term)
+        h = np.multiply(c2, u, out=u)
+        h += c3
+        h += np.multiply(c1, uu, out=uu)
+        h += np.multiply(c0, uuu, out=uuu)
+        return rad, h
 
 
 def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, np.ndarray]:
@@ -517,7 +584,7 @@ def fit_concave_profile(knot_values: np.ndarray) -> tuple[FProfile, np.ndarray]:
 def _fit(v: np.ndarray, n: np.ndarray) -> tuple[FProfile, np.ndarray]:
     """``fit_concave_profile`` of rows of sizes ``n``, each on its own grid l/n, and repeating its last past n."""
     grid = np.minimum(np.arange(v.shape[1]) / n[:, None], 1.0)
-    hvals = v**2
+    hvals = v * v
     fit = _Pchip(grid, hvals / hvals[:, -1:], n)
     _concavity_root(1.0 - fit.slopes[np.arange(len(v)), n])  # H(1) - H'(1), as H(1) = 1
     # H'' is linear on each segment.  Where it turns from + to -, H - s H' (whose derivative is -s H'') has a minimum,
@@ -526,7 +593,8 @@ def _fit(v: np.ndarray, n: np.ndarray) -> tuple[FProfile, np.ndarray]:
     c0, c1 = fit.table[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = -c1 / (3.0 * c0)
-    knots = np.hstack([grid[:, 1:-1], np.where((u > 0) & (u < np.diff(grid, axis=1)), grid[:, :-1] + u, 1.0)])
+    inflections = np.where((u > 0) & (u < grid[:, 1:] - grid[:, :-1]), grid[:, :-1] + u, 1.0)
+    knots = np.concatenate([grid[:, 1:-1], inflections], axis=1)
     return FProfile(fit, fit.on_grid, knots), np.sqrt(hvals[:, -1])
 
 
@@ -545,6 +613,8 @@ def roundtrip_checks(matrices) -> list[EquivalenceReport]:
     all matrices go in one pass, padded as in ``functions_from_matrices``,
     each on its own grid l/n and pieces, so each matrix gets the bits of its
     own call; if the pass fails, the first matrix that fails alone raises.
+    The rebuilt matrices are checked together (``WeightMatrix.rows_pass``),
+    and one by one, for the message of the first bad one, only on failure.
     """
     matrices = list(matrices)
     if not matrices:
@@ -553,16 +623,19 @@ def roundtrip_checks(matrices) -> list[EquivalenceReport]:
         entries, n, ncols = WeightMatrix.padded(matrices)
         if (n != ncols).any():
             raise ValueError("needs a square matrix")
-        real = np.arange(entries.shape[1]) < n[:, None]  # the rows of each matrix that are not padding
-        v = _knot_values(entries, n)[real]
-        profile, scales = _fit(v, np.repeat(n, n))
-        rebuilt = np.zeros(entries.shape)
-        rebuilt[real] = _interval_averages(profile, profile.h.x) * scales[:, None]  # over each row's own grid
-        for rows, k in zip(rebuilt, n):
-            WeightMatrix(rows[:k, :k])  # raises unless each rebuilt matrix is a weight matrix
+        sizes = np.repeat(n, n)  # each real row's own n
+        v = _knot_values(entries[np.arange(entries.shape[1]) < n[:, None]], sizes)
+        profile, scales = _fit(v, sizes)
+        rebuilt = _interval_averages(profile, profile.h.x)  # over each row's own grid, 0 past it
+        rebuilt *= scales[:, None]
+        if not WeightMatrix.rows_pass(rebuilt, rebuilt[np.arange(len(rebuilt)), sizes - 1]):
+            for rows, k in zip(np.split(rebuilt, np.cumsum(n)[:-1]), n):
+                WeightMatrix(rows[:, :k])  # the first rebuilt matrix that is not a weight matrix raises
     except ValueError:
         for a in matrices if len(matrices) > 1 else ():  # the first that fails alone raises its own error
             roundtrip_check(a)
         raise
-    ratios = _knot_values(rebuilt, n)[real][:, 1:] / v[:, 1:]  # past its own n a row repeats its last ratio
-    return [EquivalenceReport(float(r.min()), float(r.max())) for r in np.split(ratios, np.cumsum(n)[:-1])]
+    ratios = _knot_values(rebuilt, sizes)[:, 1:] / v[:, 1:]  # past its own n a row repeats its last ratio
+    first = np.cumsum(n) - n
+    low, high = np.minimum.reduceat(ratios, first).min(axis=1), np.maximum.reduceat(ratios, first).max(axis=1)
+    return [EquivalenceReport(lo, hi) for lo, hi in zip(low.tolist(), high.tolist())]

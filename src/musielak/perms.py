@@ -80,17 +80,28 @@ class WeightMatrix:
         n, N = entries.shape
         if n > N:
             raise ValueError("need n <= N")
+        if self.rows_pass(entries, entries[:, -1]):
+            return
         nonfinite = ~np.isfinite(entries).all(axis=1)
         nonpositive = ~(entries[:, -1:] > 0).all(axis=1)
         increasing = (entries[:, 1:] > entries[:, :-1]).any(axis=1)
-        bad = nonfinite | nonpositive | increasing
-        if bad.any():  # the first bad row, by its first failing check
-            i = int(np.argmax(bad))
-            if nonfinite[i]:
-                raise ValueError(f"row {i} has a non-finite entry")
-            if nonpositive[i]:
-                raise ValueError(f"row {i} is not strictly positive")
-            raise ValueError(f"row {i} is not nonincreasing")
+        i = int(np.argmax(nonfinite | nonpositive | increasing))  # the first bad row, by its first failing check
+        if nonfinite[i]:
+            raise ValueError(f"row {i} has a non-finite entry")
+        if nonpositive[i]:
+            raise ValueError(f"row {i} is not strictly positive")
+        raise ValueError(f"row {i} is not nonincreasing")
+
+    @staticmethod
+    def rows_pass(entries: np.ndarray, last: np.ndarray) -> bool:
+        """Whether every row is finite and nonincreasing, with its own last entry, ``last[i]``, positive.
+
+        One check of all rows, which ``WeightMatrix`` diagnoses row by row
+        only when it fails: rows nonincreasing down to a positive last entry
+        are finite where their first entries are.  A row zero-padded past its
+        own last entry passes where its own entries do.
+        """
+        return bool((entries[:, 1:] <= entries[:, :-1]).all() and (last > 0).all() and (entries[:, 0] < np.inf).all())
 
     @property
     def n(self) -> int:

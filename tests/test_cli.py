@@ -141,6 +141,15 @@ def test_json_only_format(tmp_path):
     assert not (tmp_path / "roundtrip.csv").exists()
 
 
+def test_construct_rejects_csv_format(tmp_path, capsys):
+    # construct has no rows: a CSV-only run would write nothing and pass, so it is a usage error that writes no file
+    assert run(tmp_path, "construct", SMALL["construct"], extra=["--format", "csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: --format csv: construct writes no CSV")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert run(tmp_path / "both", "construct", SMALL["construct"], extra=["--format", "both"]) == 0
+    assert sorted(p.name for p in (tmp_path / "both").iterdir()) == ["cfg.json", "construct.json"]
+
+
 def test_empty_sweep_is_a_pass(tmp_path):
     assert run(tmp_path, "verify-thm2", {"dims": []}) == 0
     doc = load_json(tmp_path, "verify-thm2")

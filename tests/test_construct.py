@@ -10,6 +10,8 @@ from scipy.integrate import IntegrationWarning, quad
 from orlicz import PiecewiseAffineConvex, PowerFunction
 from scipy.interpolate import PchipInterpolator, PPoly
 
+from musielak import construct
+from musielak.campaigns import make_matrix
 from musielak.construct import (
     ConstructionError,
     FProfile,
@@ -387,6 +389,21 @@ class TestMatrixFromFunctions:
                 expected = (A - B) + (n * B / beta) * np.diff((np.arange(n + 1) / n) ** beta)
                 np.testing.assert_array_equal(row, expected)
 
+    def test_power_matrix_needs_no_system(self):
+        # construct.power_matrix, from the exponents alone, has the bits of this module's power_matrix, built
+        # through the system and its scales; a bad exponent raises the same error in both
+        draw = np.random.default_rng(23)
+        for n in range(1, 17):
+            ps = draw.uniform(1.01, 1.99, n).tolist()
+            np.testing.assert_array_equal(construct.power_matrix(ps).entries, power_matrix(ps).entries)
+        for bad in ([1.5, 2.0], [1.5, math.nan], [0.5]):
+            with pytest.raises(ValueError) as alone:
+                power_system(bad)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+                construct.power_matrix(bad)
+        with pytest.raises(ValueError, match="^exponents must not be empty$"):
+            construct.power_matrix([])
+
     def test_p_above_two_rejected(self):
         with pytest.raises(ConstructionError, match="not concave"):
             matrix_from_functions(MusielakSystem.powers([2.5] * 3, [1.0] * 3))
@@ -497,11 +514,11 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_constant_rows_tie_exactly(self, n):
-        # the refitted rows of a constant matrix must still be nonincreasing
-        # although the interval widths of arange(n + 1) / n differ by rounding
-        rep = roundtrip_check(WeightMatrix(np.ones((n, n))))
-        assert rep.c_low == pytest.approx(1.0, abs=1e-7)
-        assert rep.c_high == pytest.approx(1.0, abs=1e-7)
+        # one stacked pass over the constant matrices n = 1..12, from n on and wrapping round, so each size meets
+        # padding both ways: the refitted rows tie although the widths of arange(k + 1) / k differ by rounding
+        sizes = [*range(n, 13), *range(1, n)]
+        reports = roundtrip_checks([WeightMatrix(np.ones((k, k))) for k in sizes])
+        assert [(rep.c_low, rep.c_high) for rep in reports] == [(1.0, 1.0)] * 12
 
     @pytest.mark.parametrize(
         "n,constants",
@@ -515,6 +532,15 @@ class TestRoundtrip:
         # the exponents cycle over the rows, as in the roundtrip command
         rep = roundtrip_check(power_matrix(([1.17, 1.4, 1.77] * 3)[:n]))
         assert (rep.c_low, rep.c_high) == constants
+
+    def test_stacked_power_family_is_pinned(self):
+        # the roundtrip-fit workload's shape: one stacked pass over the power family at n = 4, 6 and 8
+        matrices = [make_matrix("power-family", n, None, (1.2, 1.5, 1.8)) for n in (4, 6, 8)]
+        assert [(rep.c_low, rep.c_high) for rep in roundtrip_checks(matrices)] == [
+            (0.9986165807761503, 1.0000000000000002),
+            (0.9986085500650065, 1.0),
+            (0.9986044376652415, 1.0),
+        ]
 
     def test_power_family_band(self):
         a = matrix_from_functions(power_system([1.2, 1.5, 1.8]))

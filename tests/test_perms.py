@@ -624,6 +624,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="row 1 has a non-finite entry"):
             WeightMatrix(np.array([[2.0, 1.0], [bad, 1.0]]))
 
+    def test_rows_pass_reads_each_rows_own_last_entry(self):
+        # rows zero-padded past their own last entry, as the stacked round trip checks its rebuilt matrices
+        rows, own = np.array([[2.0, 1.0, 0.0], [3.0, 2.0, 1.0], [1.0, 0.0, 0.0]]), np.array([1, 2, 0])
+        assert WeightMatrix.rows_pass(rows, rows[np.arange(3), own])
+        assert not WeightMatrix.rows_pass(rows, rows[:, -1])  # rows 0 and 2 would end at their padding
+        for i, j, bad in [(0, 0, 0.5), (1, 0, np.inf), (2, 0, np.nan), (1, 2, -np.inf)]:
+            broken = rows.copy()
+            broken[i, j] = bad
+            assert not WeightMatrix.rows_pass(broken, broken[np.arange(3), own])
+
     def test_rejection_matches_the_row_loop(self):
         def first_bad_row(entries):  # the per-row validation, checks in message order
             for i, row in enumerate(entries):
